@@ -13,14 +13,13 @@ from .model import (
     ContractModel,
     Fragment,
     Param,
-    PluginConfig,
     StructDef,
     TimedTransition,
     Transition,
     VariableDecl,
     canonicalize,
-    equals,
 )
+from .plugins import PluginConfig
 from .scenario import Report, ScenarioSyntaxError, parse_scenario, run_scenario
 from .sim import (
     Invocation,
@@ -42,7 +41,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ContractModel", "Fragment", "Param", "PluginConfig", "StructDef",
-    "TimedTransition", "Transition", "VariableDecl", "canonicalize", "equals",
+    "TimedTransition", "Transition", "VariableDecl", "canonicalize",
     "Diagnostic", "SourceSpan", "has_errors",
     "ParseError", "parse_dsl", "emit_dsl", "parse_json", "emit_json",
     "parse_guard_expr", "validate", "weave", "WovenContract",

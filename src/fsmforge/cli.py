@@ -15,9 +15,10 @@ from pathlib import Path
 
 from .codegen import generate
 from .diagnostics import has_errors
-from .dsl import PLUGIN_KEYWORDS, ParseError, emit_dsl, parse_dsl
+from .dsl import ParseError, emit_dsl, parse_dsl
 from .jsonio import emit_json, parse_json
-from .model import ContractModel, PluginConfig
+from .model import ContractModel
+from .plugins import BY_KEYWORD, PluginConfig
 from .scenario import ScenarioSyntaxError, parse_step, run_step
 from .sim import SimConfig, new_session
 from .validate import validate
@@ -71,10 +72,10 @@ def _parse_plugin_list(text: str) -> PluginConfig:
     enabled = {}
     names = [n for n in (part.strip() for part in text.split(",")) if n]
     for name in names:
-        if name not in PLUGIN_KEYWORDS:
-            known = ", ".join(PLUGIN_KEYWORDS)
+        if name not in BY_KEYWORD:
+            known = ", ".join(BY_KEYWORD)
             raise CliError(f"unknown plugin '{name}' (known: {known})")
-        enabled[PLUGIN_KEYWORDS[name]] = True
+        enabled[BY_KEYWORD[name].field] = True
     return PluginConfig(**enabled)
 
 
@@ -199,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate Solidity from a model file")
     p.add_argument("file", help="model file (.fsm or .json)")
     p.add_argument("--plugins", default=None,
-                   help="comma-separated plugin override "
-                        "(locking,counter,timed,access,events); empty disables all")
+                   help=f"comma-separated plugin override ({','.join(BY_KEYWORD)}); "
+                        "empty disables all")
     p.add_argument("-o", "--output", default="-", help="output path, '-' for stdout")
     p.set_defaults(func=_cmd_gen)
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 from .fragments import Token, lex_fragment
 from .model import Transition
-from .weave import BANNERS, WovenContract, guard_conjunction
+from .plugins import BY_FIELD
+from .weave import WovenContract, guard_conjunction
 
 _INDENT = "    "
 
@@ -72,7 +73,7 @@ def generate(woven: WovenContract) -> str:
     out.append(f"{_INDENT}uint private creationTime = now;")
     for plugin, decls in woven.contract_fragments:
         out.append("")
-        out.append(f"{_INDENT}{BANNERS[plugin]}")
+        out.append(f"{_INDENT}{BY_FIELD[plugin].banner}")
         _emit_block(out, decls, 1)
     out.append("")
     out.append(f"{_INDENT}//Transitions")

@@ -15,26 +15,16 @@ from .model import (
     ContractModel,
     Fragment,
     Param,
-    PluginConfig,
     StructDef,
     TimedTransition,
     Transition,
     VariableDecl,
     canonicalize,
 )
+from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"\d+")
-
-# DSL plugin keyword -> PluginConfig field
-PLUGIN_KEYWORDS = {
-    "locking": "locking",
-    "counter": "counter",
-    "timed": "timed",
-    "access": "access_control",
-    "events": "events",
-}
-_PLUGIN_FIELD_TO_KEYWORD = {v: k for k, v in PLUGIN_KEYWORDS.items()}
 
 
 class ParseError(Exception):
@@ -258,9 +248,9 @@ def _parse_plugins(cur: _Cursor) -> PluginConfig:
     while not cur.try_punct("}"):
         pos = cur.i
         name = cur.expect_ident("plugin name")
-        if name not in PLUGIN_KEYWORDS:
+        if name not in BY_KEYWORD:
             cur.fail("E_SYNTAX", f"unknown plugin '{name}'", pos)
-        field = PLUGIN_KEYWORDS[name]
+        field = BY_KEYWORD[name].field
         if field in enabled:
             cur.fail("E_DUP_DECL", f"duplicate plugin '{name}'", pos)
         enabled[field] = True
@@ -496,7 +486,7 @@ def emit_dsl(model: ContractModel) -> str:
     if enabled:
         out.append(f"{_INDENT}plugins {{")
         for field in enabled:
-            out.append(f"{_INDENT * 2}{_PLUGIN_FIELD_TO_KEYWORD[field]};")
+            out.append(f"{_INDENT * 2}{BY_FIELD[field].keyword};")
         out.append(f"{_INDENT}}}")
     for struct in model.structs:
         out.append(f"{_INDENT}struct {struct.name} {{")

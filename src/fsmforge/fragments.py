@@ -142,20 +142,3 @@ def _skip_ws(text: str, i: int) -> int:
     while i < len(text) and text[i] in " \t":
         i += 1
     return i
-
-
-def fragment_identifiers(text: str) -> set[str]:
-    """Identifiers occurring in a fragment; empty set if it does not lex."""
-    try:
-        tokens = lex_fragment(text)
-    except LexError:
-        return set()
-    return {t.text for t in tokens if t.kind == "identifier"}
-
-
-def is_balanced(text: str) -> bool:
-    try:
-        lex_fragment(text)
-    except LexError:
-        return False
-    return True

@@ -10,18 +10,17 @@ from .model import (
     ContractModel,
     Fragment,
     Param,
-    PluginConfig,
     StructDef,
     TimedTransition,
     Transition,
     VariableDecl,
     canonicalize,
 )
+from .plugins import PLUGINS, PluginConfig
 
 _TOP_KEYS = {"name", "states", "initial", "variables", "structs", "transitions", "timed", "plugins"}
 _TRANSITION_KEYS = {"name", "from", "to", "tags", "inputs", "outputs", "locals", "guards", "statements"}
 _TIMED_KEYS = {"name", "from", "to", "atSeconds", "guard", "statements"}
-_PLUGIN_KEYS = {"locking", "counter", "timed", "access_control", "events"}
 
 
 def _shape_error(message: str, path: str = "") -> ParseError:
@@ -123,7 +122,8 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
     for i, item in enumerate(top["timed"]):
         path = f"timed[{i}]"
         obj = _check_keys(item, _TIMED_KEYS, path)
-        if not isinstance(obj["atSeconds"], int) or obj["atSeconds"] < 0:
+        at = obj["atSeconds"]
+        if isinstance(at, bool) or not isinstance(at, int) or at < 0:
             raise _shape_error("atSeconds must be a nonnegative integer", f"{path}.atSeconds")
         guard = obj["guard"]
         if guard is not None and not isinstance(guard, str):
@@ -132,12 +132,12 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
             name=_str(obj["name"], path),
             from_state=_str(obj["from"], path),
             to_state=_str(obj["to"], path),
-            time_offset_seconds=obj["atSeconds"],
+            time_offset_seconds=at,
             guard=None if guard is None else Fragment(guard, "expr"),
             statements=tuple(Fragment(s, "stmt")
                              for s in _str_list(obj["statements"], f"{path}.statements")),
         ))
-    plugins_obj = _check_keys(top["plugins"], _PLUGIN_KEYS, "plugins")
+    plugins_obj = _check_keys(top["plugins"], {p.field for p in PLUGINS}, "plugins")
     for key, value in plugins_obj.items():
         if not isinstance(value, bool):
             raise _shape_error("plugin flags must be booleans", f"plugins.{key}")
@@ -187,12 +187,6 @@ def emit_json(model: ContractModel) -> str:
              "statements": [s.text for s in tt.statements]}
             for tt in model.timed_transitions
         ],
-        "plugins": {
-            "locking": model.plugins.locking,
-            "counter": model.plugins.counter,
-            "timed": model.plugins.timed,
-            "access_control": model.plugins.access_control,
-            "events": model.plugins.events,
-        },
+        "plugins": {p.field: getattr(model.plugins, p.field) for p in PLUGINS},
     }
     return json.dumps(data, indent=2) + "\n"

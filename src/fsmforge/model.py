@@ -9,10 +9,11 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .plugins import BY_TAG, PluginConfig
+
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-KNOWN_TAGS = ("payable", "admin", "event")
-PLUGIN_NAMES = ("locking", "counter", "timed", "access_control", "events")
+KNOWN_TAGS = ("payable",) + tuple(BY_TAG)
 
 TIME_UNITS = {
     "seconds": 1,
@@ -78,18 +79,6 @@ class TimedTransition:
 
 
 @dataclass(frozen=True)
-class PluginConfig:
-    locking: bool = False
-    counter: bool = False
-    timed: bool = False
-    access_control: bool = False
-    events: bool = False
-
-    def enabled(self) -> tuple[str, ...]:
-        return tuple(n for n in PLUGIN_NAMES if getattr(self, n))
-
-
-@dataclass(frozen=True)
 class ContractModel:
     name: str
     states: tuple[str, ...]
@@ -107,8 +96,3 @@ def canonicalize(model: ContractModel) -> ContractModel:
     if ordered == model.timed_transitions:
         return model
     return replace(model, timed_transitions=ordered)
-
-
-def equals(a: ContractModel, b: ContractModel) -> bool:
-    """Structural equality; fragment text is compared verbatim."""
-    return a == b

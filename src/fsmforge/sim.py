@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import guards as g
 from .model import Transition
+from .plugins import ACCESS_CONTROL, COUNTER, EVENTS, LOCKING, TIMED
 from .weave import WovenContract
 
 
@@ -248,33 +249,32 @@ def _run_timed(session: SimSession, state: _State, call: Invocation) -> list[str
 
 
 def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -> Outcome:
-    plugins = session.woven.base.plugins
     t = _find_transition(session.woven, call.transition)
     if t is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
-    if plugins.counter and call.next_transition_number is None:
+    chain = session.woven.chains[t.name]
+    if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
 
-    if plugins.locking:
-        if state.locked:
-            return _revert(RevertReason.LOCKED)
-        state.locked = True
-
+    # The woven modifiers, outermost first; each entry runs its step.
     fired: tuple[str, ...] = ()
-    if plugins.timed:
-        result = _run_timed(session, state, call)
-        if isinstance(result, Outcome):
-            return result
-        fired = tuple(result)
-
-    if plugins.counter:
-        if call.next_transition_number != state.transition_counter:
-            return _revert(RevertReason.COUNTER_MISMATCH)
-        state.transition_counter += 1
-
-    if plugins.access_control and "admin" in t.tags and call.sender not in state.is_admin:
-        return _revert(RevertReason.NOT_ADMIN)
+    for plugin in chain:
+        if plugin is LOCKING:
+            if state.locked:
+                return _revert(RevertReason.LOCKED)
+            state.locked = True
+        elif plugin is TIMED:
+            result = _run_timed(session, state, call)
+            if isinstance(result, Outcome):
+                return result
+            fired = tuple(result)
+        elif plugin is COUNTER:
+            if call.next_transition_number != state.transition_counter:
+                return _revert(RevertReason.COUNTER_MISMATCH)
+            state.transition_counter += 1
+        elif plugin is ACCESS_CONTROL and call.sender not in state.is_admin:
+            return _revert(RevertReason.NOT_ADMIN)
 
     if state.current_state != t.from_state:
         return _revert(RevertReason.WRONG_STATE)
@@ -292,7 +292,7 @@ def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -
     if call.reentry_probe is not None and depth == 0:
         # A reentrant callback arrives mid-body, while the lock (if any) is held.
         probe = call.reentry_probe
-        if plugins.counter and probe.next_transition_number is None:
+        if COUNTER in chain and probe.next_transition_number is None:
             probe = replace(probe, next_transition_number=state.transition_counter)
         probe_state = state.copy()
         probe_outcome = _execute(session, probe_state, probe, depth + 1)
@@ -303,12 +303,10 @@ def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -
 
     state.current_state = t.to_state
 
-    if plugins.locking:
+    # The modifiers' code after `_;`: the lock is released, the event emitted.
+    if LOCKING in chain:
         state.locked = False
-
-    events: tuple[str, ...] = ()
-    if plugins.events and "event" in t.tags:
-        events = (f"Event{t.name}",)
+    events = (f"Event{t.name}",) if EVENTS in chain else ()
 
     return Outcome(executed=True, fired_timed=fired, events=events, probe=probe_outcome)
 

@@ -8,19 +8,10 @@ from __future__ import annotations
 from .diagnostics import Diagnostic
 from .fragments import LexError, lex_fragment
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
+from .plugins import BY_FIELD, BY_TAG
 
 # Names the generator always emits, regardless of plugins.
 _ALWAYS_RESERVED = ("state", "States", "creationTime")
-
-_PLUGIN_RESERVED = {
-    "locking": ("locked", "locking"),
-    "counter": ("transitionCounter", "transitionCounting", "nextTransitionNumber"),
-    "timed": ("timedTransitions",),
-    "access_control": ("isAdmin", "numAdmins", "addAdmin", "removeAdmin", "onlyAdmin"),
-    "events": (),
-}
-
-_TAG_PLUGIN = {"admin": "access_control", "event": "events"}
 
 # Identifiers guards may always use without declaring them.
 _GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block", "tx"}
@@ -29,8 +20,8 @@ _GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block
 def _reserved_names(model: ContractModel) -> set[str]:
     reserved = set(_ALWAYS_RESERVED)
     reserved.add(model.name)
-    for plugin in model.plugins.enabled():
-        reserved.update(_PLUGIN_RESERVED[plugin])
+    for field in model.plugins.enabled():
+        reserved.update(BY_FIELD[field].reserved)
     return reserved
 
 
@@ -78,9 +69,9 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
     for tag in t.tags:
         if tag not in KNOWN_TAGS:
             out.error("E_BAD_TAG", f"{path}.tags", f"unknown tag '{tag}'")
-        elif tag in _TAG_PLUGIN and not getattr(model.plugins, _TAG_PLUGIN[tag]):
+        elif tag in BY_TAG and not getattr(model.plugins, BY_TAG[tag].field):
             out.error("E_TAG_NEEDS_PLUGIN", f"{path}.tags",
-                      f"tag '{tag}' requires the {_TAG_PLUGIN[tag]} plugin")
+                      f"tag '{tag}' requires the {BY_TAG[tag].field} plugin")
     if t.name in reserved:
         out.error("E_RESERVED", f"{path}.name",
                   f"transition name '{t.name}' collides with a generated name")

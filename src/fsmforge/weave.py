@@ -2,80 +2,23 @@
 
 Each enabled plugin contributes contract-level declarations and injects
 modifiers (and, for the counter, a leading parameter) into every affected
-transition. Modifier application order is fixed: locking first, then
-timedTransitions, transitionCounting, onlyAdmin, and the per-transition
-event modifier last.
+transition, in the order `plugins.CHAIN` fixes.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import ContractModel, Param, TimedTransition, Transition
-
-LOCKING_DECLS = """\
-bool private locked = false;
-modifier locking {
-    require(!locked);
-    locked = true;
-    _;
-    locked = false;
-}"""
-
-COUNTER_DECLS = """\
-uint private transitionCounter = 0;
-modifier transitionCounting(uint nextTransitionNumber) {
-    require(nextTransitionNumber == transitionCounter);
-    transitionCounter += 1;
-    _;
-}"""
-
-ACCESS_CONTROL_DECLS = """\
-mapping(address => bool) private isAdmin;
-uint private numAdmins = 1;
-
-function {name}() {{
-    isAdmin[msg.sender] = true;
-}}
-
-modifier onlyAdmin {{
-    require(isAdmin[msg.sender]);
-    _;
-}}
-
-function addAdmin(address admin) onlyAdmin {{
-    require(!isAdmin[admin]);
-    isAdmin[admin] = true;
-    numAdmins += 1;
-}}
-
-function removeAdmin(address admin) onlyAdmin {{
-    require(isAdmin[admin]);
-    require(numAdmins > 1);
-    isAdmin[admin] = false;
-    numAdmins -= 1;
-}}"""
-
-EVENT_DECLS = """\
-event Event{name};
-modifier event{name} {{
-    _;
-    Event{name}();
-}}"""
-
-BANNERS = {
-    "locking": "//Locking",
-    "counter": "//Transition counter",
-    "timed": "//Timed transitions",
-    "access_control": "//Access control",
-    "events": "//Events",
-}
+from .model import ContractModel, Param, Transition
+from .plugins import PLUGINS, Plugin, chain
 
 
 @dataclass(frozen=True)
 class WovenContract:
     base: ContractModel
-    # (plugin name, declaration block) in canonical plugin order
+    # (plugin field, declaration block) in declaration order
     contract_fragments: tuple[tuple[str, str], ...] = ()
+    # transition name -> the plugins wrapping it, outermost first
+    chains: dict[str, tuple[Plugin, ...]] = field(default_factory=dict)
     per_transition: dict[str, tuple[str, ...]] = field(default_factory=dict)
     injected_params: dict[str, tuple[Param, ...]] = field(default_factory=dict)
 
@@ -90,73 +33,21 @@ def guard_conjunction(t: Transition) -> str:
     return f"require( {joined} );"
 
 
-def timed_transition_block(tt: TimedTransition) -> str:
-    """One automatic-firing block inside the timedTransitions modifier."""
-    head = [f"if ((state == States.{tt.from_state})"]
-    clause = f"    && (now >= creationTime + {tt.time_offset_seconds})"
-    if tt.guard is None:
-        head.append(clause + ") {")
-    else:
-        head.append(clause)
-        head.append(f"    && ({tt.guard.text})) {{")
-    body = []
-    for stmt in tt.statements:
-        body.extend("    " + ln if ln else "" for ln in stmt.text.split("\n"))
-    body.append(f"    state = States.{tt.to_state};")
-    return "\n".join(head + body + ["}"])
-
-
-def timed_modifier(model: ContractModel) -> str:
-    lines = ["modifier timedTransitions {"]
-    for tt in model.timed_transitions:
-        block = timed_transition_block(tt)
-        lines.extend("    " + ln if ln else "" for ln in block.split("\n"))
-    lines.append("    _;")
-    lines.append("}")
-    return "\n".join(lines)
-
-
 def weave(model: ContractModel) -> WovenContract:
     """Weave enabled plugins into a validated model."""
-    plugins = model.plugins
-    fragments: list[tuple[str, str]] = []
-    if plugins.locking:
-        fragments.append(("locking", LOCKING_DECLS))
-    if plugins.counter:
-        fragments.append(("counter", COUNTER_DECLS))
-    if plugins.timed:
-        fragments.append(("timed", timed_modifier(model)))
-    if plugins.access_control:
-        fragments.append(("access_control", ACCESS_CONTROL_DECLS.format(name=model.name)))
-    if plugins.events:
-        blocks = [EVENT_DECLS.format(name=t.name)
-                  for t in model.transitions if "event" in t.tags]
-        if blocks:
-            fragments.append(("events", "\n\n".join(blocks)))
-
-    per_transition: dict[str, tuple[str, ...]] = {}
-    injected: dict[str, tuple[Param, ...]] = {}
-    for t in model.transitions:
-        chain: list[str] = []
-        if plugins.locking:
-            chain.append("locking")
-        if plugins.timed:
-            chain.append("timedTransitions")
-        if plugins.counter:
-            chain.append("transitionCounting(nextTransitionNumber)")
-        if plugins.access_control and "admin" in t.tags:
-            chain.append("onlyAdmin")
-        if plugins.events and "event" in t.tags:
-            chain.append(f"event{t.name}")
-        per_transition[t.name] = tuple(chain)
-        params: tuple[Param, ...] = ()
-        if plugins.counter:
-            params = (Param(name="nextTransitionNumber", type_text="uint"),)
-        injected[t.name] = params
-
+    fragments = []
+    for plugin in PLUGINS:
+        if getattr(model.plugins, plugin.field):
+            block = plugin.decls(model)
+            if block:
+                fragments.append((plugin.field, block))
+    chains = {t.name: chain(model.plugins, t) for t in model.transitions}
     return WovenContract(
         base=model,
         contract_fragments=tuple(fragments),
-        per_transition=per_transition,
-        injected_params=injected,
+        chains=chains,
+        per_transition={name: tuple(p.modifier.format(name=name) for p in c)
+                        for name, c in chains.items()},
+        injected_params={name: tuple(Param(*param) for p in c for param in p.params)
+                         for name, c in chains.items()},
     )

@@ -1,6 +1,6 @@
 import pytest
 
-from fsmforge.fragments import LexError, fragment_identifiers, is_balanced, lex_fragment
+from fsmforge.fragments import LexError, lex_fragment
 
 
 def kinds(text):
@@ -49,8 +49,7 @@ def test_unbalanced_raises():
         with pytest.raises(LexError) as exc:
             lex_fragment(bad)
         assert exc.value.diagnostic.code == "E_UNBALANCED"
-    assert not is_balanced("(a")
-    assert is_balanced("f(a[b]) { c; }")
+    lex_fragment("f(a[b]) { c; }")
 
 
 def test_unterminated_string_and_comment():
@@ -73,5 +72,7 @@ def test_spans_are_one_based():
 
 
 def test_fragment_identifiers_collects_all():
-    assert fragment_identifiers("bids[msg.sender].push(x)") == {"bids", "msg", "sender", "push", "x"}
-    assert fragment_identifiers("(broken") == set()
+    tokens = lex_fragment("bids[msg.sender].push(x)")
+    assert {t.text for t in tokens if t.kind == "identifier"} == {"bids", "msg", "sender", "push", "x"}
+    with pytest.raises(LexError):
+        lex_fragment("(broken")

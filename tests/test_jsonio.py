@@ -70,6 +70,9 @@ def test_shape_errors():
         "guard": None, "statements": []}])
     _expect_code(json.dumps(bad_timed), "E_JSON_SHAPE")
 
+    bool_offset = dict(good, timed=[dict(bad_timed["timed"][0], atSeconds=True)])
+    _expect_code(json.dumps(bool_offset), "E_JSON_SHAPE")
+
     bad_plugins = dict(good, plugins=dict(good["plugins"], locking="yes"))
     _expect_code(json.dumps(bad_plugins), "E_JSON_SHAPE")
 

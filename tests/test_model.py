@@ -8,7 +8,6 @@ from fsmforge.model import (
     PluginConfig,
     TimedTransition,
     canonicalize,
-    equals,
     is_identifier,
 )
 from modelgen import random_model
@@ -49,8 +48,8 @@ def test_canonicalize_idempotent_and_identity_when_sorted():
 def test_equals_is_structural():
     a = make([_tt("x", 5)])
     b = make([_tt("x", 5)])
-    assert equals(a, b)
-    assert not equals(a, make([_tt("x", 6)]))
+    assert a == b
+    assert a != make([_tt("x", 6)])
 
 
 def test_fragment_text_compared_verbatim():
@@ -63,8 +62,8 @@ def test_fragment_text_compared_verbatim():
                       timed_transitions=(TimedTransition(
                           "t", "A", "B", 1, guard=Fragment("a > b", "expr")),),
                       plugins=PluginConfig(timed=True))
-    assert not equals(b, c)
-    assert not equals(a, b)
+    assert b != c
+    assert a != b
 
 
 def test_model_is_immutable():

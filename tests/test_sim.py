@@ -243,6 +243,40 @@ def test_timed_opaque_guard_needs_override():
     assert out.executed and out.fired_timed == ("ab", "bc")
 
 
+def test_revert_reason_comes_from_the_outer_failing_check():
+    # Each call fails two checks. The reason must be that of the check the
+    # generated code runs first: the outer modifier in per_transition, with
+    # the body's state check innermost.
+    tick = TimedTransition("tick", "A", "C", 0, guard=Fragment("votes[msg.sender] > 0", "expr"))
+    woven = build([t("go", "A", "B", tags=("admin",))], [tick],
+                  locking=True, timed=True, counter=True, access_control=True)
+    order = woven.per_transition["go"] + ("body",)
+    reason = {
+        "timedTransitions": RevertReason.MISSING_OVERRIDE,
+        "transitionCounting(nextTransitionNumber)": RevertReason.COUNTER_MISMATCH,
+        "onlyAdmin": RevertReason.NOT_ADMIN,
+        "body": RevertReason.WRONG_STATE,
+    }
+    counting = "transitionCounting(nextTransitionNumber)"
+    s = new_session(woven)
+    cases = [
+        # no override for the timed guard, and a wrong n
+        (Invocation("go", "deployer", 1), "timedTransitions", counting),
+        # a wrong n from a non-admin; tick does not fire
+        (Invocation("go", "mallory", 1, timed_guard_overrides={"tick": False}),
+         counting, "onlyAdmin"),
+        # a right n from a non-admin; tick fires, so go's state check fails too
+        (Invocation("go", "mallory", 0, timed_guard_overrides={"tick": True}),
+         "onlyAdmin", "body"),
+    ]
+    for call, first, second in cases:
+        outer = min(first, second, key=order.index)
+        assert invoke(s, call).revert_reason == reason[outer]
+    assert [out.revert_reason for _, out in s.log] == [
+        RevertReason.MISSING_OVERRIDE, RevertReason.COUNTER_MISMATCH, RevertReason.NOT_ADMIN]
+    assert (s.current_state, s.transition_counter, s.locked) == ("A", 0, False)
+
+
 def test_eval_guard_division_truncates_toward_zero():
     assert eval_guard(parse_guard_expr("7 / 2"), 0, 0, {}) == 3
     assert eval_guard(parse_guard_expr("-(7) / 2"), 0, 0, {}) == -3

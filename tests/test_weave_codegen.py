@@ -12,7 +12,8 @@ from fsmforge.model import (
     TimedTransition,
     Transition,
 )
-from fsmforge.weave import guard_conjunction, timed_modifier, weave
+from fsmforge.plugins import timed_modifier
+from fsmforge.weave import guard_conjunction, weave
 
 
 def small_model(**plugin_flags):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 
 from .diagnostics import Diagnostic, SourceSpan
+from .fragments import COMMENT, STRING, SourceText
 from .model import (
     TIME_UNITS,
     ContractModel,
@@ -25,6 +26,11 @@ from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NUMBER = re.compile(r"\d+")
+# Inside a fragment only braces count; strings and comments are skipped
+# whole, with the lexer's own patterns.
+_FRAGMENT_PART = re.compile(
+    rf"(?P<skip>[^\"'/{{}}]+|{COMMENT}|{STRING}|/(?!\*))|(?P<brace>[{{}}])"
+    r"|(?P<open_string>[\"'])|(?P<open_comment>/\*)", re.S)
 
 
 class ParseError(Exception):
@@ -36,15 +42,12 @@ class ParseError(Exception):
 class _Cursor:
     def __init__(self, text: str, file: str):
         self.text = text
-        self.file = file
+        self.source = SourceText(text, file)
         self.i = 0
 
     def span(self, pos: int | None = None, length: int = 1) -> SourceSpan:
         pos = self.i if pos is None else pos
-        pos = min(pos, len(self.text))
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return SourceSpan(self.file, line, col, length)
+        return self.source.span(min(pos, len(self.text)), length)
 
     def fail(self, code: str, message: str, pos: int | None = None):
         raise ParseError([Diagnostic(code, "error", message, span=self.span(pos))])
@@ -127,39 +130,19 @@ def _scan_fragment(cur: _Cursor) -> str:
     """Consume `{ balanced text }` and return the cleaned inner text."""
     cur.expect_punct("{")
     start = cur.i
-    open_pos = start - 1
-    text, n = cur.text, len(cur.text)
     depth = 1
-    i = start
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                cur.fail("E_SYNTAX", "unterminated string in fragment", i)
-            i = j + 1
-        elif text.startswith("//", i):
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl
-        elif text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                cur.fail("E_SYNTAX", "unterminated comment in fragment", i)
-            i = end + 2
-        elif ch == "{":
-            depth += 1
-            i += 1
-        elif ch == "}":
-            depth -= 1
+    for m in _FRAGMENT_PART.finditer(cur.text, start):
+        kind = m.lastgroup
+        if kind == "brace":
+            depth += 1 if m.group() == "{" else -1
             if depth == 0:
-                cur.i = i + 1
-                return _clean_fragment(text[start:i])
-            i += 1
-        else:
-            i += 1
-    cur.fail("E_SYNTAX", "unclosed fragment brace", open_pos)
+                cur.i = m.end()
+                return _clean_fragment(cur.text[start:m.start()])
+        elif kind == "open_string":
+            cur.fail("E_SYNTAX", "unterminated string in fragment", m.start())
+        elif kind == "open_comment":
+            cur.fail("E_SYNTAX", "unterminated comment in fragment", m.start())
+    cur.fail("E_SYNTAX", "unclosed fragment brace", start - 1)
 
 
 def _split_type_and_name(cur: _Cursor, slice_text: str, pos: int, what: str) -> tuple[str, str]:

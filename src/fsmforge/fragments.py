@@ -2,12 +2,14 @@
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks.
+validator's cross-checks. One compiled master regex finds each token;
+a token's span is computed only when it is asked for.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from bisect import bisect_right
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan
 from .model import TIME_UNITS
@@ -19,17 +21,46 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass(frozen=True)
-class Token:
+class SourceText:
+    """A text and its file name; maps offsets to 1-based spans.
+
+    The line-start table is built on the first span asked for, once per text.
+    """
+
+    __slots__ = ("text", "file", "_line_starts")
+
+    def __init__(self, text: str, file: str):
+        self.text = text
+        self.file = file
+        self._line_starts: list[int] | None = None
+
+    def span(self, start: int, length: int) -> SourceSpan:
+        starts = self._line_starts
+        if starts is None:
+            starts = self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
+        line = bisect_right(starts, start)
+        return SourceSpan(self.file, line, start - starts[line - 1] + 1, length)
+
+
+class Token(NamedTuple):
     kind: str  # identifier | number | number-with-unit | string | operator | delimiter | comment
     text: str
-    span: SourceSpan
+    start: int
+    source: SourceText
+
+    @property
+    def span(self) -> SourceSpan:
+        return self.source.span(self.start, len(self.text))
 
 
-_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_NUMBER = re.compile(r"0[xX][0-9a-fA-F]+|\d+(\.\d+)?([eE][+-]?\d+)?")
+# Shared with the DSL parser, which skips strings and comments in fragments.
+# Both are compiled with re.S, so a string or block comment spans lines.
+STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"|' r"'[^'\\]*(?:\\.[^'\\]*)*'"
+COMMENT = r"//[^\n]*|/\*.*?\*/"
 
-# Longest first so maximal munch works with a linear scan.
+_IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
+
+# Longest first so the alternation's first match is the maximal munch.
 _OPERATORS = [
     ">>=", "<<=", "**=",
     "==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
@@ -38,15 +69,24 @@ _OPERATORS = [
     "?", ":", ".", ",", ";",
 ]
 
-_OPEN = "([{"
-_CLOSE = ")]}"
+_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", COMMENT),
+    ("open_comment", r"/\*"),
+    ("string", STRING),
+    ("open_string", r"[\"']"),
+    ("number", r"0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
+    ("identifier", _IDENT),
+    ("delimiter", r"[()[\]{}]"),
+    ("operator", "|".join(map(re.escape, _OPERATORS))),
+)), re.S)
+
+# A time unit after a number folds into one literal ("5 days"). It is checked
+# after the number has matched: inside the master regex it would backtrack
+# into hex digits and read "0x1fdays" as "0x1f days".
+_UNIT = re.compile(rf"[ \t]*({_IDENT})")
+
 _MATCH = {")": "(", "]": "[", "}": "{"}
-
-
-def _span(file: str, text: str, start: int, length: int) -> SourceSpan:
-    line = text.count("\n", 0, start) + 1
-    col = start - (text.rfind("\n", 0, start) + 1) + 1
-    return SourceSpan(file=file, line=line, column=col, length=length)
 
 
 def lex_fragment(text: str, file: str = "<fragment>") -> list[Token]:
@@ -55,90 +95,42 @@ def lex_fragment(text: str, file: str = "<fragment>") -> list[Token]:
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
+    source = SourceText(text, file)
+
+    def fail(code: str, message: str, start: int, length: int):
+        raise LexError(Diagnostic(code, "error", message, span=source.span(start, length)))
+
     tokens: list[Token] = []
     stack: list[tuple[str, int]] = []
+    match, unit = _TOKEN.match, _UNIT.match
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        if text.startswith("//", i):
-            end = text.find("\n", i)
-            end = n if end < 0 else end
-            tokens.append(Token("comment", text[i:end], _span(file, text, i, end - i)))
+        m = match(text, i)
+        if m is None:
+            fail("E_BAD_TOKEN", f"byte {text[i]!r} cannot start a token", i, 1)
+        kind, end = m.lastgroup, m.end()
+        if kind == "space":
             i = end
             continue
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                raise LexError(Diagnostic("E_BAD_TOKEN", "error",
-                                          "unterminated block comment",
-                                          span=_span(file, text, i, n - i)))
-            tokens.append(Token("comment", text[i:end + 2], _span(file, text, i, end + 2 - i)))
-            i = end + 2
-            continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n and text[j] != ch:
-                j += 2 if text[j] == "\\" else 1
-            if j >= n:
-                raise LexError(Diagnostic("E_BAD_TOKEN", "error",
-                                          "unterminated string literal",
-                                          span=_span(file, text, i, n - i)))
-            tokens.append(Token("string", text[i:j + 1], _span(file, text, i, j + 1 - i)))
-            i = j + 1
-            continue
-        m = _NUMBER.match(text, i)
-        if m:
-            end = m.end()
-            # A following time-unit keyword folds into one literal ("5 days").
-            um = _IDENT.match(text, _skip_ws(text, end))
-            if um and um.group() in TIME_UNITS:
-                end = um.end()
-                tokens.append(Token("number-with-unit", text[i:end], _span(file, text, i, end - i)))
+        if kind == "number":
+            um = unit(text, end)
+            if um and um.group(1) in TIME_UNITS:
+                kind, end = "number-with-unit", um.end()
+        elif kind == "delimiter":
+            ch = text[i]
+            if ch in _MATCH:
+                if not stack or stack[-1][0] != _MATCH[ch]:
+                    fail("E_UNBALANCED", f"unmatched '{ch}'", i, 1)
+                stack.pop()
             else:
-                tokens.append(Token("number", m.group(), _span(file, text, i, len(m.group()))))
-                end = m.end()
-            i = end
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("identifier", m.group(), _span(file, text, i, len(m.group()))))
-            i = m.end()
-            continue
-        if ch in _OPEN:
-            stack.append((ch, i))
-            tokens.append(Token("delimiter", ch, _span(file, text, i, 1)))
-            i += 1
-            continue
-        if ch in _CLOSE:
-            if not stack or stack[-1][0] != _MATCH[ch]:
-                raise LexError(Diagnostic("E_UNBALANCED", "error",
-                                          f"unmatched '{ch}'",
-                                          span=_span(file, text, i, 1)))
-            stack.pop()
-            tokens.append(Token("delimiter", ch, _span(file, text, i, 1)))
-            i += 1
-            continue
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("operator", op, _span(file, text, i, len(op))))
-                i += len(op)
-                break
-        else:
-            raise LexError(Diagnostic("E_BAD_TOKEN", "error",
-                                      f"byte {ch!r} cannot start a token",
-                                      span=_span(file, text, i, 1)))
+                stack.append((ch, i))
+        elif kind == "open_comment":
+            fail("E_BAD_TOKEN", "unterminated block comment", i, n - i)
+        elif kind == "open_string":
+            fail("E_BAD_TOKEN", "unterminated string literal", i, n - i)
+        tokens.append(Token(kind, text[i:end], i, source))
+        i = end
     if stack:
         ch, pos = stack[-1]
-        raise LexError(Diagnostic("E_UNBALANCED", "error",
-                                  f"unclosed '{ch}'",
-                                  span=_span(file, text, pos, 1)))
+        fail("E_UNBALANCED", f"unclosed '{ch}'", pos, 1)
     return tokens
-
-
-def _skip_ws(text: str, i: int) -> int:
-    while i < len(text) and text[i] in " \t":
-        i += 1
-    return i

@@ -45,6 +45,7 @@ class RevertReason(Enum):
     COUNTER_MISMATCH = "CounterMismatch"
     NOT_ADMIN = "NotAdmin"
     MISSING_OVERRIDE = "MissingOverride"
+    DIVISION_BY_ZERO = "DivisionByZero"
     UNKNOWN_TRANSITION = "UnknownTransition"
 
 
@@ -241,6 +242,8 @@ def _run_timed(session: SimSession, state: _State, call: Invocation) -> list[str
                                         session.env, override))
             except MissingOverride:
                 return _revert(RevertReason.MISSING_OVERRIDE)
+            except ZeroDivisionError:
+                return _revert(RevertReason.DIVISION_BY_ZERO)
             if not holds:
                 continue
         state.current_state = tt.to_state
@@ -285,6 +288,8 @@ def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -
                                     session.env, call.guard_overrides.get(i)))
         except MissingOverride:
             return _revert(RevertReason.MISSING_OVERRIDE)
+        except ZeroDivisionError:  # Solidity aborts the transaction
+            return _revert(RevertReason.DIVISION_BY_ZERO)
         if not holds:
             return _revert(RevertReason.GUARD_FAILED)
 

@@ -6,7 +6,7 @@ model is ready for weaving and code generation.
 from __future__ import annotations
 
 from .diagnostics import Diagnostic
-from .fragments import LexError, lex_fragment
+from .fragments import LexError, Token, lex_fragment
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -25,12 +25,8 @@ def _reserved_names(model: ContractModel) -> set[str]:
     return reserved
 
 
-def _free_identifiers(text: str) -> set[str]:
-    """Identifiers in a fragment, excluding member names after a dot."""
-    try:
-        tokens = lex_fragment(text)
-    except LexError:
-        return set()
+def _free_identifiers(tokens: list[Token]) -> set[str]:
+    """Identifiers in a fragment's tokens, excluding member names after a dot."""
     names = set()
     prev = None
     for tok in tokens:
@@ -52,11 +48,13 @@ class _Collector:
         self.diagnostics.append(Diagnostic(code, "warning", message, path=path))
 
 
-def _check_fragment(out: _Collector, path: str, text: str):
+def _check_fragment(out: _Collector, path: str, text: str) -> list[Token]:
+    """Lex a fragment; a lex error is reported at path and gives no tokens."""
     try:
-        lex_fragment(text)
+        return lex_fragment(text)
     except LexError as exc:
         out.error("E_UNBALANCED", path, exc.diagnostic.message)
+        return []
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
@@ -89,8 +87,8 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
     allowed = declared_guard_names | {p.name for p in t.inputs} | {p.name for p in t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
-        _check_fragment(out, gpath, guard.text)
-        for name in sorted(_free_identifiers(guard.text) - allowed - _GUARD_BUILTINS):
+        tokens = _check_fragment(out, gpath, guard.text)
+        for name in sorted(_free_identifiers(tokens) - allowed - _GUARD_BUILTINS):
             out.warn("W_UNDECLARED_IDENT", gpath,
                      f"guard references undeclared identifier '{name}'")
     for j, stmt in enumerate(t.statements):
@@ -110,8 +108,8 @@ def _check_timed(out: _Collector, model: ContractModel, index: int, tt: TimedTra
     fragments = [(f"{path}.guard", tt.guard.text)] if tt.guard is not None else []
     fragments += [(f"{path}.statements[{j}]", s.text) for j, s in enumerate(tt.statements)]
     for fpath, text in fragments:
-        _check_fragment(out, fpath, text)
-        for name in sorted(_free_identifiers(text) & io_names):
+        tokens = _check_fragment(out, fpath, text)
+        for name in sorted(_free_identifiers(tokens) & io_names):
             out.error("E_TIMED_IO", fpath,
                       f"timed transitions may not reference transition input/output '{name}'")
 

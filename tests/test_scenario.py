@@ -106,6 +106,17 @@ def test_env_feeds_guards(corpus_dir):
     assert report.ok, [r.detail for r in report.failures]
 
 
+def test_guard_division_by_zero_is_an_expected_revert():
+    woven = weave(parse_dsl(
+        "contract D { states { initial A; B; } "
+        "transition go from A to B { guard { 10 / k > 1 } } }"))
+    report = run_scenario(woven, "env k=0\ncall go as alice expect revert:DivisionByZero\n"
+                                 "assert state=A\n")
+    assert report.ok, [r.detail for r in report.failures]
+    report = run_scenario(woven, "env k=0\ncall go as alice expect ok\n")
+    assert "Reverted(DivisionByZero)" in report.failures[0].detail
+
+
 def test_admin_steps(corpus_dir):
     woven = weave(parse_dsl((corpus_dir / "voting.fsm").read_text()))
     report = run_scenario(woven, "\n".join([

@@ -243,6 +243,33 @@ def test_timed_opaque_guard_needs_override():
     assert out.executed and out.fired_timed == ("ab", "bc")
 
 
+def test_guard_division_by_zero_reverts_and_is_logged():
+    woven = build([t("ab", "A", "B", guard="10 / k > 1")], locking=True)
+    s = new_session(woven)
+    s.env["k"] = 0
+    call = Invocation("ab", "u")
+    out = invoke(s, call)
+    assert out.revert_reason == RevertReason.DIVISION_BY_ZERO
+    assert s.log == [(call, out)]
+    assert (s.current_state, s.locked) == ("A", False)
+    s.env["k"] = 2
+    assert invoke(s, Invocation("ab", "u")).executed
+
+
+def test_timed_guard_division_by_zero_reverts_and_is_logged():
+    s = new_session(timed_chain(guard_bc="10 % k == 0"))
+    s.env["k"] = 0
+    advance_time(s, 500)
+    call = Invocation("cc", "u")
+    out = invoke(s, call)
+    assert out.revert_reason == RevertReason.DIVISION_BY_ZERO
+    assert s.log == [(call, out)]
+    assert s.current_state == "A"  # the "ab" firing was rolled back too
+    s.env["k"] = 5
+    out = invoke(s, Invocation("cc", "u"))
+    assert out.executed and out.fired_timed == ("ab", "bc")
+
+
 def test_revert_reason_comes_from_the_outer_failing_check():
     # Each call fails two checks. The reason must be that of the check the
     # generated code runs first: the outer modifier in per_transition, with

@@ -19,8 +19,8 @@ from .dsl import ParseError, emit_dsl, parse_dsl
 from .jsonio import emit_json, parse_json
 from .model import ContractModel
 from .plugins import BY_KEYWORD, PluginConfig
-from .scenario import ScenarioSyntaxError, parse_step, run_step
-from .sim import SimConfig, new_session
+from .scenario import ScenarioSyntaxError, StepResult, parse_step, run_scenario, run_step
+from .sim import new_session
 from .validate import validate
 from .weave import weave
 
@@ -106,20 +106,9 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _run_scenario_lines(session, lines, echo_snapshot: bool) -> bool:
-    """Execute scenario lines against a session; returns True if all steps passed."""
-    all_ok = True
-    for line_no, line in lines:
-        step = parse_step(line_no, line)
-        if step is None:
-            continue
-        result = run_step(session, step)
-        status = "ok" if result.ok else "FAIL"
-        print(f"{line_no:>4} {status}: {step.text} -> {result.detail}")
-        if echo_snapshot:
-            print(f"     {session.snapshot()}")
-        all_ok = all_ok and result.ok
-    return all_ok
+def _print_step(result: StepResult) -> None:
+    status = "ok" if result.ok else "FAIL"
+    print(f"{result.step.line_no:>4} {status}: {result.step.text} -> {result.detail}")
 
 
 def _cmd_sim(args) -> int:
@@ -127,22 +116,22 @@ def _cmd_sim(args) -> int:
     if model is None or code != EXIT_OK:
         return code
     text = _read_file(args.scenario)
-    session = new_session(weave(model), SimConfig())
     try:
-        lines = list(enumerate(text.split("\n"), start=1))
-        all_ok = _run_scenario_lines(session, lines, echo_snapshot=False)
+        report = run_scenario(weave(model), text)
     except ScenarioSyntaxError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"final: {session.snapshot()}")
-    return EXIT_OK if all_ok else EXIT_DIAGNOSTICS
+    for result in report.results:
+        _print_step(result)
+    print(f"final: {report.final_snapshot}")
+    return EXIT_OK if report.ok else EXIT_DIAGNOSTICS
 
 
 def _cmd_repl(args) -> int:
     model, code = _check_model(args.file)
     if model is None or code != EXIT_OK:
         return code
-    session = new_session(weave(model), SimConfig())
+    session = new_session(weave(model))
     print(f"{model.name}: {session.snapshot()}", file=sys.stderr)
     print("enter scenario steps (time/env/call/admin/assert), 'quit' to exit",
           file=sys.stderr)
@@ -156,7 +145,10 @@ def _cmd_repl(args) -> int:
         if line.strip() in ("quit", "exit"):
             break
         try:
-            _run_scenario_lines(session, [(line_no, line)], echo_snapshot=True)
+            step = parse_step(line_no, line)
+            if step is not None:
+                _print_step(run_step(session, step))
+                print(f"     {session.snapshot()}")
         except ScenarioSyntaxError as exc:
             print(f"error: {exc}", file=sys.stderr)
     return EXIT_OK

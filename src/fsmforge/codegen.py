@@ -1,12 +1,12 @@
 """Solidity emission from a woven contract.
 
 Output is deterministic: LF newlines, 4-space indent unit, single trailing
-newline. `tokenize_solidity` gives the whitespace-insensitive token stream
-used for golden comparisons against transcribed listings.
+newline. `token_texts` gives the whitespace-insensitive token stream used
+for golden comparisons against transcribed listings.
 """
 from __future__ import annotations
 
-from .fragments import Token, lex_fragment
+from .fragments import lex_fragment
 from .model import Transition
 from .plugins import BY_FIELD
 from .weave import WovenContract, guard_conjunction
@@ -85,18 +85,13 @@ def generate(woven: WovenContract) -> str:
     return "\n".join(out) + "\n"
 
 
-def tokenize_solidity(text: str) -> list[Token]:
-    """Whitespace-insensitive token stream for golden comparisons.
+def token_texts(text: str) -> list[str]:
+    """Token texts, with comment contents space-normalized for comparison.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on malformed text.
     """
-    return lex_fragment(text, file="<solidity>")
-
-
-def token_texts(text: str) -> list[str]:
-    """Token texts, with comment contents space-normalized for comparison."""
     out = []
-    for tok in tokenize_solidity(text):
+    for tok in lex_fragment(text, file="<solidity>"):
         if tok.kind == "comment":
             if tok.text.startswith("//"):
                 content = tok.text[2:]

@@ -8,6 +8,7 @@ back as Opaque carrying the original fragment text; the parser never fails.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -64,6 +65,9 @@ COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
 ADDITIVE = ("+", "-")
 MULTIPLICATIVE = ("*", "/", "%")
 BINARY_OPS = ADDITIVE + MULTIPLICATIVE + COMPARISONS + ("&&", "||")
+
+# An evaluable "number-with-unit" token: decimal digits, then the time unit.
+_TIME_LIT = re.compile(r"(\d+)[ \t]*([a-z]+)")
 
 
 class _Unsupported(Exception):
@@ -143,8 +147,10 @@ class _Parser:
                 raise _Unsupported()  # hex/decimal literals stay opaque
             return IntLit(int(tok.text))
         if tok.kind == "number-with-unit":
-            value, unit = tok.text.split(None, 1)
-            return TimeLit(int(value) * TIME_UNITS[unit.strip()])
+            m = _TIME_LIT.fullmatch(tok.text)
+            if m is None:
+                raise _Unsupported()  # hex/decimal literals stay opaque
+            return TimeLit(int(m.group(1)) * TIME_UNITS[m.group(2)])
         if tok.kind == "identifier":
             if tok.text == "now":
                 return Now()

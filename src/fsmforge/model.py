@@ -5,13 +5,10 @@ model with the timed transitions stably sorted by their firing offset.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .plugins import BY_TAG, PluginConfig
-
-IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 KNOWN_TAGS = ("payable",) + tuple(BY_TAG)
 
@@ -22,10 +19,6 @@ TIME_UNITS = {
     "days": 86400,
     "weeks": 604800,
 }
-
-
-def is_identifier(text: str) -> bool:
-    return bool(IDENT_RE.match(text))
 
 
 @dataclass(frozen=True)

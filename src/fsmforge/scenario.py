@@ -21,6 +21,7 @@ from .sim import (
     RevertReason,
     SimConfig,
     SimSession,
+    SimUsageError,
     advance_time,
     admin_call,
     invoke,
@@ -206,6 +207,14 @@ def parse_scenario(text: str) -> list[Step]:
 
 
 def run_step(session: SimSession, step: Step) -> StepResult:
+    """Execute one step; a call the simulator refuses raises ScenarioSyntaxError."""
+    try:
+        return _run_step(session, step)
+    except SimUsageError as exc:
+        raise ScenarioSyntaxError(step.line_no, str(exc)) from exc
+
+
+def _run_step(session: SimSession, step: Step) -> StepResult:
     p = step.payload
     if step.kind == "time":
         if p["to"] < session.now:
@@ -271,7 +280,10 @@ def _describe(outcome: Outcome) -> str:
 
 def run_scenario(woven: WovenContract, text: str,
                  config: SimConfig = SimConfig()) -> Report:
-    """Parse and execute a scenario; raises ScenarioSyntaxError on bad scripts."""
+    """Parse the whole script, then execute it.
+
+    Raises ScenarioSyntaxError on a bad line or on a step the simulator refuses.
+    """
     steps = parse_scenario(text)
     session = new_session(woven, config)
     report = Report()

@@ -1,16 +1,16 @@
 """Abstract execution of a woven contract.
 
 Runs the modifier chain and transition body semantics (state requires,
-guard conjunction, lock, counter, admin set, timed firing) against a
-speculative copy of the session; any failed check discards the copy so
-a reverted call leaves the session untouched, mirroring transactional
-rollback. Statement fragments are opaque and never executed; the modeled
-effect of a transition is its state change.
+guard conjunction, lock, counter, admin set, timed firing) on the session
+itself. Its fields are saved before each call and restored when the call
+reverts or raises, so a reverted call leaves the session untouched,
+mirroring transactional rollback. Statement fragments are opaque and never
+executed; the modeled effect of a transition is its state change.
 """
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -84,20 +84,6 @@ def _revert(reason: RevertReason) -> Outcome:
 
 
 @dataclass
-class _State:
-    """The mutable portion of a session, copied per invocation."""
-
-    current_state: str
-    locked: bool
-    transition_counter: int
-    is_admin: frozenset[str]
-    num_admins: int
-
-    def copy(self) -> "_State":
-        return replace(self)
-
-
-@dataclass
 class SimSession:
     woven: WovenContract
     current_state: str
@@ -117,17 +103,6 @@ class SimSession:
             "admins": sorted(self.is_admin),
             "now": self.now,
         }
-
-    def _take(self) -> _State:
-        return _State(self.current_state, self.locked, self.transition_counter,
-                      self.is_admin, self.num_admins)
-
-    def _commit(self, state: _State):
-        self.current_state = state.current_state
-        self.locked = state.locked
-        self.transition_counter = state.transition_counter
-        self.is_admin = state.is_admin
-        self.num_admins = state.num_admins
 
 
 def new_session(woven: WovenContract, config: SimConfig = SimConfig()) -> SimSession:
@@ -226,11 +201,11 @@ def _find_transition(woven: WovenContract, name: str) -> Optional[Transition]:
     return None
 
 
-def _run_timed(session: SimSession, state: _State, call: Invocation) -> list[str] | Outcome:
-    """Fire due timed transitions against the speculative state."""
+def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
+    """Fire due timed transitions."""
     fired: list[str] = []
     for tt in session.woven.base.timed_transitions:
-        if state.current_state != tt.from_state:
+        if session.current_state != tt.from_state:
             continue
         if session.now < session.creation_time + tt.time_offset_seconds:
             continue
@@ -246,12 +221,12 @@ def _run_timed(session: SimSession, state: _State, call: Invocation) -> list[str
                 return _revert(RevertReason.DIVISION_BY_ZERO)
             if not holds:
                 continue
-        state.current_state = tt.to_state
+        session.current_state = tt.to_state
         fired.append(tt.name)
     return fired
 
 
-def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -> Outcome:
+def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     t = _find_transition(session.woven, call.transition)
     if t is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
@@ -264,22 +239,22 @@ def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -
     fired: tuple[str, ...] = ()
     for plugin in chain:
         if plugin is LOCKING:
-            if state.locked:
+            if session.locked:
                 return _revert(RevertReason.LOCKED)
-            state.locked = True
+            session.locked = True
         elif plugin is TIMED:
-            result = _run_timed(session, state, call)
+            result = _run_timed(session, call)
             if isinstance(result, Outcome):
                 return result
             fired = tuple(result)
         elif plugin is COUNTER:
-            if call.next_transition_number != state.transition_counter:
+            if call.next_transition_number != session.transition_counter:
                 return _revert(RevertReason.COUNTER_MISMATCH)
-            state.transition_counter += 1
-        elif plugin is ACCESS_CONTROL and call.sender not in state.is_admin:
+            session.transition_counter += 1
+        elif plugin is ACCESS_CONTROL and call.sender not in session.is_admin:
             return _revert(RevertReason.NOT_ADMIN)
 
-    if state.current_state != t.from_state:
+    if session.current_state != t.from_state:
         return _revert(RevertReason.WRONG_STATE)
     for i, guard in enumerate(t.guards):
         ast = g.parse_guard_expr(guard.text)
@@ -298,38 +273,42 @@ def _execute(session: SimSession, state: _State, call: Invocation, depth: int) -
         # A reentrant callback arrives mid-body, while the lock (if any) is held.
         probe = call.reentry_probe
         if COUNTER in chain and probe.next_transition_number is None:
-            probe = replace(probe, next_transition_number=state.transition_counter)
-        probe_state = state.copy()
-        probe_outcome = _execute(session, probe_state, probe, depth + 1)
-        if probe_outcome.executed:
-            # No lock to stop it: the probe's effects land in the caller's
-            # intermediate state. This is the reentrancy vulnerability.
-            _assign(state, probe_state)
+            probe = replace(probe, next_transition_number=session.transition_counter)
+        # No lock to stop it: an executed probe's effects land in the
+        # caller's intermediate state. This is the reentrancy vulnerability.
+        probe_outcome = _transact(session, probe, depth + 1)
 
-    state.current_state = t.to_state
+    session.current_state = t.to_state
 
     # The modifiers' code after `_;`: the lock is released, the event emitted.
     if LOCKING in chain:
-        state.locked = False
+        session.locked = False
     events = (f"Event{t.name}",) if EVENTS in chain else ()
 
     return Outcome(executed=True, fired_timed=fired, events=events, probe=probe_outcome)
 
 
-def _assign(dst: _State, src: _State):
-    dst.current_state = src.current_state
-    dst.locked = src.locked
-    dst.transition_counter = src.transition_counter
-    dst.is_admin = src.is_admin
-    dst.num_admins = src.num_admins
+# Not vars(session): a materialized __dict__ slows every attribute access in CPython.
+_FIELDS = tuple(f.name for f in fields(SimSession))
+_save = operator.attrgetter(*_FIELDS)
+
+
+def _transact(session: SimSession, call: Invocation, depth: int) -> Outcome:
+    """Execute a call; the session's fields are restored if it reverts or raises."""
+    saved = _save(session)
+    outcome = None
+    try:
+        outcome = _execute(session, call, depth)
+    finally:
+        if outcome is None or not outcome.executed:
+            for name, value in zip(_FIELDS, saved):
+                setattr(session, name, value)
+    return outcome
 
 
 def invoke(session: SimSession, call: Invocation) -> Outcome:
-    """Run one invocation; commits on success, rolls back fully on revert."""
-    state = session._take()
-    outcome = _execute(session, state, call, depth=0)
-    if outcome.executed:
-        session._commit(state)
+    """Run one invocation; keeps its effects on success, rolls back fully on revert."""
+    outcome = _transact(session, call, depth=0)
     session.log.append((call, outcome))
     return outcome
 

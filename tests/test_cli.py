@@ -177,3 +177,28 @@ def test_repl_handles_eof_and_errors(auction_path, capsys, monkeypatch):
     monkeypatch.setattr("builtins.input", fake_input)
     assert main(["repl", auction_path]) == 0
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, lines, initial, message", [
+    ("voting.fsm", ["time 300000", "call cast as alice g0=true expect ok"], "Setup",
+     "line 2: guard variable 'votesCast' is not bound in env"),
+    ("blind_auction.fsm", ["call bid as alice expect ok"], "ABB",
+     "line 1: counter plugin is enabled; call to 'bid' needs a transition number"),
+    ("rock_paper_scissors.fsm", ["admin add bob by deployer expect ok"], "Play",
+     "line 1: access_control plugin is not enabled"),
+], ids=["unbound-variable", "call-without-n", "admin-without-access-control"])
+def test_step_the_simulator_refuses_is_a_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                     model, lines, initial, message):
+    path = str(corpus_dir / model)
+    scn = tmp_path / "refused.scn"
+    scn.write_text("\n".join(lines) + "\n")
+    assert main(["sim", path, "--scenario", str(scn)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"scenario error: {message}\n"
+
+    feed = iter(lines + [f"assert state={initial}", "quit"])
+    monkeypatch.setattr("builtins.input", lambda prompt="": next(feed))
+    assert main(["repl", path]) == 0
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert f"ok: assert state={initial}" in captured.out  # the session kept running

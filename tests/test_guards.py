@@ -1,10 +1,15 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fsmforge import guards as g
+from fsmforge.fragments import LexError, lex_fragment
 from fsmforge.guards import parse_guard_expr
 
 
 def test_literals_and_builtins():
     assert parse_guard_expr("42") == g.IntLit(42)
     assert parse_guard_expr("5 days") == g.TimeLit(5 * 86400)
+    assert parse_guard_expr("now > 5days") == g.Binary(">", g.Now(), g.TimeLit(5 * 86400))
     assert parse_guard_expr("2 minutes") == g.TimeLit(120)
     assert parse_guard_expr("now") == g.Now()
     assert parse_guard_expr("creationTime") == g.CreationTime()
@@ -49,6 +54,9 @@ def test_unsupported_constructs_become_opaque():
         "keccak256(a) == b",
         "0x1f > 2",
         "1.5 < 2",
+        "now > 0x1f days",  # a unit after a hex, decimal or exponent literal
+        "now > 1.5 days",
+        "now > 1e3 days",
         "a ? b : c",
         "a +",          # trailing operator
         "a b",          # trailing tokens
@@ -61,3 +69,18 @@ def test_unsupported_constructs_become_opaque():
 
 def test_comments_ignored():
     assert parse_guard_expr("a > 0 // positive") == g.Binary(">", g.Var("a"), g.IntLit(0))
+
+
+_PIECES = ["a", "now", "creationTime", "5", "0x1f", "1.5", "1e3", "days", " weeks", " ",
+           "-", "*", "%", ">=", "==", "!", "&&", "(", ")", ".", "[0]", "?", "// c\n"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+@settings(max_examples=500)
+def test_parse_guard_expr_never_raises_on_lexable_text(text):
+    try:
+        lex_fragment(text)
+    except LexError:
+        return
+    ast = parse_guard_expr(text)
+    assert not isinstance(ast, g.Opaque) or ast.text == text

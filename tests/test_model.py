@@ -8,7 +8,6 @@ from fsmforge.model import (
     PluginConfig,
     TimedTransition,
     canonicalize,
-    is_identifier,
 )
 from modelgen import random_model
 
@@ -76,10 +75,3 @@ def test_plugin_config_enabled_order():
     cfg = PluginConfig(events=True, locking=True, timed=True)
     assert cfg.enabled() == ("locking", "timed", "events")
     assert PluginConfig().enabled() == ()
-
-
-def test_is_identifier():
-    assert is_identifier("_x9")
-    assert not is_identifier("9x")
-    assert not is_identifier("a-b")
-    assert not is_identifier("")

@@ -129,3 +129,10 @@ def test_admin_steps(corpus_dir):
         "admin remove alice by alice expect revert",
     ]) + "\n", SimConfig())
     assert report.ok, [r.detail for r in report.results if not r.ok]
+
+
+def test_step_the_simulator_refuses_raises_with_its_line(auction):
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_scenario(auction, "time 1\ncall bid as alice expect ok\n")  # no n= on a counter model
+    assert exc.value.line_no == 2
+    assert "needs a transition number" in str(exc.value)

@@ -88,6 +88,19 @@ def test_unbound_variable_is_a_usage_error():
         invoke(s, Invocation("ab", "u"))
 
 
+def test_raising_call_leaves_the_session_untouched():
+    woven = build([t("ab", "A", "B", guard="mystery > 0"), t("aa", "A", "A")],
+                  locking=True, counter=True)
+    s = new_session(woven)
+    assert invoke(s, Invocation("aa", "u", 0)).executed
+    before = (s.current_state, s.locked, s.transition_counter, list(s.log))
+    with pytest.raises(UnboundVariable):
+        invoke(s, Invocation("ab", "u", 1))  # lock taken, counter bumped, then the guard raises
+    assert (s.current_state, s.locked, s.transition_counter, s.log) == before
+    assert invoke(s, Invocation("aa", "u", 1)).executed
+    assert s.transition_counter == 2
+
+
 def test_counter_sequencing():
     woven = build([t("aa", "A", "A")], counter=True)
     s = new_session(woven)

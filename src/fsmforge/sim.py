@@ -6,6 +6,10 @@ itself. Its fields are saved before each call and restored when the call
 reverts or raises, so a reverted call leaves the session untouched,
 mirroring transactional rollback. Statement fragments are opaque and never
 executed; the modeled effect of a transition is its state change.
+
+Guards are parsed once per contract, into the woven contract's `sim_plan`:
+a transition's on its first call, the timed transitions' on the first timed
+step.
 """
 from __future__ import annotations
 
@@ -15,7 +19,6 @@ from enum import Enum
 from typing import Optional
 
 from . import guards as g
-from .model import Transition
 from .plugins import ACCESS_CONTROL, COUNTER, EVENTS, LOCKING, TIMED
 from .weave import WovenContract
 
@@ -194,23 +197,37 @@ def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int
     raise SimUsageError(f"unknown guard node {ast!r}")
 
 
-def _find_transition(woven: WovenContract, name: str) -> Optional[Transition]:
-    for t in woven.base.transitions:
-        if t.name == name:
-            return t
-    return None
+# The plan's key for its timed entry; every other key is a transition name.
+_TIMED = object()
+
+
+def _entry(woven: WovenContract, name: str):
+    """(transition, chain, parsed guards) for the first transition named `name`, or None."""
+    entry = woven.sim_plan.get(name)
+    if entry is None:
+        t = next((t for t in woven.base.transitions if t.name == name), None)
+        if t is None:
+            return None  # not cached: unknown names must not grow the plan
+        entry = woven.sim_plan[name] = (
+            t, woven.chains[name], tuple(g.parse_guard_expr(x.text) for x in t.guards))
+    return entry
 
 
 def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
-    """Fire due timed transitions."""
+    """Fire due timed transitions, in declaration order; each re-reads the state."""
+    plan = session.woven.sim_plan
+    timed = plan.get(_TIMED)
+    if timed is None:
+        timed = plan[_TIMED] = tuple(
+            (tt, None if tt.guard is None else g.parse_guard_expr(tt.guard.text))
+            for tt in session.woven.base.timed_transitions)
     fired: list[str] = []
-    for tt in session.woven.base.timed_transitions:
+    for tt, ast in timed:
         if session.current_state != tt.from_state:
             continue
         if session.now < session.creation_time + tt.time_offset_seconds:
             continue
-        if tt.guard is not None:
-            ast = g.parse_guard_expr(tt.guard.text)
+        if ast is not None:
             override = call.timed_guard_overrides.get(tt.name)
             try:
                 holds = bool(eval_guard(ast, session.now, session.creation_time,
@@ -227,13 +244,16 @@ def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
 
 
 def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
-    t = _find_transition(session.woven, call.transition)
-    if t is None:
+    entry = _entry(session.woven, call.transition)
+    if entry is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
-    chain = session.woven.chains[t.name]
+    t, chain, asts = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
+    if call.guard_overrides and max(call.guard_overrides) >= len(asts):
+        raise SimUsageError(f"call to '{call.transition}' overrides g{max(call.guard_overrides)}, "
+                            f"but it has {len(asts)} guard(s)")
 
     # The woven modifiers, outermost first; each entry runs its step.
     fired: tuple[str, ...] = ()
@@ -256,8 +276,7 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
 
     if session.current_state != t.from_state:
         return _revert(RevertReason.WRONG_STATE)
-    for i, guard in enumerate(t.guards):
-        ast = g.parse_guard_expr(guard.text)
+    for i, ast in enumerate(asts):
         try:
             holds = bool(eval_guard(ast, session.now, session.creation_time,
                                     session.env, call.guard_overrides.get(i)))

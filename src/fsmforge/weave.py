@@ -21,6 +21,9 @@ class WovenContract:
     chains: dict[str, tuple[Plugin, ...]] = field(default_factory=dict)
     per_transition: dict[str, tuple[str, ...]] = field(default_factory=dict)
     injected_params: dict[str, tuple[Param, ...]] = field(default_factory=dict)
+    # The simulator's plan, filled by sim.py on first use. Not part of the
+    # value: `replace` starts a new, empty plan for the new base.
+    sim_plan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
 
 def guard_conjunction(t: Transition) -> str:

@@ -184,9 +184,12 @@ def test_repl_handles_eof_and_errors(auction_path, capsys, monkeypatch):
      "line 2: guard variable 'votesCast' is not bound in env"),
     ("blind_auction.fsm", ["call bid as alice expect ok"], "ABB",
      "line 1: counter plugin is enabled; call to 'bid' needs a transition number"),
+    ("blind_auction.fsm", ["call bid as alice n=0 g7=true expect ok"], "ABB",
+     "line 1: call to 'bid' overrides g7, but it has 0 guard(s)"),
     ("rock_paper_scissors.fsm", ["admin add bob by deployer expect ok"], "Play",
      "line 1: access_control plugin is not enabled"),
-], ids=["unbound-variable", "call-without-n", "admin-without-access-control"])
+], ids=["unbound-variable", "call-without-n", "override-past-the-guards",
+        "admin-without-access-control"])
 def test_step_the_simulator_refuses_is_a_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
                                                      model, lines, initial, message):
     path = str(corpus_dir / model)

@@ -1,4 +1,5 @@
 import random
+import timeit
 from dataclasses import replace
 
 import pytest
@@ -79,6 +80,19 @@ def test_opaque_guard_needs_override():
     assert invoke(s, Invocation("ab", "u", guard_overrides={0: False})
                   ).revert_reason == RevertReason.GUARD_FAILED
     assert invoke(s, Invocation("ab", "u", guard_overrides={0: True})).executed
+
+
+def test_guard_override_past_the_guards_is_a_usage_error():
+    woven = build([t("ab", "A", "B", guard="k > 3"), t("aa", "A", "A")], counter=True)
+    s = new_session(woven)
+    for call in (Invocation("ab", "u", 0, guard_overrides={1: True}),
+                 Invocation("aa", "u", 0, guard_overrides={0: False})):
+        with pytest.raises(SimUsageError, match="overrides g"):
+            invoke(s, call)
+    assert (s.current_state, s.transition_counter, s.log) == ("A", 0, [])
+    s.env["k"] = 0
+    assert invoke(s, Invocation("ab", "u", 0, guard_overrides={0: True})).revert_reason \
+        == RevertReason.GUARD_FAILED  # an evaluable guard ignores its override
 
 
 def test_unbound_variable_is_a_usage_error():
@@ -366,3 +380,85 @@ def test_eval_guard_unknown_node():
         eval_guard(object(), 0, 0, {})
     with pytest.raises(SimUsageError):
         eval_guard(Binary("**", IntLit(2), IntLit(3)), 0, 0, {})
+
+
+# --- the simulator plan ---------------------------------------------------
+
+
+def test_steady_state_does_no_parsing(monkeypatch):
+    parsed = []
+
+    def counting(text):
+        parsed.append(text)
+        return parse_guard_expr(text)
+
+    monkeypatch.setattr("fsmforge.guards.parse_guard_expr", counting)
+    go = Transition("go", "A", "A", guards=(Fragment("k > 0", "expr"), Fragment("k < 9", "expr")))
+    tick = TimedTransition("tick", "A", "B", 100, guard=Fragment("k >= 2", "expr"))
+    woven = build([go, t("bb", "B", "B")], [tick], timed=True)
+    s = new_session(woven)
+    s.env["k"] = 2
+    assert invoke(s, Invocation("go", "u")).executed
+    assert parsed == ["k > 0", "k < 9", "k >= 2"]  # go's guards, then the timed guard
+    assert invoke(s, Invocation("go", "u")).executed
+    advance_time(s, 100)
+    assert invoke(s, Invocation("bb", "u")).fired_timed == ("tick",)
+    again = new_session(woven)
+    again.env["k"] = 2
+    assert invoke(again, Invocation("go", "u")).executed
+    advance_time(again, 100)
+    assert invoke(again, Invocation("bb", "u")).fired_timed == ("tick",)
+    assert parsed == ["k > 0", "k < 9", "k >= 2"]
+
+
+def test_plan_is_invisible_and_isolated():
+    def model(guard):
+        return ContractModel(name="S", states=("A", "B"), initial_state="A",
+                             transitions=(t("go", "A", "B", guard=guard),),
+                             plugins=PluginConfig(counter=True))
+
+    m = model("k > 3")
+    w, twin = weave(m), weave(m)
+    s = new_session(w)
+    s.env["k"] = 5
+    assert invoke(s, Invocation("go", "u", 0)).executed
+    assert w == twin and repr(w) == repr(twin)
+
+    other = replace(w, base=model("k < 3"))
+    s = new_session(other)
+    s.env["k"] = 1
+    assert invoke(s, Invocation("go", "u", 0)).executed  # other's guard, not w's
+
+    first, second = new_session(w), new_session(w)
+    first.env["k"] = 5
+    assert invoke(first, Invocation("go", "u", 0)).executed
+    assert (second.env, second.current_state, second.transition_counter) == ({}, "A", 0)
+
+    size = len(w.sim_plan)
+    for i in range(1000):
+        out = invoke(second, Invocation(f"nope{i}", "u", 0))
+        assert out.revert_reason == RevertReason.UNKNOWN_TRANSITION
+    assert len(w.sim_plan) == size
+
+
+# A guarded call may cost at most this many unguarded ones: with its guard
+# parsed once per contract, it pays only for evaluating it. Both calls are
+# timed in turn, so a change in the host's load slows them alike.
+GUARDED_TO_UNGUARDED_MAX = 2.0
+
+
+def test_guarded_call_costs_at_most_twice_an_unguarded_one(corpus_dir):
+    woven = weave(parse_dsl((corpus_dir / "blind_auction.fsm").read_text()))
+
+    def timer(name):  # `close` reverts on its guard before 5 days; `bid` executes
+        s = new_session(woven)
+        return timeit.Timer(lambda: invoke(s, Invocation(name, "alice", s.transition_counter)))
+
+    bid, close = timer("bid"), timer("close")
+    best_bid = best_close = float("inf")
+    for _ in range(7):
+        best_bid = min(best_bid, bid.timeit(500))
+        best_close = min(best_close, close.timeit(500))
+    ratio = best_close / best_bid
+    assert ratio <= GUARDED_TO_UNGUARDED_MAX, (
+        f"invoke(close) takes {ratio:.2f} x invoke(bid), more than {GUARDED_TO_UNGUARDED_MAX}")

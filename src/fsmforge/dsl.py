@@ -24,7 +24,7 @@ from .model import (
 )
 from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a name
 _NUMBER = re.compile(r"\d+")
 # Inside a fragment only braces count; strings and comments are skipped
 # whole, with the lexer's own patterns.
@@ -70,7 +70,7 @@ class _Cursor:
 
     def peek_word(self) -> str | None:
         self.skip_ws()
-        m = _IDENT.match(self.text, self.i)
+        m = IDENT.match(self.text, self.i)
         return m.group() if m else None
 
     def try_word(self, word: str) -> bool:
@@ -146,7 +146,7 @@ def _scan_fragment(cur: _Cursor) -> str:
 
 
 def _split_type_and_name(cur: _Cursor, slice_text: str, pos: int, what: str) -> tuple[str, str]:
-    matches = list(_IDENT.finditer(slice_text))
+    matches = list(IDENT.finditer(slice_text))
     if not matches:
         cur.fail("E_SYNTAX", f"expected {what}", pos)
     name_match = matches[-1]

@@ -51,14 +51,16 @@ def _str_list(value: Any, path: str) -> list[str]:
     return value
 
 
+def _typed_name(item: Any, path: str) -> tuple[str, str]:
+    obj = _check_keys(item, {"name", "type"}, path)
+    return _str(obj["type"], path), _str(obj["name"], path)
+
+
 def _params(value: Any, path: str) -> tuple[Param, ...]:
     if not isinstance(value, list):
         raise _shape_error("expected a list", path)
-    out = []
-    for i, item in enumerate(value):
-        obj = _check_keys(item, {"name", "type"}, f"{path}[{i}]")
-        out.append(Param(name=_str(obj["name"], path), type_text=_str(obj["type"], path)))
-    return tuple(out)
+    pairs = [_typed_name(item, f"{path}[{i}]") for i, item in enumerate(value)]
+    return tuple(Param(name=name, type_text=type_text) for type_text, name in pairs)
 
 
 def parse_json(text: str, file: str = "<input>") -> ContractModel:
@@ -80,10 +82,12 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
     for i, item in enumerate(top["variables"]):
         path = f"variables[{i}]"
         obj = _check_keys(item, {"name", "type", "visibility"}, path)
+        if obj["visibility"] not in ("public", "private"):
+            raise _shape_error("visibility must be 'public' or 'private'", f"{path}.visibility")
         variables.append(VariableDecl(
             name=_str(obj["name"], path),
             type_text=_str(obj["type"], path),
-            visibility=_str(obj["visibility"], path),
+            visibility=obj["visibility"],
         ))
     structs = []
     if not isinstance(top["structs"], list):
@@ -93,10 +97,7 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
         obj = _check_keys(item, {"name", "members"}, path)
         if not isinstance(obj["members"], list):
             raise _shape_error("expected a list", f"{path}.members")
-        members = []
-        for j, member in enumerate(obj["members"]):
-            mobj = _check_keys(member, {"name", "type"}, f"{path}.members[{j}]")
-            members.append((_str(mobj["type"], path), _str(mobj["name"], path)))
+        members = [_typed_name(m, f"{path}.members[{j}]") for j, m in enumerate(obj["members"])]
         structs.append(StructDef(name=_str(obj["name"], path), members=tuple(members)))
     transitions = []
     if not isinstance(top["transitions"], list):

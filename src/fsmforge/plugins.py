@@ -2,14 +2,14 @@
 
 An entry gives every fact another module needs about one plugin: its
 PluginConfig field (also its JSON key), its DSL and `--plugins` keyword, the
-banner above its declarations, the names it reserves, the transition tag
-that requires it, its declaration block and its modifier. `PLUGINS` lists
-the entries in declaration order; `CHAIN` lists them in the order their
-modifiers wrap a transition, outermost first: locking, timedTransitions,
-transitionCounting, onlyAdmin, then the per-transition event modifier.
-`weave` stores `chain(config, t)` for each transition, and the generator
-and the simulator both walk that stored tuple, so they cannot disagree on
-the order.
+banner above its declarations, the transition tag that requires it, its
+declaration block (the validator reads the plugin's names from it) and its
+modifier. `PLUGINS` lists the entries in declaration order; `CHAIN` lists
+them in the order their modifiers wrap a transition, outermost first:
+locking, timedTransitions, transitionCounting, onlyAdmin, then the
+per-transition event modifier. `weave` stores `chain(config, t)` for each
+transition, and the generator and the simulator both walk that stored
+tuple, so they cannot disagree on the order.
 """
 from __future__ import annotations
 
@@ -37,7 +37,6 @@ class Plugin:
     field: str  # PluginConfig field and JSON key
     keyword: str  # DSL and --plugins name
     banner: str
-    reserved: tuple[str, ...]
     tag: Optional[str]  # tag that requires the plugin; None: every transition is wrapped
     decls: Callable[[ContractModel], str]  # "" when the plugin declares nothing
     modifier: str  # `{name}` is the transition's name
@@ -122,24 +121,20 @@ def timed_modifier(model: ContractModel) -> str:
 
 
 LOCKING = Plugin(
-    field="locking", keyword="locking", banner="//Locking",
-    reserved=("locked", "locking"), tag=None,
+    field="locking", keyword="locking", banner="//Locking", tag=None,
     decls=lambda model: LOCKING_DECLS, modifier="locking")
 COUNTER = Plugin(
-    field="counter", keyword="counter", banner="//Transition counter",
-    reserved=("transitionCounter", "transitionCounting", "nextTransitionNumber"), tag=None,
+    field="counter", keyword="counter", banner="//Transition counter", tag=None,
     decls=lambda model: COUNTER_DECLS, modifier="transitionCounting(nextTransitionNumber)",
     params=(("nextTransitionNumber", "uint"),))
 TIMED = Plugin(
-    field="timed", keyword="timed", banner="//Timed transitions",
-    reserved=("timedTransitions",), tag=None,
+    field="timed", keyword="timed", banner="//Timed transitions", tag=None,
     decls=timed_modifier, modifier="timedTransitions")
 ACCESS_CONTROL = Plugin(
-    field="access_control", keyword="access", banner="//Access control",
-    reserved=("isAdmin", "numAdmins", "addAdmin", "removeAdmin", "onlyAdmin"), tag="admin",
+    field="access_control", keyword="access", banner="//Access control", tag="admin",
     decls=lambda model: ACCESS_CONTROL_DECLS.format(name=model.name), modifier="onlyAdmin")
 EVENTS = Plugin(
-    field="events", keyword="events", banner="//Events", reserved=(), tag="event",
+    field="events", keyword="events", banner="//Events", tag="event",
     decls=lambda model: "\n\n".join(EVENT_DECLS.format(name=t.name)
                                     for t in model.transitions if "event" in t.tags),
     modifier="event{name}")

@@ -4,7 +4,7 @@ Grammar (one step per line, `#` starts a comment):
 
     time <seconds>
     env <ident>=<int> [...]
-    call <transition> as <actor> [n=<int>] [g<k>=<true|false> ...]
+    call <transition> as <actor> [n=<int>] [g<k>=<true|false> ...] [timed:<name>=<true|false> ...]
         [reenter=<transition>] expect <ok|revert:<Reason>>
     admin <add|remove> <actor> by <actor> expect <ok|revert>
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
@@ -93,6 +93,7 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
         "sender": parts[2],
         "n": None,
         "overrides": {},
+        "timed": {},
         "reenter": None,
         "expect_ok": None,
         "expect_reason": None,
@@ -128,6 +129,8 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
             payload["reenter"] = value
         elif re.fullmatch(r"g\d+", key):
             payload["overrides"][int(key[1:])] = _parse_bool(line_no, value)
+        elif key.startswith("timed:"):
+            payload["timed"][key[len("timed:"):]] = _parse_bool(line_no, value)
         else:
             raise ScenarioSyntaxError(line_no, f"unknown call option '{key}'")
         i += 1
@@ -226,11 +229,16 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
         session.env.update(p["bindings"])
         return StepResult(step, ok=True, detail="env updated")
     if step.kind == "call":
+        unknown = p["timed"] and sorted(p["timed"].keys() - {
+            tt.name for tt in session.woven.base.timed_transitions if tt.guard is not None})
+        if unknown:
+            raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
         call = Invocation(
             transition=p["transition"],
             sender=p["sender"],
             next_transition_number=p["n"],
             guard_overrides=dict(p["overrides"]),
+            timed_guard_overrides=dict(p["timed"]),
             reentry_probe=(None if p["reenter"] is None
                            else Invocation(transition=p["reenter"], sender=p["sender"])),
         )

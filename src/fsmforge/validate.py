@@ -2,27 +2,54 @@
 
 Returns diagnostics in model declaration order; an empty list means the
 model is ready for weaving and code generation.
+
+Every name the model declares goes through one check, `_Collector.declare`.
 """
 from __future__ import annotations
 
+import re
+from collections import ChainMap
+from dataclasses import replace
+
 from .diagnostics import Diagnostic
+from .dsl import IDENT
 from .fragments import LexError, Token, lex_fragment
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
-# Names the generator always emits, regardless of plugins.
-_ALWAYS_RESERVED = ("state", "States", "creationTime")
+# Solidity's keywords, reserved words and elementary type names (see
+# https://docs.soliditylang.org/en/latest/cheatsheet.html, "Reserved Keywords").
+# Builtins such as `now`, `msg` or `super` may be shadowed, with a warning.
+_KEYWORDS = frozenset("""
+    abstract address anonymous as assembly bool break bytes calldata catch constant
+    constructor continue contract delete do else emit enum event external fallback
+    false fixed for function hex if immutable import indexed interface internal is
+    library mapping memory modifier new override payable pragma private public pure
+    receive return returns storage string struct true try type ufixed unchecked
+    unicode using view virtual while int uint wei gwei ether seconds minutes hours
+    days weeks years after alias apply auto byte case copyof default define final
+    implements in inline let macro match mutable null of partial promise reference
+    relocatable sealed sizeof static supports switch typedef typeof var
+""".split()) | {f"{t}{n}" for t, k in (("int", 8), ("uint", 8), ("bytes", 1))
+                for n in range(k, 33 * k, k)}
+_FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
+
+# A name declared at column 0 of a plugin's declaration block: the word after
+# `function` / `modifier`, or the last word before `=` or `;` (variables, events).
+_DECLARED = re.compile(r"^(?:(?:function|modifier) (\w+)|[^\s}].*?(\w+) ?[=;](?!>))", re.M)
 
 # Identifiers guards may always use without declaring them.
 _GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block", "tx"}
 
 
-def _reserved_names(model: ContractModel) -> set[str]:
-    reserved = set(_ALWAYS_RESERVED)
-    reserved.add(model.name)
-    for field in model.plugins.enabled():
-        reserved.update(BY_FIELD[field].reserved)
-    return reserved
+def _generated_names(model: ContractModel) -> dict[str, None]:
+    """The contract-scope names the generator emits, except the contract's own
+    name (which the access plugin's constructor takes)."""
+    names, unnamed = ["state", "States", "creationTime"], replace(model, name="")
+    for plugin in map(BY_FIELD.get, model.plugins.enabled()):
+        names += [a or b for a, b in _DECLARED.findall(plugin.decls(unnamed))]
+        names += [name for name, _ in plugin.params]
+    return dict.fromkeys(names)
 
 
 def _free_identifiers(tokens: list[Token]) -> set[str]:
@@ -47,6 +74,19 @@ class _Collector:
     def warn(self, code: str, path: str, message: str):
         self.diagnostics.append(Diagnostic(code, "warning", message, path=path))
 
+    def declare(self, scope, path: str, what: str, name: str):
+        """Add `name` to `scope` (name -> path; a generated name maps to None)."""
+        keyword = name in _KEYWORDS or _FIXED.fullmatch(name)
+        if keyword or not IDENT.fullmatch(name):
+            why = "a Solidity keyword" if keyword else "not an identifier"
+            self.error("E_BAD_NAME", path, f"{what} '{name}' is {why}")
+        elif name not in scope:
+            scope[name] = path
+        elif scope[name] is None:
+            self.error("E_RESERVED", path, f"{what} '{name}' collides with a generated name")
+        else:
+            self.error("E_DUP_NAME", path, f"{what} '{name}' is already declared at {scope[name]}")
+
 
 def _check_fragment(out: _Collector, path: str, text: str) -> list[Token]:
     """Lex a fragment; a lex error is reported at path and gives no tokens."""
@@ -58,7 +98,7 @@ def _check_fragment(out: _Collector, path: str, text: str) -> list[Token]:
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      reserved: set[str], declared_guard_names: set[str]):
+                      param_scope: ChainMap, declared_guard_names: set[str]):
     path = f"transitions[{index}]"
     if t.from_state not in model.states:
         out.error("E_UNKNOWN_STATE", f"{path}.from", f"unknown state '{t.from_state}'")
@@ -70,19 +110,10 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         elif tag in BY_TAG and not getattr(model.plugins, BY_TAG[tag].field):
             out.error("E_TAG_NEEDS_PLUGIN", f"{path}.tags",
                       f"tag '{tag}' requires the {BY_TAG[tag].field} plugin")
-    if t.name in reserved:
-        out.error("E_RESERVED", f"{path}.name",
-                  f"transition name '{t.name}' collides with a generated name")
-    seen_params: set[str] = set()
     for group, params in (("inputs", t.inputs), ("outputs", t.outputs), ("locals", t.locals)):
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
-            if param.name in seen_params:
-                out.error("E_DUP_NAME", ppath, f"duplicate parameter name '{param.name}'")
-            seen_params.add(param.name)
-            if param.name in reserved:
-                out.error("E_RESERVED", ppath,
-                          f"parameter '{param.name}' collides with a generated name")
+            out.declare(param_scope, ppath, "parameter", param.name)
             _check_fragment(out, ppath, param.type_text)
     allowed = declared_guard_names | {p.name for p in t.inputs} | {p.name for p in t.locals}
     for j, guard in enumerate(t.guards):
@@ -96,15 +127,12 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
 
 
 def _check_timed(out: _Collector, model: ContractModel, index: int, tt: TimedTransition,
-                 reserved: set[str], io_names: set[str]):
+                 io_names: set[str]):
     path = f"timed_transitions[{index}]"
     if tt.from_state not in model.states:
         out.error("E_UNKNOWN_STATE", f"{path}.from", f"unknown state '{tt.from_state}'")
     if tt.to_state not in model.states:
         out.error("E_UNKNOWN_STATE", f"{path}.to", f"unknown state '{tt.to_state}'")
-    if tt.name in reserved:
-        out.error("E_RESERVED", f"{path}.name",
-                  f"timed transition name '{tt.name}' collides with a generated name")
     fragments = [(f"{path}.guard", tt.guard.text)] if tt.guard is not None else []
     fragments += [(f"{path}.statements[{j}]", s.text) for j, s in enumerate(tt.statements)]
     for fpath, text in fragments:
@@ -118,7 +146,10 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     """Check the model against the FSM rules, plugin prerequisites and
     generation safety; empty result iff the model is generation-ready."""
     out = _Collector()
-    reserved = _reserved_names(model)
+    generated = _generated_names(model)
+    out.declare(ChainMap({}, generated), "name", "contract", model.name)
+    generated[model.name] = None  # a function of that name would be the constructor
+    contract = ChainMap({}, generated)
 
     if model.initial_state is None:
         out.error("E_NO_INITIAL", "initial", "no initial state is declared")
@@ -126,60 +157,31 @@ def validate(model: ContractModel) -> list[Diagnostic]:
         out.error("E_NO_INITIAL", "initial",
                   f"initial state '{model.initial_state}' is not a declared state")
 
-    seen: set[str] = set()
+    states: dict[str, str] = {}
     for i, state in enumerate(model.states):
-        if state in seen:
-            out.error("E_DUP_NAME", f"states[{i}]", f"duplicate state '{state}'")
-        seen.add(state)
+        out.declare(states, f"states[{i}]", "state", state)
 
-    struct_names = {s.name for s in model.structs}
-    seen = set()
     for i, var in enumerate(model.variables):
-        path = f"variables[{i}]"
-        if var.name in seen:
-            out.error("E_DUP_NAME", path, f"duplicate variable '{var.name}'")
-        seen.add(var.name)
-        if var.name in reserved:
-            out.error("E_RESERVED", path,
-                      f"variable '{var.name}' collides with a generated name")
-        _check_fragment(out, path, var.type_text)
+        out.declare(contract, f"variables[{i}]", "variable", var.name)
+        _check_fragment(out, f"variables[{i}]", var.type_text)
 
-    seen = set()
     for i, struct in enumerate(model.structs):
-        path = f"structs[{i}]"
-        if struct.name in seen:
-            out.error("E_DUP_NAME", path, f"duplicate struct '{struct.name}'")
-        seen.add(struct.name)
-        if struct.name in reserved:
-            out.error("E_RESERVED", path,
-                      f"struct '{struct.name}' collides with a generated name")
-        member_seen: set[str] = set()
+        out.declare(contract, f"structs[{i}]", "struct", struct.name)
+        members: dict[str, str] = {}
         for j, (type_text, member) in enumerate(struct.members):
-            if member in member_seen:
-                out.error("E_DUP_NAME", f"{path}.members[{j}]",
-                          f"duplicate struct member '{member}'")
-            member_seen.add(member)
-            _check_fragment(out, f"{path}.members[{j}]", type_text)
+            out.declare(members, f"structs[{i}].members[{j}]", "struct member", member)
+            _check_fragment(out, f"structs[{i}].members[{j}]", type_text)
 
-    declared_guard_names = {v.name for v in model.variables} | struct_names
-    seen = set()
+    declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
     for i, t in enumerate(model.transitions):
-        if t.name in seen:
-            out.error("E_DUP_NAME", f"transitions[{i}]", f"duplicate transition '{t.name}'")
-        seen.add(t.name)
-        _check_transition(out, model, i, t, reserved, declared_guard_names)
+        out.declare(contract, f"transitions[{i}].name", "transition", t.name)
+        _check_transition(out, model, i, t, ChainMap({}, generated), declared_guard_names)
 
-    io_names = set()
-    for t in model.transitions:
-        io_names.update(p.name for p in t.inputs)
-        io_names.update(p.name for p in t.outputs)
-    seen = set()
+    io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
+    timed = ChainMap({}, generated)
     for i, tt in enumerate(model.timed_transitions):
-        if tt.name in seen:
-            out.error("E_DUP_NAME", f"timed_transitions[{i}]",
-                      f"duplicate timed transition '{tt.name}'")
-        seen.add(tt.name)
-        _check_timed(out, model, i, tt, reserved, io_names)
+        out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name)
+        _check_timed(out, model, i, tt, io_names)
 
     if model.timed_transitions and not model.plugins.timed:
         out.error("E_TIMED_NEEDS_PLUGIN", "plugins.timed",

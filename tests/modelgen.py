@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import random
+import re
+from dataclasses import replace
 
 from fsmforge.model import (
     ContractModel,
@@ -135,6 +137,122 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
         timed_transitions=tuple(timed),
         plugins=plugins,
     ))
+
+
+# Names that must not reach the generated contract unchecked: Solidity
+# keywords and type names, names the generator emits (some only with a plugin
+# on; `eventt0` is the events modifier of a transition `t0`), and names that
+# random_model gives to other sections.
+HOSTILE_KEYWORDS = ("uint", "return", "mapping", "bytes32", "uint8", "int256", "event",
+                    "function", "var", "string", "fixed128x18")
+HOSTILE_NAMES = HOSTILE_KEYWORDS + (
+    "state", "States", "creationTime", "locked", "locking", "transitionCounter",
+    "transitionCounting", "nextTransitionNumber", "timedTransitions", "isAdmin",
+    "onlyAdmin", "addAdmin", "eventt0", "Eventt0", "eventt1", "Eventt1",
+    "t0", "t1", "v0", "v1", "Rec0", "Rec1", "m0", "in0", "lc0", "out0", "tt0", "Start", "Open",
+)
+
+
+def hostile_model(rng: random.Random) -> ContractModel:
+    """random_model with one to three declarations renamed from HOSTILE_NAMES.
+
+    A renamed state is renamed at every reference, so that the model keeps
+    its transitions; every other rename leaves the references as they were.
+    """
+    m = random_model(rng)
+    for _ in range(rng.randint(1, 3)):
+        new = rng.choice(HOSTILE_NAMES)
+        kind = rng.choice(["contract", "state", "variable", "struct", "member",
+                           "transition", "param", "timed"])
+        if kind == "contract":
+            m = replace(m, name=new)
+        elif kind == "state":
+            old = rng.choice(m.states)
+            ren = {old: new}.get
+            m = replace(m, states=tuple(ren(s, s) for s in m.states),
+                        initial_state=ren(m.initial_state, m.initial_state),
+                        transitions=tuple(replace(t, from_state=ren(t.from_state, t.from_state),
+                                                  to_state=ren(t.to_state, t.to_state))
+                                          for t in m.transitions),
+                        timed_transitions=tuple(
+                            replace(tt, from_state=ren(tt.from_state, tt.from_state),
+                                    to_state=ren(tt.to_state, tt.to_state))
+                            for tt in m.timed_transitions))
+        elif kind == "variable":
+            m = replace(m, variables=_renamed(rng, m.variables, new))
+        elif kind == "struct" and m.structs:
+            m = replace(m, structs=_renamed(rng, m.structs, new))
+        elif kind == "member" and m.structs:
+            i = rng.randrange(len(m.structs))
+            members = m.structs[i].members
+            j = rng.randrange(len(members))
+            struct = replace(m.structs[i], members=_at(members, j, (members[j][0], new)))
+            m = replace(m, structs=_at(m.structs, i, struct))
+        elif kind == "transition":
+            m = replace(m, transitions=_renamed(rng, m.transitions, new))
+        elif kind == "param":
+            i = rng.randrange(len(m.transitions))
+            t = m.transitions[i]
+            groups = [g for g in ("inputs", "outputs", "locals") if getattr(t, g)]
+            if groups:
+                group = rng.choice(groups)
+                t = replace(t, **{group: _renamed(rng, getattr(t, group), new)})
+                m = replace(m, transitions=_at(m.transitions, i, t))
+        elif kind == "timed" and m.timed_transitions:
+            m = replace(m, timed_transitions=_renamed(rng, m.timed_transitions, new))
+    return m
+
+
+def _at(items: tuple, i: int, item) -> tuple:
+    return items[:i] + (item,) + items[i + 1:]
+
+
+def _renamed(rng: random.Random, items: tuple, new: str) -> tuple:
+    i = rng.randrange(len(items))
+    return _at(items, i, replace(items[i], name=new))
+
+
+_SOL_TOKEN = re.compile(r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\])*\"|=>|\w+|\S", re.S)
+_HEADS = ("function", "modifier", "event", "struct", "enum")
+
+
+def declared_names(solidity: str) -> list[tuple[str, str]]:
+    """(scope, name) for each declaration in a generated contract.
+
+    Scope "contract" holds the functions, modifiers, events, structs, enums
+    and state variables; an enum's or a struct's members are in a scope
+    named after it. Function and modifier bodies are skipped.
+    """
+    out: list[tuple[str, str]] = []
+    depth = 0
+    item: list[str] = []  # the tokens of the declaration being read
+    body = None  # (kind, name) while inside an enum or a struct
+    for tok in _SOL_TOKEN.findall(solidity):
+        if tok.startswith(("//", "/*", '"')):
+            continue
+        if tok == "{":
+            depth += 1
+            if depth == 2:
+                out.append(("contract", item[1]))
+                body = (item[0], item[1]) if item[0] in ("enum", "struct") else None
+                item = []
+        elif tok == "}":
+            depth -= 1
+            if depth == 1:
+                if body is not None and body[0] == "enum" and item:
+                    out.append((body[1], item[-1]))
+                body, item = None, []
+        elif depth == 1 or (depth == 2 and body is not None):
+            if tok == ";" or (tok == "," and depth == 2):
+                if depth == 1 and item[0] in _HEADS:
+                    name = item[1]
+                else:
+                    name = item[item.index("=") - 1] if "=" in item else item[-1]
+                out.append(("contract" if depth == 1 else body[1], name))
+                item = []
+            else:
+                item.append(tok)
+    return out
 
 
 class ReferenceFsm:

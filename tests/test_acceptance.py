@@ -515,7 +515,7 @@ def test_criterion_6_round_trip_and_fuzz(corpus_dir):
 DIAGNOSTIC_CODES = (
     "E_NO_INITIAL", "E_UNKNOWN_STATE", "E_DUP_NAME", "E_BAD_TAG",
     "E_TAG_NEEDS_PLUGIN", "E_TIMED_NEEDS_PLUGIN", "E_TIMED_IO",
-    "E_RESERVED", "E_UNBALANCED", "W_UNDECLARED_IDENT",
+    "E_RESERVED", "E_UNBALANCED", "W_UNDECLARED_IDENT", "E_BAD_NAME",
 )
 
 

@@ -116,6 +116,20 @@ def test_sim_failed_expectation(auction_path, tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_sim_timed_guard_override(tmp_path, capsys):
+    # Once an opaque timed guard is due, only a timed: override lets calls run.
+    model = tmp_path / "tick.fsm"
+    model.write_text("contract T { states { initial A; B; } plugins { timed; } "
+                     "transition stay from A to A { } "
+                     "timed tick from A to B at 1 days { guard { votes[msg.sender] > 0 } } }")
+    scn = tmp_path / "tick.scn"
+    scn.write_text("time 100000\ncall stay as alice expect ok\n")
+    assert main(["sim", str(model), "--scenario", str(scn)]) == 1
+    scn.write_text("time 100000\ncall stay as alice timed:tick=false expect ok\n")
+    assert main(["sim", str(model), "--scenario", str(scn)]) == 0
+    assert "Reverted(MissingOverride)" in capsys.readouterr().out
+
+
 def test_sim_bad_scenario_syntax(auction_path, tmp_path, capsys):
     scn = tmp_path / "broken.scn"
     scn.write_text("frobnicate\n")
@@ -186,10 +200,12 @@ def test_repl_handles_eof_and_errors(auction_path, capsys, monkeypatch):
      "line 1: counter plugin is enabled; call to 'bid' needs a transition number"),
     ("blind_auction.fsm", ["call bid as alice n=0 g7=true expect ok"], "ABB",
      "line 1: call to 'bid' overrides g7, but it has 0 guard(s)"),
+    ("voting.fsm", ["time 300000", "call cast as alice g0=true timed:open=true expect ok"], "Setup",
+     "line 2: timed:open names no timed transition with a guard"),
     ("rock_paper_scissors.fsm", ["admin add bob by deployer expect ok"], "Play",
      "line 1: access_control plugin is not enabled"),
 ], ids=["unbound-variable", "call-without-n", "override-past-the-guards",
-        "admin-without-access-control"])
+        "timed-override-without-a-guard", "admin-without-access-control"])
 def test_step_the_simulator_refuses_is_a_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
                                                      model, lines, initial, message):
     path = str(corpus_dir / model)

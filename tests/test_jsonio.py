@@ -5,6 +5,7 @@ import pytest
 
 from fsmforge.dsl import ParseError, parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
+from fsmforge.validate import validate
 from modelgen import random_model
 
 
@@ -38,6 +39,7 @@ def _expect_code(text, code):
     with pytest.raises(ParseError) as exc:
         parse_json(text)
     assert [d.code for d in exc.value.diagnostics] == [code]
+    return exc.value.diagnostics[0].path
 
 
 def test_invalid_json_is_a_syntax_error():
@@ -76,6 +78,18 @@ def test_shape_errors():
     bad_plugins = dict(good, plugins=dict(good["plugins"], locking="yes"))
     _expect_code(json.dumps(bad_plugins), "E_JSON_SHAPE")
 
+    # A bad item is reported at the item, not at its list.
+    transition = {"name": "t", "from": "A", "to": "A", "tags": [],
+                  "inputs": [{"name": 1, "type": "uint"}], "outputs": [], "locals": [],
+                  "guards": [], "statements": []}
+    bad_input = dict(good, transitions=[transition])
+    assert _expect_code(json.dumps(bad_input), "E_JSON_SHAPE") == "transitions[0].inputs[0]"
+    bad_member = dict(good, structs=[{"name": "R", "members": [{"name": "x", "type": None}]}])
+    assert _expect_code(json.dumps(bad_member), "E_JSON_SHAPE") == "structs[0].members[0]"
+
+    bad_visibility = dict(good, variables=[{"name": "x", "type": "uint", "visibility": "banana"}])
+    assert _expect_code(json.dumps(bad_visibility), "E_JSON_SHAPE") == "variables[0].visibility"
+
 
 def test_timed_sorted_on_parse():
     data = {
@@ -93,3 +107,19 @@ def test_timed_sorted_on_parse():
     model = parse_json(json.dumps(data))
     assert [t.name for t in model.timed_transitions] == ["early", "late"]
     assert model.timed_transitions[0].guard.text == "x > 0"
+
+
+def test_json_names_must_be_identifiers(corpus_dir):
+    # Any JSON string parses as a name; validate is what rejects `1st` and
+    # `cast votes`, which the generator would emit as `States.1st` and
+    # `function cast votes(`.
+    data = json.loads(emit_json(parse_dsl((corpus_dir / "voting.fsm").read_text())))
+    data["states"][0] = data["initial"] = "1st"
+    for t in data["transitions"]:
+        t["from"], t["to"] = ("1st" if s == "Setup" else s for s in (t["from"], t["to"]))
+    for tt in data["timed"]:
+        tt["from"] = "1st" if tt["from"] == "Setup" else tt["from"]
+    cast = next(i for i, t in enumerate(data["transitions"]) if t["name"] == "cast")
+    data["transitions"][cast]["name"] = "cast votes"
+    found = [(d.code, d.path) for d in validate(parse_json(json.dumps(data)))]
+    assert found == [("E_BAD_NAME", "states[0]"), ("E_BAD_NAME", f"transitions[{cast}].name")]

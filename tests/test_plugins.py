@@ -13,6 +13,7 @@ from fsmforge.model import ContractModel, Transition, VariableDecl
 from fsmforge.plugins import BY_TAG, CHAIN, PLUGINS, PluginConfig
 from fsmforge.validate import validate
 from fsmforge.weave import weave
+from modelgen import declared_names
 
 by_field = pytest.mark.parametrize("plugin", PLUGINS, ids=lambda p: p.field)
 
@@ -66,10 +67,36 @@ def test_field_round_trips_through_json(plugin):
     assert parse_json(text) == model
 
 
+# What each plugin's declarations add to the contract in model_for(plugin),
+# whose one transition is `go`: a superset of the names each entry listed by
+# hand before they were read from its templates (events listed none).
+PLUGIN_NAMES = {
+    "locking": {"locked", "locking"},
+    "counter": {"transitionCounter", "transitionCounting", "nextTransitionNumber"},
+    "timed": {"timedTransitions"},
+    "access_control": {"isAdmin", "numAdmins", "addAdmin", "removeAdmin", "onlyAdmin"},
+    "events": {"Eventgo", "eventgo"},
+}
+
+
+def plugin_names(plugin) -> set[str]:
+    """The contract-scope names the plugin adds to the generated code, plus
+    the parameter it injects, found by the test-side declaration scan. The
+    access plugin's constructor `M` is left out: the contract's name is
+    reserved with or without plugins."""
+    model = model_for(plugin)
+    bare = ContractModel(name="M", states=("A", "B"), initial_state="A",
+                         transitions=(Transition("go", "A", "B"),))
+    with_plugin = {n for scope, n in declared_names(generate(weave(model))) if scope == "contract"}
+    without = {n for scope, n in declared_names(generate(weave(bare))) if scope == "contract"}
+    return with_plugin - without - {"M"} | {name for name, _ in plugin.params}
+
+
 @by_field
 def test_reserved_names_collide_only_when_the_plugin_is_on(plugin):
     assert codes(model_for(plugin)) == []
-    for name in plugin.reserved:
+    assert plugin_names(plugin) == PLUGIN_NAMES[plugin.field]
+    for name in plugin_names(plugin):
         model = model_for(plugin, [VariableDecl(name, "uint", "public")])
         assert codes(model) == ["E_RESERVED"]
         off = ContractModel(name="M", states=("A",), initial_state="A",

@@ -25,7 +25,10 @@ def test_parse_step_variants():
     assert step.payload["transition"] == "bid"
     assert step.payload["n"] == 0
     assert step.payload["overrides"] == {0: True}
+    assert step.payload["timed"] == {}
     assert step.payload["reenter"] == "bid"
+    step = parse_step(1, "call stay as alice timed:tick=false timed:tock=true expect ok")
+    assert step.payload["timed"] == {"tick": False, "tock": True}
     assert step.payload["expect_ok"] is True
 
     step = parse_step(2, "call close as bob expect revert:WrongState")
@@ -51,6 +54,7 @@ def test_parse_step_variants():
     "call bid as alice expect revert:Bogus",
     "call bid as alice expect ok n=1",       # expect must be last
     "call bid as alice q=1 expect ok",
+    "call bid as alice timed:tick=maybe expect ok",
     "time",
     "time soon",
     "env",
@@ -136,3 +140,39 @@ def test_step_the_simulator_refuses_raises_with_its_line(auction):
         run_scenario(auction, "time 1\ncall bid as alice expect ok\n")  # no n= on a counter model
     assert exc.value.line_no == 2
     assert "needs a transition number" in str(exc.value)
+
+
+TICKING = """contract T {
+    states { initial A; B; }
+    plugins { timed; }
+    var private mapping(address => uint) votes;
+    transition stay from A to A { }
+    transition leave from B to B { }
+    timed tick from A to B at 1 days { guard { votes[msg.sender] > 0 } }
+    timed tock from B to A at 2 days { }
+}
+"""
+
+
+def test_timed_option_overrides_a_timed_guard():
+    woven = weave(parse_dsl(TICKING))
+    # Once `tick` is due its opaque guard needs a value on every call.
+    report = run_scenario(woven, "time 100000\ncall stay as alice expect ok\n")
+    assert report.failures[0].detail == "Reverted(MissingOverride)"
+    report = run_scenario(woven, "\n".join([
+        "time 100000",
+        "call stay as alice timed:tick=false expect ok",
+        "assert state=A",
+        "call leave as alice timed:tick=true expect ok",
+        "assert state=B",
+    ]) + "\n")
+    assert report.ok, [r.detail for r in report.failures]
+    assert report.results[3].outcome.fired_timed == ("tick",)
+
+
+@pytest.mark.parametrize("name", ["tock", "nothing", "stay"])
+def test_timed_option_must_name_a_guarded_timed_transition(name):
+    woven = weave(parse_dsl(TICKING))
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_scenario(woven, f"time 100000\ncall stay as alice timed:{name}=true expect ok\n")
+    assert str(exc.value) == f"line 2: timed:{name} names no timed transition with a guard"

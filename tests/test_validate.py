@@ -1,3 +1,7 @@
+import random
+from collections import Counter
+
+from fsmforge.codegen import generate
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
     ContractModel,
@@ -10,6 +14,8 @@ from fsmforge.model import (
     VariableDecl,
 )
 from fsmforge.validate import validate
+from fsmforge.weave import weave
+from modelgen import HOSTILE_KEYWORDS, declared_names, hostile_model
 
 
 def model(**kwargs):
@@ -37,6 +43,7 @@ FIXTURES = {
         timed_transitions=(TimedTransition(
             "tt", "A", "B", 60, guard=Fragment("amount > 0", "expr")),)),
     "E_RESERVED": model(variables=(VariableDecl("state", "uint", "private"),)),
+    "E_BAD_NAME": model(transitions=(t(name="return"),)),
     "E_UNBALANCED": model(transitions=(t(guards=(Fragment("(x > 0", "expr"),)),)),
     "W_UNDECLARED_IDENT": model(
         transitions=(t(guards=(Fragment("mystery > 0", "expr"),)),)),
@@ -152,3 +159,78 @@ def test_diagnostics_render(capsys):
     text = diags[0].render(color=False)
     assert "error E_RESERVED" in text and "state" in text
     assert "\033[" in diags[0].render(color=True)
+
+
+def diags(m):
+    return [(d.code, d.path, d.message) for d in validate(m)]
+
+
+def test_one_contract_scope_across_sections():
+    # A state `uint`, a variable, a struct and a transition all named `t`,
+    # and a transition `return`: each used to reach the generated code.
+    m = model(states=("uint", "B"), initial_state="uint",
+              variables=(VariableDecl("t", "uint", "public"),),
+              structs=(StructDef("t", (("uint", "x"),)),),
+              transitions=(t("t", "uint", "B"), t("return", "uint", "B")))
+    assert diags(m) == [
+        ("E_BAD_NAME", "states[0]", "state 'uint' is a Solidity keyword"),
+        ("E_DUP_NAME", "structs[0]", "struct 't' is already declared at variables[0]"),
+        ("E_DUP_NAME", "transitions[0].name",
+         "transition 't' is already declared at variables[0]"),
+        ("E_BAD_NAME", "transitions[1].name", "transition 'return' is a Solidity keyword"),
+    ]
+
+
+def test_event_plugin_names_are_generated_names():
+    # `go` tagged event makes the generator emit `event Eventgo` and `modifier eventgo`.
+    m = model(plugins=PluginConfig(events=True),
+              transitions=(t("go", tags=("event",)), t("eventgo"), t("Eventgo")))
+    assert diags(m) == [
+        ("E_RESERVED", "transitions[1].name",
+         "transition 'eventgo' collides with a generated name"),
+        ("E_RESERVED", "transitions[2].name",
+         "transition 'Eventgo' collides with a generated name"),
+    ]
+    assert codes(model(transitions=(t("go", tags=("event",)), t("eventgo")))) == [
+        "E_TAG_NEEDS_PLUGIN"]
+
+
+def test_every_declared_name_must_be_an_identifier_and_no_keyword():
+    m = model(name="contract", states=("A", "B", "1st"),
+              structs=(StructDef("R", (("uint", "bytes32"), ("uint", "x y"))),),
+              variables=(VariableDecl("fixed128x18", "uint", "private"),),
+              transitions=(t("cast votes", inputs=(Param("uint8", "uint"),)),),
+              plugins=PluginConfig(timed=True),
+              timed_transitions=(TimedTransition("while", "A", "B", 1),))
+    assert [(code, path) for code, path, _ in diags(m)] == [
+        ("E_BAD_NAME", "name"), ("E_BAD_NAME", "states[2]"), ("E_BAD_NAME", "variables[0]"),
+        ("E_BAD_NAME", "structs[0].members[0]"), ("E_BAD_NAME", "structs[0].members[1]"),
+        ("E_BAD_NAME", "transitions[0].name"), ("E_BAD_NAME", "transitions[0].inputs[0]"),
+        ("E_BAD_NAME", "timed_transitions[0].name"),
+    ]
+    assert validate(m)[1].message == "state '1st' is not an identifier"
+    # Builtins may be shadowed; states and struct members have their own scopes.
+    assert codes(model(variables=(VariableDecl("super", "uint", "public"),))) == []
+    assert codes(model(states=("A", "B", "state"),
+                       structs=(StructDef("R", (("uint", "locked"),)),),
+                       plugins=PluginConfig(locking=True))) == []
+
+
+def test_valid_hostile_models_generate_distinct_non_keyword_names():
+    """Models renamed from a pool of keywords, generated names and other
+    sections' names: whenever validate reports no error, the generated
+    contract declares each name once per scope and no keyword."""
+    rng = random.Random(7)
+    clean = rejected = 0
+    for _ in range(1500):
+        m = hostile_model(rng)
+        if any(d.severity == "error" for d in validate(m)):
+            rejected += 1
+            continue
+        clean += 1
+        names = declared_names(generate(weave(m)))
+        repeated = [key for key, n in Counter(names).items() if n > 1]
+        assert repeated == [], f"{m.name}: declared twice: {repeated}"
+        keywords = [name for _, name in names if name in HOSTILE_KEYWORDS]
+        assert keywords == [], f"{m.name}: keywords declared: {keywords}"
+    assert clean > 300 and rejected > 300, (clean, rejected)

@@ -6,12 +6,16 @@ for golden comparisons against transcribed listings.
 """
 from __future__ import annotations
 
-from .fragments import lex_fragment
+from .fragments import token_strings
 from .model import Transition
 from .plugins import BY_FIELD
 from .weave import WovenContract, guard_conjunction
 
 _INDENT = "    "
+# Lines of the generator's own code; the validator reserves the names they
+# declare and the builtins they read.
+CREATION_TIME = "uint private creationTime = now;"
+STATE_CHECK = "require(state == States.{});"
 
 
 def _emit_block(out: list[str], text: str, indent: int):
@@ -35,7 +39,7 @@ def _emit_transition(out: list[str], woven: WovenContract, t: Transition):
     out.append(f"{_INDENT}{{")
     for local in t.locals:
         out.append(f"{_INDENT * 2}{local.type_text} {local.name};")
-    out.append(f"{_INDENT * 2}require(state == States.{t.from_state});")
+    out.append(_INDENT * 2 + STATE_CHECK.format(t.from_state))
     guard_line = guard_conjunction(t)
     if guard_line:
         out.append(f"{_INDENT * 2}//Guards")
@@ -70,7 +74,7 @@ def generate(woven: WovenContract) -> str:
         out.append(f"{_INDENT}}}")
     for var in model.variables:
         out.append(f"{_INDENT}{var.type_text} {var.visibility} {var.name};")
-    out.append(f"{_INDENT}uint private creationTime = now;")
+    out.append(_INDENT + CREATION_TIME)
     for plugin, decls in woven.contract_fragments:
         out.append("")
         out.append(f"{_INDENT}{BY_FIELD[plugin].banner}")
@@ -85,24 +89,19 @@ def generate(woven: WovenContract) -> str:
     return "\n".join(out) + "\n"
 
 
+def _normalized(tok: str) -> str:
+    if tok.startswith(("//", "/*")):
+        return "//" + " ".join((tok[2:] if tok[1] == "/" else tok[2:-2]).split())
+    return " ".join(tok.split())  # "/", "/=", or a number with a time unit maybe
+
+
 def token_texts(text: str) -> list[str]:
     """Token texts, with comment contents space-normalized for comparison.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on malformed text.
     """
-    out = []
-    for tok in lex_fragment(text, file="<solidity>"):
-        if tok.kind == "comment":
-            if tok.text.startswith("//"):
-                content = tok.text[2:]
-            else:
-                content = tok.text[2:-2]
-            out.append("//" + " ".join(content.split()))
-        elif tok.kind == "number-with-unit":
-            out.append(" ".join(tok.text.split()))
-        else:
-            out.append(tok.text)
-    return out
+    return [_normalized(tok) if tok[0] in "/0123456789" else tok
+            for tok in token_strings(text, file="<solidity>")]
 
 
 def token_equal(a: str, b: str) -> bool:

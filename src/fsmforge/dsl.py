@@ -211,7 +211,11 @@ def _parse_states(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
     while not cur.try_punct("}"):
         is_initial = cur.try_word("initial")
         pos = cur.i
-        name = cur.expect_ident("state name")
+        cur.skip_ws()
+        if is_initial and cur.text[cur.i:cur.i + 1] in (";", "}"):
+            is_initial, name = False, "initial"  # a state named `initial`
+        else:
+            name = cur.expect_ident("state name")
         if name in states:
             cur.fail("E_DUP_DECL", f"duplicate state '{name}'", pos)
         if is_initial:

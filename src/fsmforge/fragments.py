@@ -2,13 +2,16 @@
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks. One compiled master regex finds each token;
-a token's span is computed only when it is asked for.
+validator's cross-checks. One table of token patterns drives a text scan,
+`token_strings`; `lex_fragment` is the Token view on demand, and a token's
+span is computed only when it is asked for.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from itertools import islice
+from string import ascii_letters, digits
 from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan
@@ -69,68 +72,79 @@ _OPERATORS = [
     "?", ":", ".", ",", ";",
 ]
 
-_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("space", r"[ \t\r\n]+"),
+# A time unit after a number folds into one literal ("5 days"): an optional
+# tail of the number, tried only after the digits matched greedily, so the
+# digits are never given back ("0x1fdays" stays "0x1fda" "ys").
+_UNITS = tuple(TIME_UNITS)  # no bare number ends in one
+
+# Tried in order, commonest first where no two kinds start alike; a comment
+# before the operator "/". The last kind takes one byte no other token starts
+# with, so a scan with this table skips whitespace only.
+_KINDS = (
+    ("identifier", _IDENT),
+    ("delimiter", r"[()[\]{}]"),
     ("comment", COMMENT),
     ("open_comment", r"/\*"),
     ("string", STRING),
     ("open_string", r"[\"']"),
-    ("number", r"0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
-    ("identifier", _IDENT),
-    ("delimiter", r"[()[\]{}]"),
+    ("number", r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+               rf"(?:[ \t]*(?:{'|'.join(_UNITS)})(?![A-Za-z0-9_$]))?"),
     ("operator", "|".join(map(re.escape, _OPERATORS))),
-)), re.S)
+    ("bad", r"[^ \t\r\n]"),
+)
+# A match is one token and the whitespace after it.
+_TEXTS = re.compile(f"({'|'.join(p for _, p in _KINDS)})[ \t\r\n]*", re.S)
+_TOKENS = re.compile(f"(?:{'|'.join(f'(?P<{k}>{p})' for k, p in _KINDS)})[ \t\r\n]*", re.S)
 
-# A time unit after a number folds into one literal ("5 days"). It is checked
-# after the number has matched: inside the master regex it would backtrack
-# into hex digits and read "0x1fdays" as "0x1f days".
-_UNIT = re.compile(rf"[ \t]*({_IDENT})")
+IDENT_START = frozenset(ascii_letters + "_$")
+# First characters of the tokens that need no check ("/" may open a comment).
+_PLAIN = IDENT_START.union(digits, (op[0] for op in _OPERATORS)) - {"/"}
+_CLOSERS = {")": "(", "]": "[", "}": "{"}
+_UNTERMINATED = {'"': "string literal", "'": "string literal", "/*": "block comment"}
 
-_MATCH = {")": "(", "]": "[", "}": "{"}
+
+def _fail(text: str, file: str, index: int, code: str, message: str, to_end: bool = False):
+    """Raise the LexError for the index-th token, found by a rescan."""
+    start = next(islice(_TEXTS.finditer(text), index, None)).start()
+    span = SourceText(text, file).span(start, len(text) - start if to_end else 1)
+    raise LexError(Diagnostic(code, "error", message, span=span))
 
 
-def lex_fragment(text: str, file: str = "<fragment>") -> list[Token]:
-    """Tokenize a Solidity fragment.
+def token_strings(text: str, file: str = "<fragment>") -> list[str]:
+    """The texts of a Solidity fragment's tokens, in order.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
-    source = SourceText(text, file)
-
-    def fail(code: str, message: str, start: int, length: int):
-        raise LexError(Diagnostic(code, "error", message, span=source.span(start, length)))
-
-    tokens: list[Token] = []
-    stack: list[tuple[str, int]] = []
-    match, unit = _TOKEN.match, _UNIT.match
-    i, n = 0, len(text)
-    while i < n:
-        m = match(text, i)
-        if m is None:
-            fail("E_BAD_TOKEN", f"byte {text[i]!r} cannot start a token", i, 1)
-        kind, end = m.lastgroup, m.end()
-        if kind == "space":
-            i = end
+    texts = _TEXTS.findall(text)
+    opened: list[int] = []  # indices of the open delimiters
+    for i, tok in enumerate(texts):
+        c = tok[0]
+        if c in _PLAIN:
             continue
-        if kind == "number":
-            um = unit(text, end)
-            if um and um.group(1) in TIME_UNITS:
-                kind, end = "number-with-unit", um.end()
-        elif kind == "delimiter":
-            ch = text[i]
-            if ch in _MATCH:
-                if not stack or stack[-1][0] != _MATCH[ch]:
-                    fail("E_UNBALANCED", f"unmatched '{ch}'", i, 1)
-                stack.pop()
-            else:
-                stack.append((ch, i))
-        elif kind == "open_comment":
-            fail("E_BAD_TOKEN", "unterminated block comment", i, n - i)
-        elif kind == "open_string":
-            fail("E_BAD_TOKEN", "unterminated string literal", i, n - i)
-        tokens.append(Token(kind, text[i:end], i, source))
-        i = end
-    if stack:
-        ch, pos = stack[-1]
-        fail("E_UNBALANCED", f"unclosed '{ch}'", pos, 1)
+        if c in "([{":
+            opened.append(i)
+        elif c in _CLOSERS:
+            if not opened or texts[opened.pop()] != _CLOSERS[c]:
+                _fail(text, file, i, "E_UNBALANCED", f"unmatched '{c}'")
+        elif tok in _UNTERMINATED:
+            _fail(text, file, i, "E_BAD_TOKEN", f"unterminated {_UNTERMINATED[tok]}", to_end=True)
+        elif c not in "\"'/":
+            _fail(text, file, i, "E_BAD_TOKEN", f"byte {c!r} cannot start a token")
+    if opened:
+        _fail(text, file, opened[-1], "E_UNBALANCED", f"unclosed '{texts[opened[-1]]}'")
+    return texts
+
+
+def lex_fragment(text: str, file: str = "<fragment>") -> list[Token]:
+    """Tokenize a Solidity fragment: `token_strings` (and its LexError) as Tokens."""
+    token_strings(text, file)
+    source = SourceText(text, file)
+    tokens: list[Token] = []
+    for m in _TOKENS.finditer(text):
+        kind = m.lastgroup
+        tok = m[kind]
+        if kind == "number" and tok.endswith(_UNITS):
+            kind = "number-with-unit"
+        tokens.append(Token(kind, tok, m.start(), source))
     return tokens

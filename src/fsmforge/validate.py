@@ -11,15 +11,17 @@ import re
 from collections import ChainMap
 from dataclasses import replace
 
+from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
 from .dsl import IDENT
-from .fragments import LexError, Token, lex_fragment
+from .fragments import IDENT_START, LexError, token_strings
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
 # Solidity's keywords, reserved words and elementary type names (see
 # https://docs.soliditylang.org/en/latest/cheatsheet.html, "Reserved Keywords").
-# Builtins such as `now`, `msg` or `super` may be shadowed, with a warning.
+# Builtins such as `now`, `msg` or `super` may be shadowed, with a warning,
+# except those the generator's own code reads (`_BUILTINS_READ`).
 _KEYWORDS = frozenset("""
     abstract address anonymous as assembly bool break bytes calldata catch constant
     constructor continue contract delete do else emit enum event external fallback
@@ -38,28 +40,35 @@ _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
 # `function` / `modifier`, or the last word before `=` or `;` (variables, events).
 _DECLARED = re.compile(r"^(?:(?:function|modifier) (\w+)|[^\s}].*?(\w+) ?[=;](?!>))", re.M)
 
+# Builtins the generator's own code reads, outside member names after a dot: a
+# user declaration of one would change what that code means.
+_BUILTINS_READ = re.compile(r"(?<![\w.$])(?:msg|now|require)(?![\w$])")
+
 # Identifiers guards may always use without declaring them.
 _GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block", "tx"}
 
 
 def _generated_names(model: ContractModel) -> dict[str, None]:
-    """The contract-scope names the generator emits, except the contract's own
-    name (which the access plugin's constructor takes)."""
-    names, unnamed = ["state", "States", "creationTime"], replace(model, name="")
-    for plugin in map(BY_FIELD.get, model.plugins.enabled()):
-        names += [a or b for a, b in _DECLARED.findall(plugin.decls(unnamed))]
-        names += [name for name, _ in plugin.params]
+    """The contract-scope names the generator's own code declares or reads as
+    builtins, except the contract's own name (which the access plugin's
+    constructor takes). The texts read leave out the user's fragments."""
+    blank = replace(model, name="", timed_transitions=tuple(
+        replace(tt, guard=None, statements=()) for tt in model.timed_transitions))
+    plugins = [BY_FIELD[field] for field in model.plugins.enabled()]
+    names = ["state", "States"] + [name for plugin in plugins for name, _ in plugin.params]
+    for text in [CREATION_TIME, STATE_CHECK] + [plugin.decls(blank) for plugin in plugins]:
+        names += [a or b for a, b in _DECLARED.findall(text)] + _BUILTINS_READ.findall(text)
     return dict.fromkeys(names)
 
 
-def _free_identifiers(tokens: list[Token]) -> set[str]:
-    """Identifiers in a fragment's tokens, excluding member names after a dot."""
+def _free_identifiers(texts: list[str]) -> set[str]:
+    """Identifiers among a fragment's token texts, excluding member names after a dot."""
     names = set()
     prev = None
-    for tok in tokens:
-        if tok.kind == "identifier" and not (prev is not None and prev.text == "."):
-            names.add(tok.text)
-        if tok.kind != "comment":
+    for tok in texts:
+        if tok[0] in IDENT_START and prev != ".":
+            names.add(tok)
+        if not tok.startswith(("//", "/*")):
             prev = tok
     return names
 
@@ -88,10 +97,10 @@ class _Collector:
             self.error("E_DUP_NAME", path, f"{what} '{name}' is already declared at {scope[name]}")
 
 
-def _check_fragment(out: _Collector, path: str, text: str) -> list[Token]:
-    """Lex a fragment; a lex error is reported at path and gives no tokens."""
+def _check_fragment(out: _Collector, path: str, text: str) -> list[str]:
+    """Lex a fragment's token texts; a lex error is reported at path and gives none."""
     try:
-        return lex_fragment(text)
+        return token_strings(text)
     except LexError as exc:
         out.error("E_UNBALANCED", path, exc.diagnostic.message)
         return []

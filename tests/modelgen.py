@@ -141,8 +141,8 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
 
 # Names that must not reach the generated contract unchecked: Solidity
 # keywords and type names, names the generator emits (some only with a plugin
-# on; `eventt0` is the events modifier of a transition `t0`), and names that
-# random_model gives to other sections.
+# on; `eventt0` is the events modifier of a transition `t0`), builtins the
+# generated code reads, and names that random_model gives to other sections.
 HOSTILE_KEYWORDS = ("uint", "return", "mapping", "bytes32", "uint8", "int256", "event",
                     "function", "var", "string", "fixed128x18")
 HOSTILE_NAMES = HOSTILE_KEYWORDS + (
@@ -150,7 +150,28 @@ HOSTILE_NAMES = HOSTILE_KEYWORDS + (
     "transitionCounting", "nextTransitionNumber", "timedTransitions", "isAdmin",
     "onlyAdmin", "addAdmin", "eventt0", "Eventt0", "eventt1", "Eventt1",
     "t0", "t1", "v0", "v1", "Rec0", "Rec1", "m0", "in0", "lc0", "out0", "tt0", "Start", "Open",
+    "msg", "now", "require",
 )
+# Solidity's global names; declaring one shadows it.
+SOLIDITY_GLOBALS = frozenset("abi assert block blockhash gasleft keccak256 msg now require "
+                             "revert selfdestruct sha256 super this tx".split())
+
+
+def without_fragments(m: ContractModel) -> ContractModel:
+    """m with every guard and statement removed: what is left of its generated
+    code is the generator's own."""
+    return replace(
+        m, transitions=tuple(replace(t, guards=(), statements=()) for t in m.transitions),
+        timed_transitions=tuple(replace(tt, guard=None, statements=())
+                                for tt in m.timed_transitions))
+
+
+def globals_read(solidity: str) -> set[str]:
+    """The Solidity global names a contract reads. A name after a dot is a
+    member; one after a word, `)` or `]` (its type) is being declared."""
+    tokens = [tok for tok in _SOL_TOKEN.findall(solidity) if not tok.startswith(("//", "/*"))]
+    return {tok for prev, tok in zip([""] + tokens, tokens) if tok in SOLIDITY_GLOBALS
+            and prev not in (".", ")", "]") and not re.fullmatch(r"\w+", prev)}
 
 
 def hostile_model(rng: random.Random) -> ContractModel:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -202,3 +203,53 @@ def test_clean_fragment_examples():
 def test_clean_fragment_idempotent(text):
     once = _clean_fragment(text)
     assert _clean_fragment(once) == once
+
+
+_ALL_SECTIONS = parse("""
+contract M {
+    states { initial A; B; }
+    plugins { timed; }
+    struct S { uint m; }
+    var public uint v;
+    transition t from A to B {
+        input (uint i);
+        output (uint o);
+        locals (uint l);
+    }
+    timed tt from B to A at 5 seconds { }
+}
+""")
+_DSL_WORDS = ["contract", "states", "initial", "plugins", "struct", "var", "public", "private",
+              "transition", "from", "to", "tags", "input", "output", "locals", "guard", "action",
+              "timed", "at", "locking", "counter", "access", "events", "seconds", "days"]
+
+
+def _named(m, section, word):
+    """m with the declaration of one section renamed to word."""
+    t, tt, s = m.transitions[0], m.timed_transitions[0], m.structs[0]
+    if section in ("initial state", "state"):
+        old = m.initial_state if section == "initial state" else "B"
+        ren = {old: word}.get
+        return replace(
+            m, states=tuple(ren(x, x) for x in m.states), initial_state=ren(m.initial_state, "A"),
+            transitions=(replace(t, from_state=ren("A", "A"), to_state=ren("B", "B")),),
+            timed_transitions=(replace(tt, from_state=ren("B", "B"), to_state=ren("A", "A")),))
+    return {
+        "contract": lambda: replace(m, name=word),
+        "struct": lambda: replace(m, structs=(replace(s, name=word),)),
+        "member": lambda: replace(m, structs=(replace(s, members=(("uint", word),)),)),
+        "variable": lambda: replace(m, variables=(replace(m.variables[0], name=word),)),
+        "transition": lambda: replace(m, transitions=(replace(t, name=word),)),
+        "input": lambda: replace(m, transitions=(replace(t, inputs=(Param(word, "uint"),)),)),
+        "output": lambda: replace(m, transitions=(replace(t, outputs=(Param(word, "uint"),)),)),
+        "local": lambda: replace(m, transitions=(replace(t, locals=(Param(word, "uint"),)),)),
+        "timed": lambda: replace(m, timed_transitions=(replace(tt, name=word),)),
+    }[section]()
+
+
+@pytest.mark.parametrize("section", ["contract", "initial state", "state", "struct", "member",
+                                     "variable", "transition", "input", "output", "local", "timed"])
+def test_dsl_keywords_round_trip_as_names(section):
+    for word in _DSL_WORDS:
+        m = _named(_ALL_SECTIONS, section, word)
+        assert parse(emit_dsl(m)) == m, (section, word)

@@ -1,10 +1,13 @@
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsmforge.fragments import LexError, lex_fragment
+from fsmforge.codegen import token_texts
+from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, lex_fragment, token_strings
+from fsmforge.model import TIME_UNITS
 
 
 def kinds(text):
@@ -139,3 +142,114 @@ def test_lexing_time_grows_linearly(corpus_dir):
     # 8x the text; linear growth gives a ratio near 8.
     ratio = best_of_3(listing * 80) / best_of_3(listing * 10)
     assert ratio < 24, f"lexing 8x the text took {ratio:.1f}x as long"
+
+
+# The loop lexer that `token_strings` replaced: one master-regex match and one
+# Python loop turn per token. It is the oracle for the scan and the Token view.
+_ORACLE_TOKEN = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("space", r"[ \t\r\n]+"),
+    ("comment", COMMENT),
+    ("open_comment", r"/\*"),
+    ("string", STRING),
+    ("open_string", r"[\"']"),
+    ("number", r"0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"),
+    ("identifier", r"[A-Za-z_$][A-Za-z0-9_$]*"),
+    ("delimiter", r"[()[\]{}]"),
+    ("operator", "|".join(map(re.escape, _OPERATORS))),
+)), re.S)
+_ORACLE_UNIT = re.compile(r"[ \t]*([A-Za-z_$][A-Za-z0-9_$]*)")
+_ORACLE_MATCH = {")": "(", "]": "[", "}": "{"}
+
+
+class OracleError(Exception):
+    """args: (code, message, start, length)"""
+
+
+def oracle_lex(text):
+    """(kind, text, start) for each token of text."""
+    tokens, stack = [], []
+    i, n = 0, len(text)
+    while i < n:
+        m = _ORACLE_TOKEN.match(text, i)
+        if m is None:
+            raise OracleError("E_BAD_TOKEN", f"byte {text[i]!r} cannot start a token", i, 1)
+        kind, end = m.lastgroup, m.end()
+        if kind == "space":
+            i = end
+            continue
+        if kind == "number":
+            um = _ORACLE_UNIT.match(text, end)
+            if um and um.group(1) in TIME_UNITS:
+                kind, end = "number-with-unit", um.end()
+        elif kind == "delimiter":
+            ch = text[i]
+            if ch in _ORACLE_MATCH:
+                if not stack or stack[-1][0] != _ORACLE_MATCH[ch]:
+                    raise OracleError("E_UNBALANCED", f"unmatched '{ch}'", i, 1)
+                stack.pop()
+            else:
+                stack.append((ch, i))
+        elif kind == "open_comment":
+            raise OracleError("E_BAD_TOKEN", "unterminated block comment", i, n - i)
+        elif kind == "open_string":
+            raise OracleError("E_BAD_TOKEN", "unterminated string literal", i, n - i)
+        tokens.append((kind, text[i:end], i))
+        i = end
+    if stack:
+        ch, pos = stack[-1]
+        raise OracleError("E_UNBALANCED", f"unclosed '{ch}'", pos, 1)
+    return tokens
+
+
+def oracle_token_texts(text):
+    out = []
+    for kind, tok, _ in oracle_lex(text):
+        if kind == "comment":
+            out.append("//" + " ".join((tok[2:] if tok.startswith("//") else tok[2:-2]).split()))
+        else:
+            out.append(" ".join(tok.split()) if kind == "number-with-unit" else tok)
+    return out
+
+
+# Pieces that fold or refuse to fold a time unit, weighted against pieces
+# that make the text malformed, so that both outcomes are drawn often.
+_ORACLE_PIECES = (_PIECES + ["5 days", "0x1fdays", "5 daysX"]) * 3 + ["@", '"', "/*", "(", "]"]
+
+
+@given(st.lists(st.sampled_from(_ORACLE_PIECES), max_size=40).map("".join))
+@settings(max_examples=500)
+def test_scan_and_token_view_match_the_loop_oracle(text):
+    try:
+        want = oracle_lex(text)
+    except OracleError as exc:
+        code, message, start, length = exc.args
+        line = text.count("\n", 0, start) + 1
+        column = start - (text.rfind("\n", 0, start) + 1) + 1
+        for lex in (token_strings, token_texts, lex_fragment):
+            with pytest.raises(LexError) as got:
+                lex(text)
+            d = got.value.diagnostic
+            assert (d.code, d.message, d.span.line, d.span.column, d.span.length) == (
+                code, message, line, column, length), lex.__name__
+        return
+    assert token_strings(text) == [tok for _, tok, _ in want]
+    assert token_texts(text) == oracle_token_texts(text)
+    assert [(t.kind, t.text, t.start) for t in lex_fragment(text)] == want
+
+
+def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):
+    # Only the lexers' own calls are timed, best of 5 interleaved runs, so a
+    # change in the host's load slows both sides alike.
+    listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text()
+    big = listing * 80
+    best = {"scan": [], "oracle": [], "scan x10": []}
+    for _ in range(5):
+        for label, lex, text in (("scan", token_texts, big), ("oracle", oracle_lex, big),
+                                 ("scan x10", token_texts, listing * 10)):
+            t0 = time.perf_counter()
+            lex(text)
+            best[label].append(time.perf_counter() - t0)
+    scan, oracle, small = (min(best[label]) for label in ("scan", "oracle", "scan x10"))
+    assert scan <= 0.5 * oracle, f"token_texts took {scan / oracle:.2f}x the oracle's time"
+    # 8x the text; linear growth gives a ratio near 8.
+    assert scan / small < 24, f"token_texts on 8x the text took {scan / small:.1f}x as long"

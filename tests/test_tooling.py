@@ -1,4 +1,5 @@
 import importlib
+import json
 import re
 from pathlib import Path
 
@@ -25,3 +26,20 @@ def test_every_validator_code_has_a_criterion_7_fixture():
     # have no fixture; a listed code the validator lost would be stale.
     source = (ROOT / "src" / "fsmforge" / "validate.py").read_text(encoding="utf-8")
     assert set(re.findall(r'"([EW]_[A-Z_]+)"', source)) == set(DIAGNOSTIC_CODES)
+
+
+def test_committed_bench_records_are_complete():
+    # A BENCH_*.json record backs a performance claim with every run made: one
+    # seed and one first side per pair, and no failed operation in any run.
+    records = sorted(ROOT.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert {"claimed_gain", "command", "host"} <= record.keys(), path.name
+        for name, workload in record["workloads"].items():
+            pairs = len(workload["seeds"])
+            lengths = {len(metric[f"{side}_runs"]) for metric in workload["metrics"].values()
+                       for side in ("parent", "change")}
+            assert lengths == {pairs} and len(workload["first_side"]) == pairs, (path.name, name)
+            failed = workload["failed"]["parent"] + workload["failed"]["change"]
+            assert len(failed) == 2 * pairs and set(failed) == {0}, (path.name, name)

@@ -15,7 +15,13 @@ from fsmforge.model import (
 )
 from fsmforge.validate import validate
 from fsmforge.weave import weave
-from modelgen import HOSTILE_KEYWORDS, declared_names, hostile_model
+from modelgen import (
+    HOSTILE_KEYWORDS,
+    declared_names,
+    globals_read,
+    hostile_model,
+    without_fragments,
+)
 
 
 def model(**kwargs):
@@ -195,6 +201,21 @@ def test_event_plugin_names_are_generated_names():
         "E_TAG_NEEDS_PLUGIN"]
 
 
+def test_builtins_the_generated_code_reads_are_generated_names():
+    # With access control, a variable `msg` used to validate and then break
+    # `require(isAdmin[msg.sender])`; a variable `now` silently changed
+    # `creationTime = now`, and a variable `require` broke every state check.
+    access = PluginConfig(access_control=True)
+    for name in ("msg", "now", "require"):
+        m = model(variables=(VariableDecl(name, "uint", "private"),), plugins=access)
+        assert diags(m) == [
+            ("E_RESERVED", "variables[0]", f"variable '{name}' collides with a generated name")]
+    # `msg` is read only by the access plugin's code, and a user fragment's
+    # reads are the user's own.
+    assert codes(model(variables=(VariableDecl("msg", "uint", "private"),),
+                       transitions=(t(statements=(Fragment("msg = 1;", "stmt"),)),))) == []
+
+
 def test_every_declared_name_must_be_an_identifier_and_no_keyword():
     m = model(name="contract", states=("A", "B", "1st"),
               structs=(StructDef("R", (("uint", "bytes32"), ("uint", "x y"))),),
@@ -233,4 +254,7 @@ def test_valid_hostile_models_generate_distinct_non_keyword_names():
         assert repeated == [], f"{m.name}: declared twice: {repeated}"
         keywords = [name for _, name in names if name in HOSTILE_KEYWORDS]
         assert keywords == [], f"{m.name}: keywords declared: {keywords}"
+        read = globals_read(generate(weave(without_fragments(m))))
+        shadowed = {name for scope, name in names if scope == "contract"} & read
+        assert shadowed == set(), f"{m.name}: declares builtins its code reads: {shadowed}"
     assert clean > 300 and rejected > 300, (clean, rejected)

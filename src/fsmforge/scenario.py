@@ -5,15 +5,18 @@ Grammar (one step per line, `#` starts a comment):
     time <seconds>
     env <ident>=<int> [...]
     call <transition> as <actor> [n=<int>] [g<k>=<true|false> ...] [timed:<name>=<true|false> ...]
-        [reenter=<transition>] expect <ok|revert:<Reason>>
+        [reenter=<transition> [reenter:g<k>=<true|false> ...]] expect <ok|revert:<Reason>>
     admin <add|remove> <actor> by <actor> expect <ok|revert>
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
+
+A call line is parsed into its ready `Invocation` (payload key "call"), so a
+step runs without building one.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .sim import (
     Invocation,
@@ -36,8 +39,7 @@ class ScenarioSyntaxError(Exception):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     line_no: int
     text: str
     kind: str  # time | env | call | admin | assert
@@ -67,6 +69,7 @@ class Report:
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_ADMIN = re.compile(r"admin\((\w+)\)")
 _REASONS = {r.value: r for r in RevertReason}
 
 
@@ -98,6 +101,7 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
         "expect_ok": None,
         "expect_reason": None,
     }
+    probe_overrides: dict[int, bool] = {}
     rest = parts[3:]
     i = 0
     while i < len(rest):
@@ -127,8 +131,10 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
             payload["n"] = _parse_int(line_no, value)
         elif key == "reenter":
             payload["reenter"] = value
-        elif re.fullmatch(r"g\d+", key):
-            payload["overrides"][int(key[1:])] = _parse_bool(line_no, value)
+        elif key[:1] == "g" and key[1:].isdecimal():
+            payload["overrides"][_parse_int(line_no, key[1:])] = _parse_bool(line_no, value)
+        elif key[:9] == "reenter:g" and key[9:].isdecimal():
+            probe_overrides[_parse_int(line_no, key[9:])] = _parse_bool(line_no, value)
         elif key.startswith("timed:"):
             payload["timed"][key[len("timed:"):]] = _parse_bool(line_no, value)
         else:
@@ -136,6 +142,12 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
         i += 1
     if payload["expect_ok"] is None:
         raise ScenarioSyntaxError(line_no, "call step needs an 'expect' clause")
+    reenter = payload["reenter"]
+    if probe_overrides and reenter is None:
+        raise ScenarioSyntaxError(line_no, "reenter:g<k> needs reenter=<transition>")
+    payload["call"] = Invocation(
+        parts[0], parts[2], payload["n"], payload["overrides"], payload["timed"],
+        None if reenter is None else Invocation(reenter, parts[2], None, probe_overrides))
     return payload
 
 
@@ -153,7 +165,7 @@ def _parse_assert(line_no: int, parts: list[str]) -> dict:
     if len(parts) != 1 or "=" not in parts[0]:
         raise ScenarioSyntaxError(line_no, "assert syntax: assert <key>=<value>")
     key, value = parts[0].split("=", 1)
-    admin_match = re.fullmatch(r"admin\((\w+)\)", key)
+    admin_match = _ADMIN.fullmatch(key)
     if key == "state":
         if not _IDENT.match(value):
             raise ScenarioSyntaxError(line_no, f"bad state name '{value}'")
@@ -173,7 +185,9 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
         return None
     parts = text.split()
     kind, rest = parts[0], parts[1:]
-    if kind == "time":
+    if kind == "call":
+        payload = _parse_call(line_no, rest)
+    elif kind == "time":
         if len(rest) != 1:
             raise ScenarioSyntaxError(line_no, "time syntax: time <seconds>")
         payload = {"to": _parse_int(line_no, rest[0])}
@@ -189,15 +203,13 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
                 raise ScenarioSyntaxError(line_no, f"bad env name '{name}'")
             bindings[name] = _parse_int(line_no, value)
         payload = {"bindings": bindings}
-    elif kind == "call":
-        payload = _parse_call(line_no, rest)
     elif kind == "admin":
         payload = _parse_admin(line_no, rest)
     elif kind == "assert":
         payload = _parse_assert(line_no, rest)
     else:
         raise ScenarioSyntaxError(line_no, f"unknown step '{kind}'")
-    return Step(line_no=line_no, text=text, kind=kind, payload=payload)
+    return Step(line_no, text, kind, payload)
 
 
 def parse_scenario(text: str) -> list[Step]:
@@ -218,38 +230,29 @@ def run_step(session: SimSession, step: Step) -> StepResult:
 
 
 def _run_step(session: SimSession, step: Step) -> StepResult:
-    p = step.payload
-    if step.kind == "time":
+    kind, p = step.kind, step.payload
+    if kind == "call":  # the commonest step first
+        unknown = p["timed"] and sorted(p["timed"].keys() - {
+            tt.name for tt in session.woven.base.timed_transitions if tt.guard is not None})
+        if unknown:
+            raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
+        outcome = invoke(session, p["call"])
+        return StepResult(step, ok=_expectation_met(p, outcome),
+                          detail=_describe(outcome), outcome=outcome)
+    if kind == "time":
         if p["to"] < session.now:
             return StepResult(step, ok=False,
                               detail=f"time {p['to']} is before now={session.now}")
         advance_time(session, p["to"])
         return StepResult(step, ok=True, detail=f"now={session.now}")
-    if step.kind == "env":
+    if kind == "env":
         session.env.update(p["bindings"])
         return StepResult(step, ok=True, detail="env updated")
-    if step.kind == "call":
-        unknown = p["timed"] and sorted(p["timed"].keys() - {
-            tt.name for tt in session.woven.base.timed_transitions if tt.guard is not None})
-        if unknown:
-            raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
-        call = Invocation(
-            transition=p["transition"],
-            sender=p["sender"],
-            next_transition_number=p["n"],
-            guard_overrides=dict(p["overrides"]),
-            timed_guard_overrides=dict(p["timed"]),
-            reentry_probe=(None if p["reenter"] is None
-                           else Invocation(transition=p["reenter"], sender=p["sender"])),
-        )
-        outcome = invoke(session, call)
-        return StepResult(step, ok=_expectation_met(p, outcome),
-                          detail=_describe(outcome), outcome=outcome)
-    if step.kind == "admin":
+    if kind == "admin":
         outcome = admin_call(session, p["action"], p["target"], p["sender"])
         ok = outcome.executed == p["expect_ok"]
         return StepResult(step, ok=ok, detail=_describe(outcome), outcome=outcome)
-    if step.kind == "assert":
+    if kind == "assert":
         if p["check"] == "state":
             ok = session.current_state == p["value"]
             return StepResult(step, ok=ok, detail=f"state={session.current_state}")
@@ -259,7 +262,7 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
         ok = (p["actor"] in session.is_admin) == p["value"]
         return StepResult(step, ok=ok,
                           detail=f"admin({p['actor']})={p['actor'] in session.is_admin}")
-    raise AssertionError(f"unhandled step kind {step.kind}")
+    raise AssertionError(f"unhandled step kind {kind}")
 
 
 def _expectation_met(p: dict, outcome: Outcome) -> bool:

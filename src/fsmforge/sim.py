@@ -2,9 +2,9 @@
 
 Runs the modifier chain and transition body semantics (state requires,
 guard conjunction, lock, counter, admin set, timed firing) on the session
-itself. Its fields are saved before each call and restored when the call
-reverts or raises, so a reverted call leaves the session untouched,
-mirroring transactional rollback. Statement fragments are opaque and never
+itself. The fields a call can change (state, lock, counter) are saved
+before each call and restored when the call reverts or raises, so a
+reverted call leaves the session untouched, mirroring transactional rollback. Statement fragments are opaque and never
 executed; the modeled effect of a transition is its state change.
 
 Guards are parsed once per contract, into the woven contract's `sim_plan`:
@@ -14,7 +14,7 @@ step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional
 
@@ -82,8 +82,10 @@ class Outcome:
         return not self.executed
 
 
-def _revert(reason: RevertReason) -> Outcome:
-    return Outcome(executed=False, revert_reason=reason)
+# Outcomes are frozen, so calls share them: one per revert reason, and one for
+# a call that fires nothing, emits nothing and runs no probe.
+_revert = {r: Outcome(executed=False, revert_reason=r) for r in RevertReason}.__getitem__
+_EXECUTED = Outcome(executed=True)
 
 
 @dataclass
@@ -202,14 +204,17 @@ _TIMED = object()
 
 
 def _entry(woven: WovenContract, name: str):
-    """(transition, chain, parsed guards) for the first transition named `name`, or None."""
+    """(transition, chain, parsed guards, plain executed outcome) for the first
+    transition named `name`, or None."""
     entry = woven.sim_plan.get(name)
     if entry is None:
         t = next((t for t in woven.base.transitions if t.name == name), None)
         if t is None:
             return None  # not cached: unknown names must not grow the plan
+        chain = woven.chains[name]
         entry = woven.sim_plan[name] = (
-            t, woven.chains[name], tuple(g.parse_guard_expr(x.text) for x in t.guards))
+            t, chain, tuple(g.parse_guard_expr(x.text) for x in t.guards),
+            Outcome(executed=True, events=(f"Event{t.name}",)) if EVENTS in chain else _EXECUTED)
     return entry
 
 
@@ -247,7 +252,7 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     entry = _entry(session.woven, call.transition)
     if entry is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
-    t, chain, asts = entry
+    t, chain, asts, done = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
@@ -302,26 +307,23 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     # The modifiers' code after `_;`: the lock is released, the event emitted.
     if LOCKING in chain:
         session.locked = False
-    events = (f"Event{t.name}",) if EVENTS in chain else ()
-
-    return Outcome(executed=True, fired_timed=fired, events=events, probe=probe_outcome)
-
-
-# Not vars(session): a materialized __dict__ slows every attribute access in CPython.
-_FIELDS = tuple(f.name for f in fields(SimSession))
-_save = operator.attrgetter(*_FIELDS)
+    if fired or probe_outcome is not None:
+        return Outcome(executed=True, fired_timed=fired, events=done.events, probe=probe_outcome)
+    return done
 
 
 def _transact(session: SimSession, call: Invocation, depth: int) -> Outcome:
-    """Execute a call; the session's fields are restored if it reverts or raises."""
-    saved = _save(session)
+    """Execute a call; the fields it can change are restored if it reverts or raises.
+
+    _execute and _run_timed assign no other SimSession field.
+    """
+    saved = session.current_state, session.locked, session.transition_counter
     outcome = None
     try:
         outcome = _execute(session, call, depth)
     finally:
         if outcome is None or not outcome.executed:
-            for name, value in zip(_FIELDS, saved):
-                setattr(session, name, value)
+            session.current_state, session.locked, session.transition_counter = saved
     return outcome
 
 
@@ -352,4 +354,4 @@ def admin_call(session: SimSession, action: str, target: str, sender: str) -> Ou
             return _revert(RevertReason.GUARD_FAILED)
         session.is_admin = session.is_admin - {target}
         session.num_admins -= 1
-    return Outcome(executed=True)
+    return _EXECUTED

@@ -1,15 +1,26 @@
-import pytest
+import contextlib
+import io
+import random
+import tempfile
+from pathlib import Path
 
-from fsmforge.dsl import parse_dsl
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fsmforge.cli import main
+from fsmforge.dsl import emit_dsl, parse_dsl
 from fsmforge.scenario import (
     Report,
     ScenarioSyntaxError,
     parse_scenario,
     parse_step,
     run_scenario,
+    run_step,
 )
-from fsmforge.sim import RevertReason, SimConfig
+from fsmforge.sim import Invocation, RevertReason, SimConfig, SimUsageError, invoke, new_session
 from fsmforge.weave import weave
+from modelgen import random_model
 
 
 @pytest.fixture(scope="module")
@@ -27,6 +38,12 @@ def test_parse_step_variants():
     assert step.payload["overrides"] == {0: True}
     assert step.payload["timed"] == {}
     assert step.payload["reenter"] == "bid"
+    assert step.payload["call"] == Invocation("bid", "alice", 0, {0: True}, {},
+                                              Invocation("bid", "alice"))
+    step = parse_step(1, "call bid as alice reenter=bid reenter:g1=false reenter:g0=true expect ok")
+    assert step.payload["call"].reentry_probe.guard_overrides == {1: False, 0: True}
+    assert step.payload["call"].guard_overrides == {}
+    assert parse_step(1, "call bid as alice g١=true expect ok").payload["overrides"] == {1: True}
     step = parse_step(1, "call stay as alice timed:tick=false timed:tock=true expect ok")
     assert step.payload["timed"] == {"tick": False, "tock": True}
     assert step.payload["expect_ok"] is True
@@ -55,6 +72,11 @@ def test_parse_step_variants():
     "call bid as alice expect ok n=1",       # expect must be last
     "call bid as alice q=1 expect ok",
     "call bid as alice timed:tick=maybe expect ok",
+    "call bid as alice reenter:g0=true expect ok",   # no reenter=
+    "call bid as alice reenter=bid reenter:g0=1 expect ok",
+    "call bid as alice reenter=bid reenter:gx=true expect ok",
+    "call bid as alice g²=true expect ok",          # a digit, but not a decimal one
+    "call bid as alice g" + "9" * 5000 + "=true expect ok",  # past int()'s digit limit
     "time",
     "time soon",
     "env",
@@ -176,3 +198,91 @@ def test_timed_option_must_name_a_guarded_timed_transition(name):
     with pytest.raises(ScenarioSyntaxError) as exc:
         run_scenario(woven, f"time 100000\ncall stay as alice timed:{name}=true expect ok\n")
     assert str(exc.value) == f"line 2: timed:{name} names no timed transition with a guard"
+
+
+WITHDRAW = """contract W {
+    states { initial A; }
+    %s
+    var private mapping(address => uint) bal;
+    transition withdraw from A to A { guard { bal[msg.sender] > 0 } }
+}
+"""
+
+
+@pytest.mark.parametrize("plugins, option, probe", [
+    ("", "", "Reverted(MissingOverride)"),
+    ("", " reenter:g0=true", "Executed"),
+    ("", " reenter:g0=false", "Reverted(GuardFailed)"),
+    ("plugins { locking; }", " reenter:g0=true", "Reverted(Locked)"),
+])
+def test_reentry_probe_takes_guard_overrides(plugins, option, probe):
+    woven = weave(parse_dsl(WITHDRAW % plugins))
+    report = run_scenario(woven, f"call withdraw as alice g0=true reenter=withdraw{option} expect ok\n")
+    assert report.results[0].detail == f"Executed probe={probe}"
+
+
+def test_reentry_override_past_the_probe_guards_is_refused():
+    woven = weave(parse_dsl(WITHDRAW % ""))
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_scenario(woven, "time 1\ncall withdraw as alice g0=true reenter=withdraw "
+                            "reenter:g1=true expect ok\n")
+    assert str(exc.value) == "line 2: call to 'withdraw' overrides g1, but it has 1 guard(s)"
+
+
+# Scenario words for random_model's names, the grammar's own words, and junk:
+# `g١` is a decimal digit int() reads, `g²` a digit it does not, and the long
+# numbers pass int()'s digit limit or nearly reach it.
+_HUGE = ("9" * 5000, "-" + "9" * 4000, "9" * 40)
+_OPTIONS = st.sampled_from([
+    "n=0", "n=1", "g0=true", "g1=false", "g2=true", "g١=true", "timed:tt0=true",
+    "timed:tt1=false", "reenter=t0", "reenter=t1", "reenter=nope", "reenter:g0=true",
+    "reenter:g1=false", *(f"{key}{n}=true" for n in _HUGE for key in ("g", "reenter:g")),
+    *(f"n={n}" for n in _HUGE)])
+_WORDS = _OPTIONS | st.sampled_from([
+    "call", "time", "env", "admin", "assert", "as", "by", "add", "remove", "expect", "ok",
+    "revert", "revert:GuardFailed", "revert:Locked", "revert:Bogus", "alice", "deployer",
+    "t0", "t1", "tt0", "v0=1", "v1=0", "v2=-3", "state=Start", "state=Open", "counter=0",
+    "counter=x", "admin(alice)=true", "admin(deployer)=false", "n=", "g²=true", "g=true",
+    "g0=1", "reenter:g²=true", "timed:t0=true", "q=1", "=", "==", "#", "0", "-1", "86400",
+    *_HUGE, *(f"{key}={n}" for n in _HUGE for key in ("v0", "counter"))])
+_LINE = st.one_of(
+    st.lists(_WORDS, max_size=8).map(" ".join),
+    st.tuples(st.sampled_from(["t0", "t1", "t2", "nope"]), st.sampled_from(["alice", "deployer"]),
+              st.lists(_OPTIONS, max_size=4), st.sampled_from(["ok", "revert", "revert:Locked"]))
+    .map(lambda p: f"call {p[0]} as {p[1]} {' '.join(p[2])} expect {p[3]}"),
+    st.text(alphabet="ag01=:()# \t-١²9", max_size=20),
+)
+_OVERRIDES = st.dictionaries(st.sampled_from([0, 1, 2, -1, 10**40]), st.booleans(), max_size=2)
+_INVOCATION = st.builds(
+    Invocation, st.sampled_from(["t0", "t1", "t2", "tt0", "nope"]),
+    st.sampled_from(["alice", "deployer"]), st.sampled_from([None, 0, 1, -1, 10**40]),
+    _OVERRIDES, st.dictionaries(st.sampled_from(["tt0", "tt1", "t0"]), st.booleans(), max_size=2),
+    st.none() | st.builds(Invocation, st.sampled_from(["t0", "t1", "nope"]),
+                          st.sampled_from(["alice", "mallory"]),
+                          st.sampled_from([None, 0, 3]), _OVERRIDES))
+
+
+@given(seed=st.integers(0, 2**32), evaluable=st.booleans(),
+       lines=st.lists(_LINE, max_size=10), calls=st.lists(_INVOCATION, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_random_steps_raise_only_documented_errors(seed, evaluable, lines, calls):
+    model = random_model(random.Random(seed), evaluable_guards=evaluable)
+    session = new_session(weave(model))
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            step = parse_step(line_no, line)
+            if step is not None:
+                run_step(session, step)
+        except ScenarioSyntaxError:
+            pass
+    for call in calls:
+        try:
+            invoke(session, call)
+        except SimUsageError:
+            pass
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        model_path, script = Path(tmp, "m.fsm"), Path(tmp, "s.scn")
+        model_path.write_text(emit_dsl(model), encoding="utf-8")
+        script.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["sim", str(model_path), "--scenario", str(script)]) in (0, 1, 2)

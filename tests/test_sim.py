@@ -1,6 +1,6 @@
 import random
 import timeit
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -17,6 +17,7 @@ from fsmforge.sim import (
     MissingOverride,
     RevertReason,
     SimConfig,
+    SimSession,
     SimUsageError,
     TimeBackwardError,
     UnboundVariable,
@@ -28,6 +29,7 @@ from fsmforge.sim import (
 )
 from fsmforge.guards import Binary, IntLit, Opaque, parse_guard_expr
 from fsmforge.weave import weave
+from modelgen import random_model
 
 
 def build(transitions, timed_transitions=(), **plugin_flags):
@@ -113,6 +115,35 @@ def test_raising_call_leaves_the_session_untouched():
     assert (s.current_state, s.locked, s.transition_counter, s.log) == before
     assert invoke(s, Invocation("aa", "u", 1)).executed
     assert s.transition_counter == 2
+
+
+def test_a_call_changes_only_state_lock_and_counter():
+    # _transact saves and restores only these three fields, so a call that
+    # assigned any other field would leak it past a revert.
+    rng = random.Random(9)
+    kept = ("current_state", "locked", "transition_counter")
+    for _ in range(40):
+        model = random_model(rng, evaluable_guards=rng.random() < 0.5)
+        model = replace(model, plugins=replace(model.plugins, locking=rng.random() < 0.5))
+        s = new_session(weave(model))
+        s.env = {v.name: rng.randint(-1, 3) for v in model.variables}
+        names = [t.name for t in model.transitions]
+        for _ in range(30):
+            advance_time(s, s.now + rng.choice([0, 0, 86400]))
+            call = Invocation(rng.choice(names), "u", rng.choice([None, s.transition_counter]),
+                              {0: rng.random() < 0.7},
+                              {tt.name: rng.random() < 0.5 for tt in model.timed_transitions},
+                              Invocation(rng.choice(names), "u") if rng.random() < 0.3 else None)
+            before = {f.name: getattr(s, f.name) for f in fields(SimSession) if f.name != "log"}
+            try:
+                executed = invoke(s, call).executed
+            except SimUsageError:
+                executed = False
+            after = {f.name: getattr(s, f.name) for f in fields(SimSession) if f.name != "log"}
+            if executed:
+                for name in kept:
+                    after[name] = before[name]
+            assert after == before
 
 
 def test_counter_sequencing():

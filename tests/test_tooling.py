@@ -9,16 +9,45 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
 
 
-def test_every_traced_function_still_resolves():
-    # `bench/run.py --trace 1` wraps these by name; a renamed or deleted
-    # function would otherwise only show up when the benchmark runs.
+def _layertrace() -> dict:
     # The file is executed from its text, so nothing is written under bench/.
     namespace = {"__name__": "layertrace"}
     exec(compile(LAYERTRACE.read_text(encoding="utf-8"), str(LAYERTRACE), "exec"), namespace)
-    traced = namespace["TRACED"]
+    return namespace
+
+
+def test_every_traced_function_still_resolves():
+    # `bench/run.py --trace 1` wraps these by name; a renamed or deleted
+    # function would otherwise only show up when the benchmark runs.
+    traced = _layertrace()["TRACED"]
     missing = [f"{mod}.{name}" for mod, name in traced
                if not callable(getattr(importlib.import_module(f"fsmforge.{mod}"), name, None))]
     assert traced and missing == []
+
+
+def test_traced_simulator_layers_are_reached(corpus_dir):
+    # `install` patches functions by identity in the module namespaces, so a
+    # table or a default argument that captured one at import time would
+    # read 0 in its per-layer metrics instead of failing.
+    from fsmforge import scenario
+    from fsmforge.dsl import parse_dsl
+    from fsmforge.weave import weave
+
+    woven = weave(parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8")))
+    text = (corpus_dir / "blind_auction_happy.scn").read_text(encoding="utf-8")
+    calls = sum(step.kind == "call" for step in scenario.parse_scenario(text))
+    run_scenario = scenario.run_scenario
+    tracer = _layertrace()["Tracer"]()
+    tracer.install()
+    try:
+        assert scenario.run_scenario(woven, text).ok  # through the module, as the benchmark calls it
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(steps=1)
+    assert metrics["scenario.parse_scenario.calls"][0] == 1
+    assert metrics["sim.invoke.calls"][0] == calls > 0
+    assert metrics["sim.eval_guard.calls"][0] > 0
+    assert scenario.run_scenario is run_scenario  # uninstalled
 
 
 def test_every_validator_code_has_a_criterion_7_fixture():

@@ -38,6 +38,15 @@ def _read_file(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_model(path: str) -> ContractModel:
@@ -101,7 +110,7 @@ def _cmd_gen(args) -> int:
     if args.output == "-":
         sys.stdout.write(source)
     else:
-        Path(args.output).write_text(source, encoding="utf-8")
+        _write_file(args.output, source)
         print(f"wrote {args.output}", file=sys.stderr)
     return EXIT_OK
 
@@ -163,7 +172,7 @@ def _cmd_fmt(args) -> int:
         return EXIT_DIAGNOSTICS
     text = emit_dsl(model) if suffix == ".fsm" else emit_json(model)
     if args.write:
-        Path(args.file).write_text(text, encoding="utf-8")
+        _write_file(args.file, text)
         print(f"formatted {args.file}", file=sys.stderr)
     else:
         sys.stdout.write(text)

@@ -106,8 +106,12 @@ class _Cursor:
         m = _NUMBER.match(self.text, self.i)
         if not m:
             self.fail("E_SYNTAX", "expected a number")
+        try:
+            value = int(m.group())
+        except ValueError:  # past int()'s digit limit
+            self.fail("E_SYNTAX", "number too long")
         self.i = m.end()
-        return int(m.group())
+        return value
 
 
 def _clean_fragment(raw: str) -> str:

@@ -70,7 +70,7 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: also a number past int()'s limit
         raise ParseError([Diagnostic("E_SYNTAX", "error", f"invalid JSON: {exc}")]) from exc
     top = _check_keys(data, _TOP_KEYS, "")
     initial = top["initial"]

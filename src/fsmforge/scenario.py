@@ -10,7 +10,9 @@ Grammar (one step per line, `#` starts a comment):
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
 
 A call line is parsed into its ready `Invocation` (payload key "call"), so a
-step runs without building one.
+step runs without building one; the simulator never assigns to it. A step's
+result is a `StepResult` NamedTuple, whose `outcome` is the simulator's
+shared, frozen `Outcome`.
 """
 from __future__ import annotations
 
@@ -46,8 +48,7 @@ class Step(NamedTuple):
     payload: dict
 
 
-@dataclass
-class StepResult:
+class StepResult(NamedTuple):
     step: Step
     ok: bool
     detail: str = ""
@@ -91,64 +92,52 @@ def _parse_int(line_no: int, text: str) -> int:
 def _parse_call(line_no: int, parts: list[str]) -> dict:
     if len(parts) < 3 or parts[1] != "as":
         raise ScenarioSyntaxError(line_no, "call syntax: call <transition> as <actor> ...")
-    payload = {
-        "transition": parts[0],
-        "sender": parts[2],
-        "n": None,
-        "overrides": {},
-        "timed": {},
-        "reenter": None,
-        "expect_ok": None,
-        "expect_reason": None,
-    }
+    n = reenter = expect_ok = expect_reason = None
+    overrides: dict[int, bool] = {}
+    timed: dict[str, bool] = {}
     probe_overrides: dict[int, bool] = {}
-    rest = parts[3:]
-    i = 0
-    while i < len(rest):
-        word = rest[i]
+    for i in range(3, len(parts)):
+        word = parts[i]
         if word == "expect":
-            if i + 1 >= len(rest) or i + 2 != len(rest):
+            if i + 2 != len(parts):
                 raise ScenarioSyntaxError(line_no, "expect must be last: expect <ok|revert:<Reason>>")
-            expectation = rest[i + 1]
+            expectation = parts[i + 1]
             if expectation == "ok":
-                payload["expect_ok"] = True
+                expect_ok = True
             elif expectation.startswith("revert:"):
                 reason = expectation[len("revert:"):]
                 if reason not in _REASONS:
                     raise ScenarioSyntaxError(line_no, f"unknown revert reason '{reason}'")
-                payload["expect_ok"] = False
-                payload["expect_reason"] = _REASONS[reason]
+                expect_ok, expect_reason = False, _REASONS[reason]
             elif expectation == "revert":
-                payload["expect_ok"] = False
+                expect_ok = False
             else:
                 raise ScenarioSyntaxError(line_no, f"bad expectation '{expectation}'")
-            i += 2
-            continue
-        if "=" not in word:
+            break
+        key, eq, value = word.partition("=")
+        if not eq:
             raise ScenarioSyntaxError(line_no, f"unexpected token '{word}'")
-        key, value = word.split("=", 1)
         if key == "n":
-            payload["n"] = _parse_int(line_no, value)
+            n = _parse_int(line_no, value)
         elif key == "reenter":
-            payload["reenter"] = value
+            reenter = value
         elif key[:1] == "g" and key[1:].isdecimal():
-            payload["overrides"][_parse_int(line_no, key[1:])] = _parse_bool(line_no, value)
+            overrides[_parse_int(line_no, key[1:])] = _parse_bool(line_no, value)
         elif key[:9] == "reenter:g" and key[9:].isdecimal():
             probe_overrides[_parse_int(line_no, key[9:])] = _parse_bool(line_no, value)
         elif key.startswith("timed:"):
-            payload["timed"][key[len("timed:"):]] = _parse_bool(line_no, value)
+            timed[key[len("timed:"):]] = _parse_bool(line_no, value)
         else:
             raise ScenarioSyntaxError(line_no, f"unknown call option '{key}'")
-        i += 1
-    if payload["expect_ok"] is None:
+    if expect_ok is None:
         raise ScenarioSyntaxError(line_no, "call step needs an 'expect' clause")
-    reenter = payload["reenter"]
     if probe_overrides and reenter is None:
         raise ScenarioSyntaxError(line_no, "reenter:g<k> needs reenter=<transition>")
-    payload["call"] = Invocation(
-        parts[0], parts[2], payload["n"], payload["overrides"], payload["timed"],
-        None if reenter is None else Invocation(reenter, parts[2], None, probe_overrides))
-    return payload
+    call = Invocation(parts[0], parts[2], n, overrides, timed,
+                      None if reenter is None else Invocation(reenter, parts[2], None, probe_overrides))
+    return {"transition": parts[0], "sender": parts[2], "n": n, "overrides": overrides,
+            "timed": timed, "reenter": reenter, "expect_ok": expect_ok,
+            "expect_reason": expect_reason, "call": call}
 
 
 def _parse_admin(line_no: int, parts: list[str]) -> dict:
@@ -180,7 +169,7 @@ def _parse_assert(line_no: int, parts: list[str]) -> dict:
 
 def parse_step(line_no: int, line: str) -> Optional[Step]:
     """Parse one scenario line; None for blanks and comments."""
-    text = line.split("#", 1)[0].strip()
+    text = (line.split("#", 1)[0] if "#" in line else line).strip()
     if not text:
         return None
     parts = text.split()
@@ -237,31 +226,28 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
         if unknown:
             raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
         outcome = invoke(session, p["call"])
-        return StepResult(step, ok=_expectation_met(p, outcome),
-                          detail=_describe(outcome), outcome=outcome)
+        return StepResult(step, _expectation_met(p, outcome), _describe(outcome), outcome)
     if kind == "time":
         if p["to"] < session.now:
-            return StepResult(step, ok=False,
-                              detail=f"time {p['to']} is before now={session.now}")
+            return StepResult(step, False, f"time {p['to']} is before now={session.now}")
         advance_time(session, p["to"])
-        return StepResult(step, ok=True, detail=f"now={session.now}")
+        return StepResult(step, True, f"now={session.now}")
     if kind == "env":
         session.env.update(p["bindings"])
-        return StepResult(step, ok=True, detail="env updated")
+        return StepResult(step, True, "env updated")
     if kind == "admin":
         outcome = admin_call(session, p["action"], p["target"], p["sender"])
         ok = outcome.executed == p["expect_ok"]
-        return StepResult(step, ok=ok, detail=_describe(outcome), outcome=outcome)
+        return StepResult(step, ok, _describe(outcome), outcome)
     if kind == "assert":
         if p["check"] == "state":
             ok = session.current_state == p["value"]
-            return StepResult(step, ok=ok, detail=f"state={session.current_state}")
+            return StepResult(step, ok, f"state={session.current_state}")
         if p["check"] == "counter":
             ok = session.transition_counter == p["value"]
-            return StepResult(step, ok=ok, detail=f"counter={session.transition_counter}")
+            return StepResult(step, ok, f"counter={session.transition_counter}")
         ok = (p["actor"] in session.is_admin) == p["value"]
-        return StepResult(step, ok=ok,
-                          detail=f"admin({p['actor']})={p['actor'] in session.is_admin}")
+        return StepResult(step, ok, f"admin({p['actor']})={p['actor'] in session.is_admin}")
     raise AssertionError(f"unhandled step kind {kind}")
 
 

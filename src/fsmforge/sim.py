@@ -10,6 +10,11 @@ executed; the modeled effect of a transition is its state change.
 Guards are parsed once per contract, into the woven contract's `sim_plan`:
 a transition's on its first call, the timed transitions' on the first timed
 step.
+
+An `Invocation` is a plain record that the simulator reads and never assigns
+to, so a scenario step can hand the same one to every run; a probe's missing
+transition number is filled in on a copy. An `Outcome` stays frozen, because
+calls share it.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ class SimConfig:
     initial_time: Optional[int] = None  # defaults to creation_time
 
 
-@dataclass(frozen=True)
+@dataclass
 class Invocation:
     transition: str
     sender: str

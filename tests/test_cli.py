@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,6 +96,39 @@ def test_unknown_extension(tmp_path, capsys):
 def test_missing_file(capsys):
     assert main(["check", "/no/such/file.fsm"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_unreadable_and_unwritable_files_are_usage_errors(auction_path, tmp_path, capsys,
+                                                         monkeypatch):
+    binary = tmp_path / "binary.fsm"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    for argv in (["check", str(binary)], ["gen", str(binary)], ["fmt", str(binary)],
+                 ["sim", auction_path, "--scenario", str(binary)]):
+        assert main(argv) == 2, argv
+        assert f"error: cannot read {binary}: " in capsys.readouterr().err
+    missing_dir = tmp_path / "nodir" / "x.sol"
+    assert main(["gen", auction_path, "-o", str(missing_dir)]) == 2
+    assert f"error: cannot write {missing_dir}: " in capsys.readouterr().err
+
+    def refuse(path, *args, **kwargs):  # a file mode would not stop a superuser
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    assert main(["fmt", "-w", auction_path]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {auction_path}: Permission denied\n"
+
+
+def test_sim_on_a_guard_literal_past_the_digit_limit(tmp_path, capsys):
+    model = tmp_path / "big.fsm"
+    model.write_text("contract B { states { initial S; } "
+                     "transition go from S to S { guard { 1" + "0" * 5000 + " > 0 } } }")
+    scn = tmp_path / "go.scn"
+    scn.write_text("call go as alice expect ok\n")
+    assert main(["check", str(model)]) == 0
+    assert main(["sim", str(model), "--scenario", str(scn)]) == 1  # opaque: needs g0=
+    assert "Reverted(MissingOverride)" in capsys.readouterr().out
+    scn.write_text("call go as alice g0=true expect ok\n")
+    assert main(["sim", str(model), "--scenario", str(scn)]) == 0
 
 
 def test_unknown_command_and_no_args():

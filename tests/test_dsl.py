@@ -144,6 +144,8 @@ def test_parse_errors():
     _expect_code("contract M { states { initial A; } "
                  "transition t from A to A { guard { (x } }", "E_SYNTAX")
     _expect_code("contract M { } extra", "E_SYNTAX")
+    _expect_code("contract M { states { initial A; } "   # past int()'s digit limit
+                 "timed t from A to A at " + "9" * 5000 + " { } }", "E_SYNTAX")
 
 
 def test_error_spans_point_at_the_source():

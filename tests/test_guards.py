@@ -62,6 +62,9 @@ def test_unsupported_constructs_become_opaque():
         "a b",          # trailing tokens
         "(unclosed",    # lex error
         "",             # empty
+        "1" + "0" * 5000 + " > now",       # past int()'s digit limit
+        "now > 1" + "0" * 5000 + " days",
+        "(" * 3000 + "1" + ")" * 3000,     # deeper than the recursion limit
     ]:
         ast = parse_guard_expr(text)
         assert ast == g.Opaque(text)
@@ -72,7 +75,8 @@ def test_comments_ignored():
 
 
 _PIECES = ["a", "now", "creationTime", "5", "0x1f", "1.5", "1e3", "days", " weeks", " ",
-           "-", "*", "%", ">=", "==", "!", "&&", "(", ")", ".", "[0]", "?", "// c\n"]
+           "-", "*", "%", ">=", "==", "!", "&&", "(", ")", ".", "[0]", "?", "// c\n",
+           "1" + "0" * 4300, "9" * 5000, "(" * 400]
 
 
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))

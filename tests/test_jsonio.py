@@ -44,6 +44,8 @@ def _expect_code(text, code):
 
 def test_invalid_json_is_a_syntax_error():
     _expect_code("{not json", "E_SYNTAX")
+    _expect_code("[" * 100000 + "]" * 100000, "E_SYNTAX")  # deeper than the recursion limit
+    _expect_code('{"name": ' + "9" * 5000 + "}", "E_SYNTAX")  # past int()'s digit limit
 
 
 def test_shape_errors():

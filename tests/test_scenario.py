@@ -113,6 +113,27 @@ def test_failed_expectation_is_reported_not_raised(auction):
     assert "Reverted(GuardFailed)" in report.failures[0].detail
 
 
+def test_a_parsed_script_runs_alike_in_fresh_sessions(auction):
+    # A call step's Invocation is shared by every run of the step: the
+    # simulator must never assign to it, not even to fill in a probe's n.
+    steps = parse_scenario("\n".join([
+        "call bid as alice n=0 reenter=bid expect ok",
+        "call close as bob n=1 reenter=cancelABB expect revert:GuardFailed",
+        "time 432000",
+        "call close as bob n=1 reenter=cancelRB expect ok",
+        "assert state=RB",
+    ]))
+    runs = []
+    for _ in range(2):
+        session = new_session(auction)
+        runs.append(([run_step(session, step) for step in steps], session.log, session.snapshot()))
+    assert runs[0] == runs[1]
+    assert all(r.ok for r in runs[0][0]) and "probe=Reverted(Locked)" in runs[0][0][0].detail
+    for step in steps:
+        if step.kind == "call":
+            assert step.payload["call"] == parse_step(step.line_no, step.text).payload["call"]
+
+
 def test_time_backwards_fails_the_step(auction):
     report = run_scenario(auction, "time 100\ntime 50\n")
     assert [r.ok for r in report.results] == [True, False]

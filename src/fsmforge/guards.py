@@ -172,7 +172,7 @@ def parse_guard_expr(text: str) -> GuardAst:
     parser = _Parser(tokens)
     try:
         node = parser.expression()
-    except (_Unsupported, ValueError, RecursionError):  # also a literal past int()'s limit
+    except (_Unsupported, ValueError, RecursionError):  # a literal past int()'s limit, deep nesting
         return Opaque(text)
     if parser.peek() is not None:
         return Opaque(text)

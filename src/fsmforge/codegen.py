@@ -6,7 +6,7 @@ for golden comparisons against transcribed listings.
 """
 from __future__ import annotations
 
-from .fragments import token_strings
+from .fragments import lex_fragment
 from .model import Transition
 from .plugins import BY_FIELD
 from .weave import WovenContract, guard_conjunction
@@ -101,7 +101,7 @@ def token_texts(text: str) -> list[str]:
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on malformed text.
     """
     return [_normalized(tok) if tok[0] in "/0123456789" else tok
-            for tok in token_strings(text, file="<solidity>")]
+            for tok in lex_fragment(text, file="<solidity>")]
 
 
 def token_equal(a: str, b: str) -> bool:

@@ -210,7 +210,7 @@ def _parse_param_list(cur: _Cursor, what: str) -> tuple[Param, ...]:
 
 def _parse_states(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
     cur.expect_punct("{")
-    states: list[str] = []
+    states: dict[str, None] = {}  # ordered, and a set for the duplicate check
     initial: str | None = None
     while not cur.try_punct("}"):
         is_initial = cur.try_word("initial")
@@ -226,7 +226,7 @@ def _parse_states(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
             if initial is not None:
                 cur.fail("E_SYNTAX", "more than one initial state", pos)
             initial = name
-        states.append(name)
+        states[name] = None
         if not cur.try_punct(";"):
             cur.expect_punct("}")
             break
@@ -254,15 +254,15 @@ def _parse_plugins(cur: _Cursor) -> PluginConfig:
 def _parse_struct(cur: _Cursor) -> StructDef:
     name = cur.expect_ident("struct name")
     cur.expect_punct("{")
-    members: list[tuple[str, str]] = []
+    members: dict[str, str] = {}  # member -> type text, in order
     while not cur.try_punct("}"):
         pos = cur.i
         type_text, member = _scan_typed_decl(cur, ";", "struct member")
         cur.expect_punct(";")
-        if any(member == m for _, m in members):
+        if member in members:
             cur.fail("E_DUP_DECL", f"duplicate struct member '{member}'", pos)
-        members.append((type_text, member))
-    return StructDef(name=name, members=tuple(members))
+        members[member] = type_text
+    return StructDef(name=name, members=tuple((t, m) for m, t in members.items()))
 
 
 def _parse_var(cur: _Cursor) -> VariableDecl:

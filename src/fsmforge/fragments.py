@@ -2,9 +2,10 @@
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks. One table of token patterns drives a text scan,
-`token_strings`; `lex_fragment` is the Token view on demand, and a token's
-span is computed only when it is asked for.
+validator's cross-checks. One table of token patterns drives one text scan,
+`lex_fragment`, which returns the token texts; every reader (the validator,
+the golden compare's `token_texts`, the guard parser) tells a token's kind
+from its text. Spans are computed only for errors.
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import re
 from bisect import bisect_right
 from itertools import islice
 from string import ascii_letters, digits
-from typing import NamedTuple
 
 from .diagnostics import Diagnostic, SourceSpan
 from .model import TIME_UNITS
@@ -45,17 +45,6 @@ class SourceText:
         return SourceSpan(self.file, line, start - starts[line - 1] + 1, length)
 
 
-class Token(NamedTuple):
-    kind: str  # identifier | number | number-with-unit | string | operator | delimiter | comment
-    text: str
-    start: int
-    source: SourceText
-
-    @property
-    def span(self) -> SourceSpan:
-        return self.source.span(self.start, len(self.text))
-
-
 # Shared with the DSL parser, which skips strings and comments in fragments.
 # Both are compiled with re.S, so a string or block comment spans lines.
 STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"|' r"'[^'\\]*(?:\\.[^'\\]*)*'"
@@ -72,29 +61,26 @@ _OPERATORS = [
     "?", ":", ".", ",", ";",
 ]
 
-# A time unit after a number folds into one literal ("5 days"): an optional
-# tail of the number, tried only after the digits matched greedily, so the
-# digits are never given back ("0x1fdays" stays "0x1fda" "ys").
-_UNITS = tuple(TIME_UNITS)  # no bare number ends in one
-
 # Tried in order, commonest first where no two kinds start alike; a comment
 # before the operator "/". The last kind takes one byte no other token starts
 # with, so a scan with this table skips whitespace only.
 _KINDS = (
-    ("identifier", _IDENT),
-    ("delimiter", r"[()[\]{}]"),
-    ("comment", COMMENT),
-    ("open_comment", r"/\*"),
-    ("string", STRING),
-    ("open_string", r"[\"']"),
-    ("number", r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-               rf"(?:[ \t]*(?:{'|'.join(_UNITS)})(?![A-Za-z0-9_$]))?"),
-    ("operator", "|".join(map(re.escape, _OPERATORS))),
-    ("bad", r"[^ \t\r\n]"),
+    _IDENT,
+    r"[()[\]{}]",  # delimiter
+    COMMENT,
+    r"/\*",  # an unterminated block comment
+    STRING,
+    r"[\"']",  # an unterminated string
+    # A number. A time unit after it folds into one literal ("5 days"): an
+    # optional tail, tried only after the digits matched greedily, so the
+    # digits are never given back ("0x1fdays" stays "0x1fda" "ys").
+    r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    rf"(?:[ \t]*(?:{'|'.join(TIME_UNITS)})(?![A-Za-z0-9_$]))?",
+    "|".join(map(re.escape, _OPERATORS)),
+    r"[^ \t\r\n]",  # a byte no token starts with
 )
 # A match is one token and the whitespace after it.
-_TEXTS = re.compile(f"({'|'.join(p for _, p in _KINDS)})[ \t\r\n]*", re.S)
-_TOKENS = re.compile(f"(?:{'|'.join(f'(?P<{k}>{p})' for k, p in _KINDS)})[ \t\r\n]*", re.S)
+_TEXTS = re.compile(f"({'|'.join(_KINDS)})[ \t\r\n]*", re.S)
 
 IDENT_START = frozenset(ascii_letters + "_$")
 # First characters of the tokens that need no check ("/" may open a comment).
@@ -110,7 +96,7 @@ def _fail(text: str, file: str, index: int, code: str, message: str, to_end: boo
     raise LexError(Diagnostic(code, "error", message, span=span))
 
 
-def token_strings(text: str, file: str = "<fragment>") -> list[str]:
+def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
     """The texts of a Solidity fragment's tokens, in order.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
@@ -135,16 +121,3 @@ def token_strings(text: str, file: str = "<fragment>") -> list[str]:
         _fail(text, file, opened[-1], "E_UNBALANCED", f"unclosed '{texts[opened[-1]]}'")
     return texts
 
-
-def lex_fragment(text: str, file: str = "<fragment>") -> list[Token]:
-    """Tokenize a Solidity fragment: `token_strings` (and its LexError) as Tokens."""
-    token_strings(text, file)
-    source = SourceText(text, file)
-    tokens: list[Token] = []
-    for m in _TOKENS.finditer(text):
-        kind = m.lastgroup
-        tok = m[kind]
-        if kind == "number" and tok.endswith(_UNITS):
-            kind = "number-with-unit"
-        tokens.append(Token(kind, tok, m.start(), source))
-    return tokens

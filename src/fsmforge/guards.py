@@ -3,16 +3,19 @@
 Parses the evaluable subset of guard fragments: integer and time-unit
 literals, `now`, `creationTime`, bare identifiers, and the usual
 arithmetic/comparison/boolean operators with standard precedence.
-Anything outside the subset (member access, calls, indexing, ...) comes
-back as Opaque carrying the original fragment text; the parser never fails.
+The parser reads the lexer's token texts and tells a token's kind from its
+text. Anything outside the subset (member access, calls, indexing, ...),
+and any guard nested deeper than MAX_DEPTH, comes back as Opaque carrying
+the original fragment text; the parser never fails.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from string import digits
 from typing import Union
 
-from .fragments import LexError, Token, lex_fragment
+from .fragments import IDENT_START, LexError, lex_fragment
 from .model import TIME_UNITS
 
 
@@ -61,13 +64,17 @@ class Opaque:
 
 GuardAst = Union[IntLit, TimeLit, Var, Now, CreationTime, Unary, Binary, Opaque]
 
-COMPARISONS = ("<", "<=", ">", ">=", "==", "!=")
-ADDITIVE = ("+", "-")
-MULTIPLICATIVE = ("*", "/", "%")
-BINARY_OPS = ADDITIVE + MULTIPLICATIVE + COMPARISONS + ("&&", "||")
+# The binary operators' precedence levels, loosest first; each is left-associative.
+_LEVELS = (("||",), ("&&",), ("<", "<=", ">", ">=", "==", "!="), ("+", "-"), ("*", "/", "%"))
+_LEVEL = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
-# An evaluable "number-with-unit" token: decimal digits, then the time unit.
-_TIME_LIT = re.compile(r"(\d+)[ \t]*([a-z]+)")
+# A guard whose AST is deeper than this, counting each pair of parentheses as
+# a level, is Opaque: the parser and the recursive evaluator (`sim.eval_guard`)
+# then stay far below Python's recursion limit.
+MAX_DEPTH = 200
+
+# An evaluable time literal: decimal digits, then a time unit.
+_TIME_LIT = re.compile(rf"(\d+)[ \t]*({'|'.join(TIME_UNITS)})")
 
 
 class _Unsupported(Exception):
@@ -75,104 +82,74 @@ class _Unsupported(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = [t for t in tokens if t.kind != "comment"]
+    """Each parse method takes the depth its node sits at and returns the node
+    and its height; the two may not add up to more than MAX_DEPTH."""
+
+    def __init__(self, texts: list[str]):
+        self.texts = [t for t in texts if not t.startswith(("//", "/*"))]
         self.pos = 0
 
-    def peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
 
-    def take(self) -> Token:
+    def take(self) -> str:
         tok = self.peek()
         if tok is None:
             raise _Unsupported()
         self.pos += 1
         return tok
 
-    def accept_op(self, ops) -> str | None:
-        tok = self.peek()
-        if tok is not None and tok.kind == "operator" and tok.text in ops:
-            self.pos += 1
-            return tok.text
-        return None
-
-    def expression(self) -> GuardAst:
-        return self.or_expr()
-
-    def or_expr(self) -> GuardAst:
-        node = self.and_expr()
-        while (op := self.accept_op(("||",))) is not None:
-            node = Binary(op, node, self.and_expr())
-        return node
-
-    def and_expr(self) -> GuardAst:
-        node = self.comparison()
-        while (op := self.accept_op(("&&",))) is not None:
-            node = Binary(op, node, self.comparison())
-        return node
-
-    def comparison(self) -> GuardAst:
-        node = self.additive()
-        while (op := self.accept_op(COMPARISONS)) is not None:
-            node = Binary(op, node, self.additive())
-        return node
-
-    def additive(self) -> GuardAst:
-        node = self.multiplicative()
-        while (op := self.accept_op(ADDITIVE)) is not None:
-            node = Binary(op, node, self.multiplicative())
-        return node
-
-    def multiplicative(self) -> GuardAst:
-        node = self.unary()
-        while (op := self.accept_op(MULTIPLICATIVE)) is not None:
-            node = Binary(op, node, self.unary())
-        return node
-
-    def unary(self) -> GuardAst:
-        if (op := self.accept_op(("!", "-"))) is not None:
-            return Unary(op, self.unary())
-        return self.primary()
-
-    def primary(self) -> GuardAst:
-        tok = self.take()
-        if tok.kind == "delimiter" and tok.text == "(":
-            node = self.expression()
-            close = self.take()
-            if close.kind != "delimiter" or close.text != ")":
+    def binary(self, depth: int, level: int = 0) -> tuple[GuardAst, int]:
+        """Operands joined by operators of `level` or a tighter one."""
+        node, height = self.unary(depth)
+        while (op_level := _LEVEL.get(self.peek(), -1)) >= level:
+            op = self.take()
+            right, right_height = self.binary(depth + 1, op_level + 1)
+            node, height = Binary(op, node, right), max(height, right_height) + 1
+            if depth + height > MAX_DEPTH:
                 raise _Unsupported()
-            return node
-        if tok.kind == "number":
-            if not tok.text.isdigit():
-                raise _Unsupported()  # hex/decimal literals stay opaque
-            return IntLit(int(tok.text))
-        if tok.kind == "number-with-unit":
-            m = _TIME_LIT.fullmatch(tok.text)
+        return node, height
+
+    def unary(self, depth: int) -> tuple[GuardAst, int]:
+        if depth > MAX_DEPTH:
+            raise _Unsupported()
+        if self.peek() in ("!", "-"):
+            op = self.take()
+            child, height = self.unary(depth + 1)
+            return Unary(op, child), height + 1
+        return self.primary(depth)
+
+    def primary(self, depth: int) -> tuple[GuardAst, int]:
+        tok = self.take()
+        if tok == "(":
+            node, height = self.binary(depth + 1)
+            if self.take() != ")":
+                raise _Unsupported()
+            return node, height + 1
+        if tok[0] in digits:
+            if tok.isdigit():
+                return IntLit(int(tok)), 0
+            m = _TIME_LIT.fullmatch(tok)
             if m is None:
-                raise _Unsupported()  # hex/decimal literals stay opaque
-            return TimeLit(int(m.group(1)) * TIME_UNITS[m.group(2)])
-        if tok.kind == "identifier":
-            if tok.text == "now":
-                return Now()
-            if tok.text == "creationTime":
-                return CreationTime()
-            nxt = self.peek()
-            if nxt is not None and nxt.text in (".", "[", "("):
+                raise _Unsupported()  # hex, decimal and exponent literals stay opaque
+            return TimeLit(int(m[1]) * TIME_UNITS[m[2]]), 0
+        if tok[0] in IDENT_START:
+            if tok == "now":
+                return Now(), 0
+            if tok == "creationTime":
+                return CreationTime(), 0
+            if self.peek() in (".", "[", "("):
                 raise _Unsupported()  # member access, indexing, calls
-            return Var(tok.text)
+            return Var(tok), 0
         raise _Unsupported()
 
 
 def parse_guard_expr(text: str) -> GuardAst:
     """Parse a guard fragment; falls back to Opaque, never raises."""
     try:
-        tokens = lex_fragment(text)
-    except LexError:
-        return Opaque(text)
-    parser = _Parser(tokens)
-    try:
-        node = parser.expression()
-    except (_Unsupported, ValueError, RecursionError):  # a literal past int()'s limit, deep nesting
+        parser = _Parser(lex_fragment(text))
+        node, _ = parser.binary(0)
+    except (LexError, _Unsupported, ValueError):  # ValueError: a literal past int()'s limit
         return Opaque(text)
     if parser.peek() is not None:
         return Opaque(text)

@@ -14,7 +14,7 @@ from dataclasses import replace
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
 from .dsl import IDENT
-from .fragments import IDENT_START, LexError, token_strings
+from .fragments import IDENT_START, LexError, lex_fragment
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -100,19 +100,22 @@ class _Collector:
 def _check_fragment(out: _Collector, path: str, text: str) -> list[str]:
     """Lex a fragment's token texts; a lex error is reported at path and gives none."""
     try:
-        return token_strings(text)
+        return lex_fragment(text)
     except LexError as exc:
         out.error("E_UNBALANCED", path, exc.diagnostic.message)
         return []
 
 
+def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, states: set[str]):
+    for end, state in (("from", t.from_state), ("to", t.to_state)):
+        if state not in states:
+            out.error("E_UNKNOWN_STATE", f"{path}.{end}", f"unknown state '{state}'")
+
+
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      param_scope: ChainMap, declared_guard_names: set[str]):
+                      states: set[str], param_scope: ChainMap, declared_guard_names: set[str]):
     path = f"transitions[{index}]"
-    if t.from_state not in model.states:
-        out.error("E_UNKNOWN_STATE", f"{path}.from", f"unknown state '{t.from_state}'")
-    if t.to_state not in model.states:
-        out.error("E_UNKNOWN_STATE", f"{path}.to", f"unknown state '{t.to_state}'")
+    _check_ends(out, path, t, states)
     for tag in t.tags:
         if tag not in KNOWN_TAGS:
             out.error("E_BAD_TAG", f"{path}.tags", f"unknown tag '{tag}'")
@@ -135,13 +138,10 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         _check_fragment(out, f"{path}.statements[{j}]", stmt.text)
 
 
-def _check_timed(out: _Collector, model: ContractModel, index: int, tt: TimedTransition,
+def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[str],
                  io_names: set[str]):
     path = f"timed_transitions[{index}]"
-    if tt.from_state not in model.states:
-        out.error("E_UNKNOWN_STATE", f"{path}.from", f"unknown state '{tt.from_state}'")
-    if tt.to_state not in model.states:
-        out.error("E_UNKNOWN_STATE", f"{path}.to", f"unknown state '{tt.to_state}'")
+    _check_ends(out, path, tt, states)
     fragments = [(f"{path}.guard", tt.guard.text)] if tt.guard is not None else []
     fragments += [(f"{path}.statements[{j}]", s.text) for j, s in enumerate(tt.statements)]
     for fpath, text in fragments:
@@ -169,6 +169,7 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     states: dict[str, str] = {}
     for i, state in enumerate(model.states):
         out.declare(states, f"states[{i}]", "state", state)
+    known_states = set(model.states)  # a bad name too: it is reported once, above
 
     for i, var in enumerate(model.variables):
         out.declare(contract, f"variables[{i}]", "variable", var.name)
@@ -184,13 +185,14 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
     for i, t in enumerate(model.transitions):
         out.declare(contract, f"transitions[{i}].name", "transition", t.name)
-        _check_transition(out, model, i, t, ChainMap({}, generated), declared_guard_names)
+        _check_transition(out, model, i, t, known_states, ChainMap({}, generated),
+                          declared_guard_names)
 
     io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
     timed = ChainMap({}, generated)
     for i, tt in enumerate(model.timed_transitions):
         out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name)
-        _check_timed(out, model, i, tt, io_names)
+        _check_timed(out, i, tt, known_states, io_names)
 
     if model.timed_transitions and not model.plugins.timed:
         out.error("E_TIMED_NEEDS_PLUGIN", "plugins.timed",

@@ -405,7 +405,7 @@ def _impl_eval(node, env):
 
 
 _UNARY_OPS = ("!", "-")
-_BINARY_OPS = g.BINARY_OPS
+_BINARY_OPS = ("+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=", "&&", "||")
 
 
 def _trees_of_height_at_most(depth):

@@ -6,6 +6,7 @@ import pytest
 from fsmforge.cli import main
 from fsmforge.dsl import emit_dsl, parse_dsl
 from fsmforge.jsonio import emit_json
+from test_guards import DEEP_GUARDS
 
 
 @pytest.fixture()
@@ -129,6 +130,19 @@ def test_sim_on_a_guard_literal_past_the_digit_limit(tmp_path, capsys):
     assert "Reverted(MissingOverride)" in capsys.readouterr().out
     scn.write_text("call go as alice g0=true expect ok\n")
     assert main(["sim", str(model), "--scenario", str(scn)]) == 0
+
+
+def test_sim_on_guards_past_the_depth_bound(tmp_path, capsys):
+    scn = tmp_path / "go.scn"
+    scn.write_text("call go as alice expect ok\n")
+    model = tmp_path / "deep.fsm"
+    for guard in DEEP_GUARDS.values():
+        model.write_text("contract D { states { initial S; } "
+                         f"transition go from S to S {{ guard {{ {guard(1500)} > 0 }} }} }}")
+        assert main(["check", str(model)]) == 0
+        assert main(["sim", str(model), "--scenario", str(scn)]) == 1  # opaque: needs g0=
+        out, err = capsys.readouterr()
+        assert "Reverted(MissingOverride)" in out and "Traceback" not in err
 
 
 def test_unknown_command_and_no_args():

@@ -64,10 +64,37 @@ def test_unsupported_constructs_become_opaque():
         "",             # empty
         "1" + "0" * 5000 + " > now",       # past int()'s digit limit
         "now > 1" + "0" * 5000 + " days",
-        "(" * 3000 + "1" + ")" * 3000,     # deeper than the recursion limit
+        "(" * 3000 + "1" + ")" * 3000,     # deeper than MAX_DEPTH
+        "now > 0xfminutes",                # a hex literal that a time unit follows
     ]:
         ast = parse_guard_expr(text)
         assert ast == g.Opaque(text)
+
+
+# Guards of every binary operator and of each prefix operator, `depth` AST
+# levels high.
+DEEP_GUARDS = {
+    **{op: lambda depth, op=op: f" {op} ".join(["1"] * (depth + 1))
+       for op in ("||", "&&", "<", "<=", ">", ">=", "==", "!=", "+", "-", "*", "/", "%")},
+    "unary !": lambda depth: "!" * depth + "1",
+    "unary -": lambda depth: "- " * depth + "1",
+}
+
+
+def test_guards_past_the_depth_bound_become_opaque():
+    # An AST MAX_DEPTH levels high parses; one level more is Opaque.
+    n = g.MAX_DEPTH
+    for name, guard in DEEP_GUARDS.items():
+        assert not isinstance(parse_guard_expr(guard(n)), g.Opaque), name
+        for depth in (n + 1, 1500):
+            assert parse_guard_expr(guard(depth)) == g.Opaque(guard(depth)), name
+    # A pair of parentheses counts as a level.
+    assert parse_guard_expr("(" * n + "a" + ")" * n) == g.Var("a")
+    deep = "(" * (n + 1) + "a" + ")" * (n + 1)
+    assert parse_guard_expr(deep) == g.Opaque(deep)
+    assert isinstance(parse_guard_expr("!(" * (n // 2) + "a" + ")" * (n // 2)), g.Unary)
+    deep = "!(" * (n // 2 + 1) + "a" + ")" * (n // 2 + 1)
+    assert parse_guard_expr(deep) == g.Opaque(deep)
 
 
 def test_comments_ignored():
@@ -76,7 +103,8 @@ def test_comments_ignored():
 
 _PIECES = ["a", "now", "creationTime", "5", "0x1f", "1.5", "1e3", "days", " weeks", " ",
            "-", "*", "%", ">=", "==", "!", "&&", "(", ")", ".", "[0]", "?", "// c\n",
-           "1" + "0" * 4300, "9" * 5000, "(" * 400]
+           "1" + "0" * 4300, "9" * 5000, "(" * 400, "0xfminutes",
+           *(guard(250) for guard in DEEP_GUARDS.values())]
 
 
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))

@@ -28,9 +28,10 @@ from fsmforge.sim import (
     invoke,
     new_session,
 )
-from fsmforge.guards import Binary, IntLit, Opaque, parse_guard_expr
+from fsmforge.guards import MAX_DEPTH, Binary, IntLit, Opaque, parse_guard_expr
 from fsmforge.weave import weave
 from modelgen import random_model
+from test_guards import DEEP_GUARDS
 
 
 def build(transitions, timed_transitions=(), **plugin_flags):
@@ -83,6 +84,17 @@ def test_opaque_guard_needs_override():
     assert invoke(s, Invocation("ab", "u", guard_overrides={0: False})
                   ).revert_reason == RevertReason.GUARD_FAILED
     assert invoke(s, Invocation("ab", "u", guard_overrides={0: True})).executed
+
+
+def test_a_guard_past_the_depth_bound_is_opaque():
+    for name, guard in DEEP_GUARDS.items():
+        woven = build([t("ab", "A", "B", guard=guard(MAX_DEPTH)),
+                       t("ac", "A", "C", guard=guard(1500))])
+        s = new_session(woven)
+        assert invoke(s, Invocation("ab", "u")).revert_reason != RevertReason.MISSING_OVERRIDE
+        s = new_session(woven)
+        assert invoke(s, Invocation("ac", "u")).revert_reason == RevertReason.MISSING_OVERRIDE, name
+        assert invoke(s, Invocation("ac", "u", guard_overrides={0: True})).executed
 
 
 def test_guard_override_past_the_guards_is_a_usage_error():

@@ -1,12 +1,15 @@
 import importlib
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from test_acceptance import DIAGNOSTIC_CODES
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
+WORKLOADS = ROOT / "bench" / "workloads.py"
 
 
 def _layertrace() -> dict:
@@ -23,6 +26,17 @@ def test_every_traced_function_still_resolves():
     missing = [f"{mod}.{name}" for mod, name in traced
                if not callable(getattr(importlib.import_module(f"fsmforge.{mod}"), name, None))]
     assert traced and missing == []
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_reads():
+    # `bench/run.py` imports only `fsmforge.cli`, and `bench/workloads.py`
+    # reaches each module through `PROGRAM.<name>`, a sys.modules lookup: a
+    # module that `cli` imported lazily would make every such op raise KeyError.
+    names = set(re.findall(r"\bPROGRAM\.(\w+)\.", WORKLOADS.read_text(encoding="utf-8")))
+    probe = "import sys, fsmforge.cli; print(*sorted(sys.modules))"
+    loaded = subprocess.run([sys.executable, "-c", probe], cwd=ROOT / "src", check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert names and sorted(n for n in names if f"fsmforge.{n}" not in loaded) == []
 
 
 def test_traced_simulator_layers_are_reached(corpus_dir):

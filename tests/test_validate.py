@@ -1,4 +1,5 @@
 import random
+import time
 from collections import Counter
 
 from fsmforge.codegen import generate
@@ -258,3 +259,29 @@ def test_valid_hostile_models_generate_distinct_non_keyword_names():
         shadowed = {name for scope, name in names if scope == "contract"} & read
         assert shadowed == set(), f"{m.name}: declares builtins its code reads: {shadowed}"
     assert clean > 300 and rejected > 300, (clean, rejected)
+
+
+def test_parse_and_validate_time_grows_linearly_in_the_states():
+    def states(n):
+        return "contract C { states { initial s0; %s; } }" % "; ".join(
+            f"s{i}" for i in range(1, n))
+
+    def chain(n):  # n states, and a transition from each to the next
+        return model(states=tuple(f"s{i}" for i in range(n)), initial_state="s0",
+                     transitions=tuple(t(f"t{i}", f"s{i}", f"s{i + 1}") for i in range(n - 1)))
+
+    def best_of_3(f, arg):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            f(arg)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    # 8x the states; linear growth gives ratios near 8.
+    ratio = best_of_3(parse_dsl, states(8000)) / best_of_3(parse_dsl, states(1000))
+    assert ratio < 24, f"parsing 8x the states took {ratio:.1f}x as long"
+    small, big = chain(1000), chain(8000)
+    assert validate(big) == []
+    ratio = best_of_3(validate, big) / best_of_3(validate, small)
+    assert ratio < 24, f"validating 8x the states took {ratio:.1f}x as long"

@@ -25,6 +25,8 @@ class SourceSpan:
 
 @dataclass(frozen=True)
 class Diagnostic:
+    """One finding of the parser, the validator or the CLI, with where it is."""
+
     code: str
     severity: str  # "error" | "warning"
     message: str

@@ -53,16 +53,18 @@ class _Cursor:
         raise ParseError([Diagnostic(code, "error", message, span=self.span(pos))])
 
     def skip_ws(self):
-        text, n = self.text, len(self.text)
-        while self.i < n:
-            ch = text[self.i]
+        text, i = self.text, self.i
+        n = len(text)
+        while i < n:
+            ch = text[i]
             if ch in " \t\r\n":
-                self.i += 1
+                i += 1
             elif ch == "#":
-                nl = text.find("\n", self.i)
-                self.i = n if nl < 0 else nl
+                nl = text.find("\n", i)
+                i = n if nl < 0 else nl
             else:
-                return
+                break
+        self.i = i
 
     def at_end(self) -> bool:
         self.skip_ws()
@@ -73,6 +75,13 @@ class _Cursor:
         m = IDENT.match(self.text, self.i)
         return m.group() if m else None
 
+    def read_word(self) -> str | None:
+        """Like peek_word, but move past the word read."""
+        word = self.peek_word()
+        if word is not None:
+            self.i += len(word)
+        return word
+
     def try_word(self, word: str) -> bool:
         if self.peek_word() == word:
             self.i += len(word)
@@ -80,10 +89,9 @@ class _Cursor:
         return False
 
     def expect_ident(self, what: str) -> str:
-        word = self.peek_word()
+        word = self.read_word()
         if word is None:
             self.fail("E_SYNTAX", f"expected {what}")
-        self.i += len(word)
         return word
 
     def expect_word(self, word: str):
@@ -115,19 +123,17 @@ class _Cursor:
 
 
 def _clean_fragment(raw: str) -> str:
-    lines = raw.split("\n")
-    while lines and not lines[0].strip():
+    if "\n" not in raw:
+        return raw.strip()
+    lines = [ln.rstrip() for ln in raw.split("\n")]  # a blank line becomes ""
+    while lines and not lines[0]:
         lines.pop(0)
-    while lines and not lines[-1].strip():
+    while lines and not lines[-1]:
         lines.pop()
-    if not lines:
-        return ""
-    lines = [ln.rstrip() for ln in lines]
-    if len(lines) == 1:
-        return lines[0].strip()
-    indents = [len(ln) - len(ln.lstrip()) for ln in lines if ln.strip()]
-    common = min(indents)
-    return "\n".join(ln[common:] if ln.strip() else "" for ln in lines)
+    if len(lines) <= 1:
+        return lines[0].strip() if lines else ""
+    common = min(len(ln) - len(ln.lstrip()) for ln in lines if ln)
+    return "\n".join([ln[common:] for ln in lines])
 
 
 def _scan_fragment(cur: _Cursor) -> str:
@@ -303,27 +309,22 @@ def _parse_transition(cur: _Cursor) -> Transition:
     statements: list[Fragment] = []
     while not cur.try_punct("}"):
         pos = cur.i
-        word = cur.peek_word()
+        word = cur.read_word()
         if word == "input":
-            cur.try_word("input")
             if inputs is not None:
                 cur.fail("E_DUP_DECL", "duplicate 'input' section", pos)
             inputs = _parse_param_list(cur, "input parameter")
         elif word == "output":
-            cur.try_word("output")
             if outputs is not None:
                 cur.fail("E_DUP_DECL", "duplicate 'output' section", pos)
             outputs = _parse_param_list(cur, "output parameter")
         elif word == "locals":
-            cur.try_word("locals")
             if locals_ is not None:
                 cur.fail("E_DUP_DECL", "duplicate 'locals' section", pos)
             locals_ = _parse_param_list(cur, "local declaration")
         elif word == "guard":
-            cur.try_word("guard")
             guards.append(Fragment(_scan_fragment(cur), kind="expr"))
         elif word == "action":
-            cur.try_word("action")
             statements.append(Fragment(_scan_fragment(cur), kind="stmt"))
         else:
             cur.fail("E_SYNTAX", "expected input/output/locals/guard/action or '}'", pos)
@@ -353,21 +354,19 @@ def _parse_timed(cur: _Cursor) -> TimedTransition:
     if unit_word is not None:
         if unit_word not in TIME_UNITS:
             cur.fail("E_BAD_UNIT", f"unknown time unit '{unit_word}'")
-        cur.try_word(unit_word)
+        cur.i += len(unit_word)
         seconds = value * TIME_UNITS[unit_word]
     cur.expect_punct("{")
     guard: Fragment | None = None
     statements: list[Fragment] = []
     while not cur.try_punct("}"):
         pos = cur.i
-        word = cur.peek_word()
+        word = cur.read_word()
         if word == "guard":
-            cur.try_word("guard")
             if guard is not None:
                 cur.fail("E_DUP_DECL", "timed transition allows a single guard", pos)
             guard = Fragment(_scan_fragment(cur), kind="expr")
         elif word == "action":
-            cur.try_word("action")
             statements.append(Fragment(_scan_fragment(cur), kind="stmt"))
         else:
             cur.fail("E_SYNTAX", "expected guard/action or '}'", pos)
@@ -400,29 +399,23 @@ def parse_dsl(text: str, file: str = "<input>") -> ContractModel:
     timed: list[TimedTransition] = []
     while not cur.try_punct("}"):
         pos = cur.i
-        word = cur.peek_word()
+        word = cur.read_word()
         if word == "states":
-            cur.try_word("states")
             if seen_states:
                 cur.fail("E_DUP_DECL", "duplicate 'states' block", pos)
             states, initial = _parse_states(cur)
             seen_states = True
         elif word == "plugins":
-            cur.try_word("plugins")
             if plugins is not None:
                 cur.fail("E_DUP_DECL", "duplicate 'plugins' block", pos)
             plugins = _parse_plugins(cur)
         elif word == "struct":
-            cur.try_word("struct")
             structs.append(_parse_struct(cur))
         elif word == "var":
-            cur.try_word("var")
             variables.append(_parse_var(cur))
         elif word == "transition":
-            cur.try_word("transition")
             transitions.append(_parse_transition(cur))
         elif word == "timed":
-            cur.try_word("timed")
             timed.append(_parse_timed(cur))
         else:
             cur.fail("E_SYNTAX", "expected a declaration or '}'", pos)

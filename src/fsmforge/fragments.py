@@ -61,14 +61,17 @@ _OPERATORS = [
     "?", ":", ".", ",", ";",
 ]
 
-# Tried in order, commonest first where no two kinds start alike; a comment
-# before the operator "/". The last kind takes one byte no other token starts
-# with, so a scan with this table skips whitespace only.
+# Tried in order, commonest first where no two kinds start alike. A comment
+# must be tried before the operators "/" and "/=", so those two follow it,
+# apart from the other operators. The last kind takes one byte no other token
+# starts with, so a scan with this table skips whitespace only.
 _KINDS = (
     _IDENT,
     r"[()[\]{}]",  # delimiter
+    "|".join(re.escape(op) for op in _OPERATORS if op[0] != "/"),
     COMMENT,
     r"/\*",  # an unterminated block comment
+    "|".join(re.escape(op) for op in _OPERATORS if op[0] == "/"),
     STRING,
     r"[\"']",  # an unterminated string
     # A number. A time unit after it folds into one literal ("5 days"): an
@@ -76,7 +79,6 @@ _KINDS = (
     # digits are never given back ("0x1fdays" stays "0x1fda" "ys").
     r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     rf"(?:[ \t]*(?:{'|'.join(TIME_UNITS)})(?![A-Za-z0-9_$]))?",
-    "|".join(map(re.escape, _OPERATORS)),
     r"[^ \t\r\n]",  # a byte no token starts with
 )
 # A match is one token and the whitespace after it.

@@ -21,37 +21,47 @@ from .model import TIME_UNITS
 
 @dataclass(frozen=True)
 class IntLit:
+    """An integer literal."""
+
     value: int
 
 
 @dataclass(frozen=True)
 class TimeLit:
+    """A number with a time unit, in seconds."""
+
     seconds: int
 
 
 @dataclass(frozen=True)
 class Var:
+    """A bare identifier, read from the simulator's environment."""
+
     name: str
 
 
 @dataclass(frozen=True)
 class Now:
-    pass
+    """The builtin `now`."""
 
 
 @dataclass(frozen=True)
 class CreationTime:
-    pass
+    """The contract's `creationTime`."""
 
 
 @dataclass(frozen=True)
 class Unary:
+    """`!` or `-` applied to one operand."""
+
     op: str  # "!" | "-"
     child: "GuardAst"
 
 
 @dataclass(frozen=True)
 class Binary:
+    """A binary operator applied to two operands."""
+
     op: str
     left: "GuardAst"
     right: "GuardAst"
@@ -59,6 +69,8 @@ class Binary:
 
 @dataclass(frozen=True)
 class Opaque:
+    """A guard outside the evaluable subset, kept as its text."""
+
     text: str
 
 

@@ -31,12 +31,16 @@ class Fragment:
 
 @dataclass(frozen=True)
 class Param:
+    """A transition input, output or local: its name and type text."""
+
     name: str
     type_text: str
 
 
 @dataclass(frozen=True)
 class VariableDecl:
+    """A contract state variable."""
+
     name: str
     type_text: str
     visibility: str  # "public" | "private"
@@ -44,12 +48,16 @@ class VariableDecl:
 
 @dataclass(frozen=True)
 class StructDef:
+    """A struct declaration and its members."""
+
     name: str
     members: tuple[tuple[str, str], ...] = ()  # (type_text, name)
 
 
 @dataclass(frozen=True)
 class Transition:
+    """A call that moves the contract from one state to another."""
+
     name: str
     from_state: str
     to_state: str
@@ -63,6 +71,8 @@ class Transition:
 
 @dataclass(frozen=True)
 class TimedTransition:
+    """A transition that fires on its own once its time offset has passed."""
+
     name: str
     from_state: str
     to_state: str
@@ -73,6 +83,8 @@ class TimedTransition:
 
 @dataclass(frozen=True)
 class ContractModel:
+    """A whole contract FSM: states, declarations, transitions and plugins."""
+
     name: str
     states: tuple[str, ...]
     initial_state: Optional[str]

@@ -22,6 +22,8 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class PluginConfig:
+    """Which plugins are enabled."""
+
     locking: bool = False
     counter: bool = False
     timed: bool = False
@@ -34,6 +36,8 @@ class PluginConfig:
 
 @dataclass(frozen=True, eq=False)  # each entry is unique: compare by identity
 class Plugin:
+    """One security plugin: its names, declarations and modifier."""
+
     field: str  # PluginConfig field and JSON key
     keyword: str  # DSL and --plugins name
     banner: str

@@ -57,6 +57,8 @@ class StepResult(NamedTuple):
 
 @dataclass
 class Report:
+    """The results of a scenario's steps and the final session snapshot."""
+
     results: list[StepResult] = field(default_factory=list)
     final_snapshot: dict = field(default_factory=dict)
 

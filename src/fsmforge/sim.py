@@ -59,6 +59,8 @@ class RevertReason(Enum):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """The deployment a simulated session starts from."""
+
     creation_time: int = 0
     deployer: str = "deployer"
     initial_time: Optional[int] = None  # defaults to creation_time
@@ -66,6 +68,8 @@ class SimConfig:
 
 @dataclass
 class Invocation:
+    """One call of a transition: sender, counter, guard overrides and probe."""
+
     transition: str
     sender: str
     next_transition_number: Optional[int] = None
@@ -76,6 +80,8 @@ class Invocation:
 
 @dataclass(frozen=True)
 class Outcome:
+    """What a call did: executed or reverted and why, timed firings and events."""
+
     executed: bool
     revert_reason: Optional[RevertReason] = None
     fired_timed: tuple[str, ...] = ()
@@ -95,6 +101,8 @@ _EXECUTED = Outcome(executed=True)
 
 @dataclass
 class SimSession:
+    """A simulated deployment of a woven contract and its state."""
+
     woven: WovenContract
     current_state: str
     creation_time: int

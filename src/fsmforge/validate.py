@@ -8,7 +8,6 @@ Every name the model declares goes through one check, `_Collector.declare`.
 from __future__ import annotations
 
 import re
-from collections import ChainMap
 from dataclasses import replace
 
 from .codegen import CREATION_TIME, STATE_CHECK
@@ -48,7 +47,7 @@ _BUILTINS_READ = re.compile(r"(?<![\w.$])(?:msg|now|require)(?![\w$])")
 _GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block", "tx"}
 
 
-def _generated_names(model: ContractModel) -> dict[str, None]:
+def _generated_names(model: ContractModel) -> set[str]:
     """The contract-scope names the generator's own code declares or reads as
     builtins, except the contract's own name (which the access plugin's
     constructor takes). The texts read leave out the user's fragments."""
@@ -58,7 +57,7 @@ def _generated_names(model: ContractModel) -> dict[str, None]:
     names = ["state", "States"] + [name for plugin in plugins for name, _ in plugin.params]
     for text in [CREATION_TIME, STATE_CHECK] + [plugin.decls(blank) for plugin in plugins]:
         names += [a or b for a, b in _DECLARED.findall(text)] + _BUILTINS_READ.findall(text)
-    return dict.fromkeys(names)
+    return set(names)
 
 
 def _free_identifiers(texts: list[str]) -> set[str]:
@@ -83,18 +82,20 @@ class _Collector:
     def warn(self, code: str, path: str, message: str):
         self.diagnostics.append(Diagnostic(code, "warning", message, path=path))
 
-    def declare(self, scope, path: str, what: str, name: str):
-        """Add `name` to `scope` (name -> path; a generated name maps to None)."""
+    def declare(self, scope: dict[str, str], path: str, what: str, name: str,
+                generated: set[str] = frozenset()):
+        """Add `name` to `scope` (name -> path) unless it collides with a name
+        there or with one of the `generated` names, which the scope also sees."""
         keyword = name in _KEYWORDS or _FIXED.fullmatch(name)
         if keyword or not IDENT.fullmatch(name):
             why = "a Solidity keyword" if keyword else "not an identifier"
             self.error("E_BAD_NAME", path, f"{what} '{name}' is {why}")
-        elif name not in scope:
-            scope[name] = path
-        elif scope[name] is None:
+        elif name in generated:
             self.error("E_RESERVED", path, f"{what} '{name}' collides with a generated name")
-        else:
+        elif name in scope:
             self.error("E_DUP_NAME", path, f"{what} '{name}' is already declared at {scope[name]}")
+        else:
+            scope[name] = path
 
 
 def _check_fragment(out: _Collector, path: str, text: str) -> list[str]:
@@ -113,7 +114,7 @@ def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, sta
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      states: set[str], param_scope: ChainMap, declared_guard_names: set[str]):
+                      states: set[str], generated: set[str], declared_guard_names: set[str]):
     path = f"transitions[{index}]"
     _check_ends(out, path, t, states)
     for tag in t.tags:
@@ -122,16 +123,18 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         elif tag in BY_TAG and not getattr(model.plugins, BY_TAG[tag].field):
             out.error("E_TAG_NEEDS_PLUGIN", f"{path}.tags",
                       f"tag '{tag}' requires the {BY_TAG[tag].field} plugin")
+    param_scope: dict[str, str] = {}
     for group, params in (("inputs", t.inputs), ("outputs", t.outputs), ("locals", t.locals)):
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
-            out.declare(param_scope, ppath, "parameter", param.name)
+            out.declare(param_scope, ppath, "parameter", param.name, generated)
             _check_fragment(out, ppath, param.type_text)
-    allowed = declared_guard_names | {p.name for p in t.inputs} | {p.name for p in t.locals}
+    own_names = {p.name for p in t.inputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
         tokens = _check_fragment(out, gpath, guard.text)
-        for name in sorted(_free_identifiers(tokens) - allowed - _GUARD_BUILTINS):
+        for name in sorted(_free_identifiers(tokens) - own_names - declared_guard_names
+                           - _GUARD_BUILTINS):
             out.warn("W_UNDECLARED_IDENT", gpath,
                      f"guard references undeclared identifier '{name}'")
     for j, stmt in enumerate(t.statements):
@@ -156,9 +159,9 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     generation safety; empty result iff the model is generation-ready."""
     out = _Collector()
     generated = _generated_names(model)
-    out.declare(ChainMap({}, generated), "name", "contract", model.name)
-    generated[model.name] = None  # a function of that name would be the constructor
-    contract = ChainMap({}, generated)
+    out.declare({}, "name", "contract", model.name, generated)
+    generated.add(model.name)  # a function of that name would be the constructor
+    contract: dict[str, str] = {}
 
     if model.initial_state is None:
         out.error("E_NO_INITIAL", "initial", "no initial state is declared")
@@ -172,11 +175,11 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     known_states = set(model.states)  # a bad name too: it is reported once, above
 
     for i, var in enumerate(model.variables):
-        out.declare(contract, f"variables[{i}]", "variable", var.name)
+        out.declare(contract, f"variables[{i}]", "variable", var.name, generated)
         _check_fragment(out, f"variables[{i}]", var.type_text)
 
     for i, struct in enumerate(model.structs):
-        out.declare(contract, f"structs[{i}]", "struct", struct.name)
+        out.declare(contract, f"structs[{i}]", "struct", struct.name, generated)
         members: dict[str, str] = {}
         for j, (type_text, member) in enumerate(struct.members):
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member)
@@ -184,14 +187,14 @@ def validate(model: ContractModel) -> list[Diagnostic]:
 
     declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
     for i, t in enumerate(model.transitions):
-        out.declare(contract, f"transitions[{i}].name", "transition", t.name)
-        _check_transition(out, model, i, t, known_states, ChainMap({}, generated),
-                          declared_guard_names)
+        out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
+        _check_transition(out, model, i, t, known_states, generated, declared_guard_names)
 
     io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
-    timed = ChainMap({}, generated)
+    timed: dict[str, str] = {}
     for i, tt in enumerate(model.timed_transitions):
-        out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name)
+        out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name,
+                    generated)
         _check_timed(out, i, tt, known_states, io_names)
 
     if model.timed_transitions and not model.plugins.timed:

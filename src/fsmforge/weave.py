@@ -14,6 +14,8 @@ from .plugins import PLUGINS, Plugin, chain
 
 @dataclass(frozen=True)
 class WovenContract:
+    """A model with its plugins woven in, ready for generation and simulation."""
+
     base: ContractModel
     # (plugin field, declaration block) in declaration order
     contract_fragments: tuple[tuple[str, str], ...] = ()

@@ -191,8 +191,12 @@ def oracle_token_texts(text):
 
 
 # Pieces that fold or refuse to fold a time unit, weighted against pieces
-# that make the text malformed, so that both outcomes are drawn often.
-_ORACLE_PIECES = (_PIECES + ["5 days", "0x1fdays", "5 daysX"]) * 3 + ["@", '"', "/*", "(", "]"]
+# that make the text malformed, so that both outcomes are drawn often. Every
+# operator kind is drawn, "/" and "*" beside "/" too, so the order of the
+# lexer's table and each normalization of `token_texts` are pinned.
+_ORACLE_PIECES = (_PIECES + ["5 days", "0x1fdays", "5 daysX", "5\tdays", "/", "/=", "*", "-",
+                             "=", "==", "<<", "**=", "->", "!", "?", ":", ","]) * 3 + [
+    "@", '"', "/*", "(", "]"]
 
 
 @given(st.lists(st.sampled_from(_ORACLE_PIECES), max_size=40).map("".join))

@@ -1,9 +1,14 @@
+import dataclasses
 import importlib
+import inspect
 import json
+import pkgutil
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import fsmforge
 
 from test_acceptance import DIAGNOSTIC_CODES
 
@@ -62,6 +67,46 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
     assert metrics["sim.invoke.calls"][0] == calls > 0
     assert metrics["sim.eval_guard.calls"][0] > 0
     assert scenario.run_scenario is run_scenario  # uninstalled
+
+
+def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, monkeypatch):
+    # `install` finds `lex_fragment` by identity in the namespaces of
+    # `validate` and `codegen`; a reference captured some other way (an alias,
+    # a default argument) would leave the lexing unattributed.
+    from fsmforge import fragments
+    from fsmforge.dsl import parse_dsl
+    from fsmforge.weave import weave
+
+    calls = {"validate": 0, "codegen": 0}
+    for name in calls:
+        module = sys.modules[f"fsmforge.{name}"]
+        assert module.lex_fragment is fragments.lex_fragment, name
+
+        def counting(*args, _name=name, **kwargs):
+            calls[_name] += 1
+            return fragments.lex_fragment(*args, **kwargs)
+        monkeypatch.setattr(module, "lex_fragment", counting)
+    model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
+    assert sys.modules["fsmforge.validate"].validate(model) == []
+    assert calls["validate"] > 0 and calls["codegen"] == 0
+    codegen = sys.modules["fsmforge.codegen"]
+    assert codegen.token_texts(codegen.generate(weave(model)))
+    assert calls["codegen"] == 1
+
+
+def test_every_dataclass_has_its_own_docstring():
+    # Without one, `dataclass()` builds `Name(field: type, ...)` with
+    # `inspect.signature`, which costs import time for every class.
+    synthesized = []
+    for info in pkgutil.iter_modules(fsmforge.__path__):
+        module = importlib.import_module(f"fsmforge.{info.name}")
+        for cls in vars(module).values():
+            if (dataclasses.is_dataclass(cls) and isinstance(cls, type)
+                    and cls.__module__ == module.__name__):
+                signature = str(inspect.signature(cls)).replace(" -> None", "")
+                if cls.__doc__ == cls.__name__ + signature:
+                    synthesized.append(f"{module.__name__}.{cls.__name__}")
+    assert synthesized == []
 
 
 def test_every_validator_code_has_a_criterion_7_fixture():

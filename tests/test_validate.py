@@ -285,3 +285,30 @@ def test_parse_and_validate_time_grows_linearly_in_the_states():
     assert validate(big) == []
     ratio = best_of_3(validate, big) / best_of_3(validate, small)
     assert ratio < 24, f"validating 8x the states took {ratio:.1f}x as long"
+
+
+def test_validate_time_grows_linearly_in_event_tagged_transitions():
+    # The events plugin adds two generated names per transition tagged
+    # `event`, so a scope that copied the generated names per transition
+    # would make validate quadratic in the transitions; so would copying the
+    # names a guard may read, here one variable per transition.
+    def events(n):
+        return model(
+            plugins=PluginConfig(events=True),
+            variables=tuple(VariableDecl(f"v{i}", "uint", "private") for i in range(n)),
+            transitions=tuple(t(f"t{i}", tags=("event",), inputs=(Param(f"p{i}", "uint"),),
+                                guards=(Fragment(f"p{i} > v{i}", "expr"),)) for i in range(n)))
+
+    def best_of_3(m):
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            validate(m)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    small, big = events(1000), events(8000)
+    assert validate(big) == []
+    # 8x the transitions; linear growth gives a ratio near 8.
+    ratio = best_of_3(big) / best_of_3(small)
+    assert ratio < 24, f"validating 8x the event-tagged transitions took {ratio:.1f}x as long"

@@ -25,7 +25,11 @@ from .model import (
 from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a name
-_NUMBER = re.compile(r"\d+")
+# Whitespace and `#` comments: every move of the cursor skips what follows.
+_GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_SKIP = re.compile(_GAP)
+_WORD = re.compile(rf"({IDENT.pattern}){_GAP}")
+_NUMBER = re.compile(rf"(\d+){_GAP}")
 # Inside a fragment only braces count; strings and comments are skipped
 # whole, with the lexer's own patterns.
 _FRAGMENT_PART = re.compile(
@@ -40,10 +44,12 @@ class ParseError(Exception):
 
 
 class _Cursor:
+    """A position in the text; each move leaves it past whitespace and `#` comments."""
+
     def __init__(self, text: str, file: str):
         self.text = text
         self.source = SourceText(text, file)
-        self.i = 0
+        self.i = _SKIP.match(text).end()
 
     def span(self, pos: int | None = None, length: int = 1) -> SourceSpan:
         pos = self.i if pos is None else pos
@@ -52,41 +58,26 @@ class _Cursor:
     def fail(self, code: str, message: str, pos: int | None = None):
         raise ParseError([Diagnostic(code, "error", message, span=self.span(pos))])
 
-    def skip_ws(self):
-        text, i = self.text, self.i
-        n = len(text)
-        while i < n:
-            ch = text[i]
-            if ch in " \t\r\n":
-                i += 1
-            elif ch == "#":
-                nl = text.find("\n", i)
-                i = n if nl < 0 else nl
-            else:
-                break
-        self.i = i
+    def move(self, i: int):
+        """Move to offset i, then past whitespace and comments."""
+        self.i = _SKIP.match(self.text, i).end()
 
     def at_end(self) -> bool:
-        self.skip_ws()
         return self.i >= len(self.text)
 
-    def peek_word(self) -> str | None:
-        self.skip_ws()
-        m = IDENT.match(self.text, self.i)
-        return m.group() if m else None
-
     def read_word(self) -> str | None:
-        """Like peek_word, but move past the word read."""
-        word = self.peek_word()
-        if word is not None:
-            self.i += len(word)
-        return word
+        m = _WORD.match(self.text, self.i)
+        if m is None:
+            return None
+        self.i = m.end()
+        return m.group(1)
 
     def try_word(self, word: str) -> bool:
-        if self.peek_word() == word:
-            self.i += len(word)
-            return True
-        return False
+        m = _WORD.match(self.text, self.i)
+        if m is None or m.group(1) != word:
+            return False
+        self.i = m.end()
+        return True
 
     def expect_ident(self, what: str) -> str:
         word = self.read_word()
@@ -99,23 +90,21 @@ class _Cursor:
             self.fail("E_SYNTAX", f"expected '{word}'")
 
     def try_punct(self, ch: str) -> bool:
-        self.skip_ws()
-        if self.i < len(self.text) and self.text[self.i] == ch:
-            self.i += 1
-            return True
-        return False
+        if not self.text.startswith(ch, self.i):
+            return False
+        self.move(self.i + 1)
+        return True
 
     def expect_punct(self, ch: str):
         if not self.try_punct(ch):
             self.fail("E_SYNTAX", f"expected '{ch}'")
 
     def expect_number(self) -> int:
-        self.skip_ws()
         m = _NUMBER.match(self.text, self.i)
         if not m:
             self.fail("E_SYNTAX", "expected a number")
         try:
-            value = int(m.group())
+            value = int(m.group(1))
         except ValueError:  # past int()'s digit limit
             self.fail("E_SYNTAX", "number too long")
         self.i = m.end()
@@ -138,15 +127,15 @@ def _clean_fragment(raw: str) -> str:
 
 def _scan_fragment(cur: _Cursor) -> str:
     """Consume `{ balanced text }` and return the cleaned inner text."""
+    start = cur.i + 1  # the text keeps what follows the brace
     cur.expect_punct("{")
-    start = cur.i
     depth = 1
     for m in _FRAGMENT_PART.finditer(cur.text, start):
         kind = m.lastgroup
         if kind == "brace":
             depth += 1 if m.group() == "{" else -1
             if depth == 0:
-                cur.i = m.end()
+                cur.move(m.end())
                 return _clean_fragment(cur.text[start:m.start()])
         elif kind == "open_string":
             cur.fail("E_SYNTAX", "unterminated string in fragment", m.start())
@@ -170,7 +159,6 @@ def _split_type_and_name(cur: _Cursor, slice_text: str, pos: int, what: str) -> 
 
 def _scan_typed_decl(cur: _Cursor, terminators: str, what: str) -> tuple[str, str]:
     """Read `TYPETEXT IDENT` up to (not consuming) a top-level terminator."""
-    cur.skip_ws()
     start = cur.i
     text, n = cur.text, len(cur.text)
     depth = 0
@@ -219,10 +207,11 @@ def _parse_states(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
     states: dict[str, None] = {}  # ordered, and a set for the duplicate check
     initial: str | None = None
     while not cur.try_punct("}"):
-        is_initial = cur.try_word("initial")
         pos = cur.i
-        cur.skip_ws()
-        if is_initial and cur.text[cur.i:cur.i + 1] in (";", "}"):
+        is_initial = cur.try_word("initial")
+        if is_initial:
+            pos += len("initial")  # a duplicate is reported right after the keyword
+        if is_initial and cur.text.startswith((";", "}"), cur.i):
             is_initial, name = False, "initial"  # a state named `initial`
         else:
             name = cur.expect_ident("state name")
@@ -272,7 +261,6 @@ def _parse_struct(cur: _Cursor) -> StructDef:
 
 
 def _parse_var(cur: _Cursor) -> VariableDecl:
-    cur.skip_ws()
     pos = cur.i
     visibility = cur.expect_ident("variable visibility")
     if visibility not in ("public", "private"):
@@ -290,13 +278,14 @@ def _parse_transition(cur: _Cursor) -> Transition:
     to_state = cur.expect_ident("target state")
     tags: list[str] = []
     if cur.try_word("tags"):
+        pos = cur.i + 1  # a duplicate is reported right after the "(" or "," before it
         cur.expect_punct("(")
         while True:
-            pos = cur.i
             tag = cur.expect_ident("tag")
             if tag in tags:
                 cur.fail("E_DUP_DECL", f"duplicate tag '{tag}'", pos)
             tags.append(tag)
+            pos = cur.i + 1
             if cur.try_punct(","):
                 continue
             cur.expect_punct(")")
@@ -349,12 +338,12 @@ def _parse_timed(cur: _Cursor) -> TimedTransition:
     to_state = cur.expect_ident("target state")
     cur.expect_word("at")
     value = cur.expect_number()
-    unit_word = cur.peek_word()
+    pos = cur.i
+    unit_word = cur.read_word()
     seconds = value
     if unit_word is not None:
         if unit_word not in TIME_UNITS:
-            cur.fail("E_BAD_UNIT", f"unknown time unit '{unit_word}'")
-        cur.i += len(unit_word)
+            cur.fail("E_BAD_UNIT", f"unknown time unit '{unit_word}'", pos)
         seconds = value * TIME_UNITS[unit_word]
     cur.expect_punct("{")
     guard: Fragment | None = None

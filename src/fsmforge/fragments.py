@@ -2,17 +2,19 @@
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks. One table of token patterns drives one text scan,
-`lex_fragment`, which returns the token texts; every reader (the validator,
-the golden compare's `token_texts`, the guard parser) tells a token's kind
-from its text. Spans are computed only for errors.
+validator's cross-checks. One check, `check_fragment`, visits only the tokens
+that can fail it and keeps none. `lex_fragment` runs that check and then one
+text scan, driven by one table of token patterns, that returns the token
+texts; every reader (the validator, the golden compare's `token_texts`, the
+guard parser) tells a token's kind from its text. Spans are computed only
+for errors.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
 from itertools import islice
-from string import ascii_letters, digits
+from string import ascii_letters
 
 from .diagnostics import Diagnostic, SourceSpan
 from .model import TIME_UNITS
@@ -77,7 +79,7 @@ _KINDS = (
     # A number. A time unit after it folds into one literal ("5 days"): an
     # optional tail, tried only after the digits matched greedily, so the
     # digits are never given back ("0x1fdays" stays "0x1fda" "ys").
-    r"(?:0[xX][0-9a-fA-F]+|\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"(?:0[xX][0-9a-fA-F]+|[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
     rf"(?:[ \t]*(?:{'|'.join(TIME_UNITS)})(?![A-Za-z0-9_$]))?",
     r"[^ \t\r\n]",  # a byte no token starts with
 )
@@ -85,41 +87,51 @@ _KINDS = (
 _TEXTS = re.compile(f"({'|'.join(_KINDS)})[ \t\r\n]*", re.S)
 
 IDENT_START = frozenset(ascii_letters + "_$")
-# First characters of the tokens that need no check ("/" may open a comment).
-_PLAIN = IDENT_START.union(digits, (op[0] for op in _OPERATORS)) - {"/"}
+# The characters of the tokens no check can fail: identifiers, numbers,
+# whitespace and operators, "/" only where it opens no comment. They are
+# ASCII, as Solidity's are, so a run of them ends where a token does.
+_OPERATOR_CHARS = "".join(sorted({c for op in _OPERATORS for c in op} - {"/"}))
+_RUN = rf"[A-Za-z0-9_$ \t\r\n{re.escape(_OPERATOR_CHARS)}]*"
+# A match skips such runs, comments and strings, and then takes the one
+# token a check reads: a delimiter, an unterminated string or block comment,
+# or a byte no token starts with. After the last such token it takes "".
+_CHECK = re.compile(
+    rf"{_RUN}(?:(?:/(?![/*])|{COMMENT}|{STRING}){_RUN})*([()[\]{{}}\"']|/\*|.)?", re.S)
+_OPENERS = frozenset("([{")
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _UNTERMINATED = {'"': "string literal", "'": "string literal", "/*": "block comment"}
 
 
 def _fail(text: str, file: str, index: int, code: str, message: str, to_end: bool = False):
-    """Raise the LexError for the index-th token, found by a rescan."""
-    start = next(islice(_TEXTS.finditer(text), index, None)).start()
+    """Raise the LexError for the index-th token the check reads, found by a rescan."""
+    start = next(islice(_CHECK.finditer(text), index, None)).start(1)
     span = SourceText(text, file).span(start, len(text) - start if to_end else 1)
     raise LexError(Diagnostic(code, "error", message, span=span))
 
 
-def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
-    """The texts of a Solidity fragment's tokens, in order.
+def check_fragment(text: str, file: str = "<fragment>") -> None:
+    """Check a Solidity fragment's tokens without keeping them.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
-    texts = _TEXTS.findall(text)
+    read = _CHECK.findall(text)
     opened: list[int] = []  # indices of the open delimiters
-    for i, tok in enumerate(texts):
-        c = tok[0]
-        if c in _PLAIN:
-            continue
-        if c in "([{":
+    for i, tok in enumerate(read):
+        if tok in _OPENERS:
             opened.append(i)
-        elif c in _CLOSERS:
-            if not opened or texts[opened.pop()] != _CLOSERS[c]:
-                _fail(text, file, i, "E_UNBALANCED", f"unmatched '{c}'")
+        elif tok in _CLOSERS:
+            if not opened or read[opened.pop()] != _CLOSERS[tok]:
+                _fail(text, file, i, "E_UNBALANCED", f"unmatched '{tok}'")
         elif tok in _UNTERMINATED:
             _fail(text, file, i, "E_BAD_TOKEN", f"unterminated {_UNTERMINATED[tok]}", to_end=True)
-        elif c not in "\"'/":
-            _fail(text, file, i, "E_BAD_TOKEN", f"byte {c!r} cannot start a token")
+        elif tok:
+            _fail(text, file, i, "E_BAD_TOKEN", f"byte {tok!r} cannot start a token")
     if opened:
-        _fail(text, file, opened[-1], "E_UNBALANCED", f"unclosed '{texts[opened[-1]]}'")
-    return texts
+        _fail(text, file, opened[-1], "E_UNBALANCED", f"unclosed '{read[opened[-1]]}'")
 
+
+def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
+    """The texts of a Solidity fragment's tokens, in order; raises as `check_fragment` does."""
+    check_fragment(text, file)
+    return _TEXTS.findall(text)

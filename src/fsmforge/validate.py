@@ -13,7 +13,7 @@ from dataclasses import replace
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
 from .dsl import IDENT
-from .fragments import IDENT_START, LexError, lex_fragment
+from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
 from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -98,13 +98,22 @@ class _Collector:
             scope[name] = path
 
 
-def _check_fragment(out: _Collector, path: str, text: str) -> list[str]:
-    """Lex a fragment's token texts; a lex error is reported at path and gives none."""
+def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
+                    inline: bool = False) -> list[str]:
+    """Check a fragment and, if `lex`, return its token texts; an error is
+    reported at path, and a lex error gives no tokens. The generator writes
+    code after an `inline` fragment (a guard or a type text) on the same
+    line, so a line comment in one is an error."""
     try:
-        return lex_fragment(text)
+        tokens = lex_fragment(text) if lex else check_fragment(text)
     except LexError as exc:
         out.error("E_UNBALANCED", path, exc.diagnostic.message)
         return []
+    if inline and "//" in text and any(
+            tok.startswith("//") for tok in (tokens if lex else lex_fragment(text))):
+        out.error("E_LINE_COMMENT", path,
+                  "a '//' comment here would comment out the generated code after it")
+    return tokens or []
 
 
 def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, states: set[str]):
@@ -128,11 +137,11 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
             out.declare(param_scope, ppath, "parameter", param.name, generated)
-            _check_fragment(out, ppath, param.type_text)
+            _check_fragment(out, ppath, param.type_text, inline=True)
     own_names = {p.name for p in t.inputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
-        tokens = _check_fragment(out, gpath, guard.text)
+        tokens = _check_fragment(out, gpath, guard.text, lex=True, inline=True)
         for name in sorted(_free_identifiers(tokens) - own_names - declared_guard_names
                            - _GUARD_BUILTINS):
             out.warn("W_UNDECLARED_IDENT", gpath,
@@ -145,10 +154,10 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
                  io_names: set[str]):
     path = f"timed_transitions[{index}]"
     _check_ends(out, path, tt, states)
-    fragments = [(f"{path}.guard", tt.guard.text)] if tt.guard is not None else []
-    fragments += [(f"{path}.statements[{j}]", s.text) for j, s in enumerate(tt.statements)]
-    for fpath, text in fragments:
-        tokens = _check_fragment(out, fpath, text)
+    fragments = [(f"{path}.guard", tt.guard.text, True)] if tt.guard is not None else []
+    fragments += [(f"{path}.statements[{j}]", s.text, False) for j, s in enumerate(tt.statements)]
+    for fpath, text, inline in fragments:
+        tokens = _check_fragment(out, fpath, text, lex=True, inline=inline)
         for name in sorted(_free_identifiers(tokens) & io_names):
             out.error("E_TIMED_IO", fpath,
                       f"timed transitions may not reference transition input/output '{name}'")
@@ -176,14 +185,14 @@ def validate(model: ContractModel) -> list[Diagnostic]:
 
     for i, var in enumerate(model.variables):
         out.declare(contract, f"variables[{i}]", "variable", var.name, generated)
-        _check_fragment(out, f"variables[{i}]", var.type_text)
+        _check_fragment(out, f"variables[{i}]", var.type_text, inline=True)
 
     for i, struct in enumerate(model.structs):
         out.declare(contract, f"structs[{i}]", "struct", struct.name, generated)
         members: dict[str, str] = {}
         for j, (type_text, member) in enumerate(struct.members):
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member)
-            _check_fragment(out, f"structs[{i}].members[{j}]", type_text)
+            _check_fragment(out, f"structs[{i}].members[{j}]", type_text, inline=True)
 
     declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
     for i, t in enumerate(model.transitions):

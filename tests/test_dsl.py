@@ -153,6 +153,19 @@ def test_error_spans_point_at_the_source():
         parse("contract M {\n  junk\n}")
     span = exc.value.diagnostics[0].span
     assert (span.file, span.line, span.column) == ("test.fsm", 2, 3)
+    head = "contract M {\n states { initial A; B; }\n plugins { timed; }\n"
+    for text, code, line, column in [
+        # A duplicate initial state is reported right after `initial`, a
+        # duplicate tag right after the "," before it.
+        ("contract M {\n states { initial A; initial   A; }\n}", "E_DUP_DECL", 2, 29),
+        (head + " transition t from A to B tags ( event ,  event ) { }\n}", "E_DUP_DECL", 4, 41),
+        (head + " timed t from A to B at 5   # c\n fortnights { }\n}", "E_BAD_UNIT", 5, 2),
+        (head + " transition t from A to B { guard # c\n x }\n}", "E_SYNTAX", 5, 2),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        d = exc.value.diagnostics[0]
+        assert (d.code, d.span.line, d.span.column) == (code, line, column), text
 
 
 def test_timed_sorted_on_parse():

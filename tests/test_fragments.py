@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmforge.codegen import token_texts
-from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, lex_fragment
+from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, check_fragment, lex_fragment
 from fsmforge.model import TIME_UNITS
 
 
@@ -54,9 +54,11 @@ def test_unterminated_string_and_comment():
 
 
 def test_bad_byte():
-    with pytest.raises(LexError) as exc:
-        lex_fragment("a @ b")
-    assert exc.value.diagnostic.code == "E_BAD_TOKEN"
+    # A number's digits are ASCII, as in Solidity: "5٣" is "5" and a bad byte.
+    for bad in ["a @ b", "5\u0663"]:
+        with pytest.raises(LexError) as exc:
+            lex_fragment(bad)
+        assert exc.value.diagnostic.code == "E_BAD_TOKEN"
 
 
 def test_time_unit_folding_edges():
@@ -208,7 +210,7 @@ def test_scan_matches_the_loop_oracle(text):
         code, message, start, length = exc.args
         line = text.count("\n", 0, start) + 1
         column = start - (text.rfind("\n", 0, start) + 1) + 1
-        for lex in (lex_fragment, token_texts):
+        for lex in (lex_fragment, token_texts, check_fragment):
             with pytest.raises(LexError) as got:
                 lex(text)
             d = got.value.diagnostic
@@ -217,6 +219,7 @@ def test_scan_matches_the_loop_oracle(text):
         return
     assert lex_fragment(text) == [tok for _, tok, _ in want]
     assert token_texts(text) == oracle_token_texts(text)
+    check_fragment(text)
 
 
 def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):

@@ -70,28 +70,30 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
 
 
 def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, monkeypatch):
-    # `install` finds `lex_fragment` by identity in the namespaces of
-    # `validate` and `codegen`; a reference captured some other way (an alias,
-    # a default argument) would leave the lexing unattributed.
+    # `install` finds `lex_fragment` and `check_fragment` by identity in the
+    # namespaces of `validate` and `codegen`; a reference captured some other
+    # way (an alias, a default argument) would leave the lexing unattributed.
     from fsmforge import fragments
     from fsmforge.dsl import parse_dsl
     from fsmforge.weave import weave
 
-    calls = {"validate": 0, "codegen": 0}
-    for name in calls:
-        module = sys.modules[f"fsmforge.{name}"]
-        assert module.lex_fragment is fragments.lex_fragment, name
+    calls = {("validate", "lex_fragment"): 0, ("validate", "check_fragment"): 0,
+             ("codegen", "lex_fragment"): 0}
+    for key in calls:
+        module, original = sys.modules[f"fsmforge.{key[0]}"], getattr(fragments, key[1])
+        assert getattr(module, key[1]) is original, key
 
-        def counting(*args, _name=name, **kwargs):
-            calls[_name] += 1
-            return fragments.lex_fragment(*args, **kwargs)
-        monkeypatch.setattr(module, "lex_fragment", counting)
+        def counting(*args, _key=key, _original=original, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(module, key[1], counting)
     model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
     assert sys.modules["fsmforge.validate"].validate(model) == []
-    assert calls["validate"] > 0 and calls["codegen"] == 0
+    assert calls["validate", "lex_fragment"] > 0 and calls["validate", "check_fragment"] > 0
+    assert calls["codegen", "lex_fragment"] == 0
     codegen = sys.modules["fsmforge.codegen"]
     assert codegen.token_texts(codegen.generate(weave(model)))
-    assert calls["codegen"] == 1
+    assert calls["codegen", "lex_fragment"] == 1
 
 
 def test_every_dataclass_has_its_own_docstring():

@@ -4,6 +4,7 @@ from collections import Counter
 
 from fsmforge.codegen import generate
 from fsmforge.dsl import parse_dsl
+from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
     ContractModel,
     Fragment,
@@ -54,6 +55,7 @@ FIXTURES = {
     "E_UNBALANCED": model(transitions=(t(guards=(Fragment("(x > 0", "expr"),)),)),
     "W_UNDECLARED_IDENT": model(
         transitions=(t(guards=(Fragment("mystery > 0", "expr"),)),)),
+    "E_LINE_COMMENT": model(transitions=(t(guards=(Fragment("now > 5 // c", "expr"),)),)),
 }
 
 
@@ -159,6 +161,49 @@ def test_timed_io_only_flags_transition_io_names():
                             statements=(Fragment("y = 1;", "stmt"),)),
         ))
     assert codes(m) == ["E_TIMED_IO", "E_TIMED_IO"]
+
+
+_COMMENT_SLOTS = """\
+contract M {{
+    states {{ initial A; B; }}
+    plugins {{ timed; }}
+    struct S {{ uint{member} m; }}
+    var private uint{variable} v;
+    transition t from A to B {{
+        input (uint{input} x);
+        output (uint{output} y);
+        locals (uint{local} z);
+        guard {{
+            now > 5{guard}
+        }}
+    }}
+    timed u from A to B at 5 days {{
+        guard {{
+            now > 5{timed_guard}
+        }}
+    }}
+}}
+"""
+_SLOT_PATHS = {
+    "member": "structs[0].members[0]", "variable": "variables[0]",
+    "input": "transitions[0].inputs[0]", "output": "transitions[0].outputs[0]",
+    "local": "transitions[0].locals[0]", "guard": "transitions[0].guards[0]",
+    "timed_guard": "timed_transitions[0].guard",
+}
+
+
+def test_line_comments_in_guards_and_types_are_refused():
+    # The generator writes code after a guard or a type on the same line,
+    # which a line comment would swallow; a block comment is harmless.
+    for slot, path in _SLOT_PATHS.items():
+        for comment, want in ((" // c\n", ["E_LINE_COMMENT"]), (" /* // c */", [])):
+            fill = dict.fromkeys(_SLOT_PATHS, "")
+            fill[slot] = comment
+            m = parse_dsl(_COMMENT_SLOTS.format(**fill))
+            for frontend in (m, parse_json(emit_json(m))):
+                diagnostics = validate(frontend)
+                assert [d.code for d in diagnostics] == want, (slot, comment)
+                assert [d.path for d in diagnostics] == [path] * len(want)
 
 
 def test_diagnostics_render(capsys):

@@ -29,7 +29,7 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a na
 _GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _SKIP = re.compile(_GAP)
 _WORD = re.compile(rf"({IDENT.pattern}){_GAP}")
-_NUMBER = re.compile(rf"(\d+){_GAP}")
+_NUMBER = re.compile(rf"([0-9]+){_GAP}")
 # Inside a fragment only braces count; strings and comments are skipped
 # whole, with the lexer's own patterns.
 _FRAGMENT_PART = re.compile(

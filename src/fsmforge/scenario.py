@@ -9,14 +9,17 @@ Grammar (one step per line, `#` starts a comment):
     admin <add|remove> <actor> by <actor> expect <ok|revert>
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
 
-A call line is parsed into its ready `Invocation` (payload key "call"), so a
-step runs without building one; the simulator never assigns to it. A step's
-result is a `StepResult` NamedTuple, whose `outcome` is the simulator's
-shared, frozen `Outcome`.
+Each line parses to one immutable record of its kind: `Call`, `Time`, `Env`,
+`Admin` or `Assert`, a namedtuple that starts with `line_no` and `text` and
+names its kind in the class attribute `kind`. A `Call` holds its ready
+`Invocation`, so a step runs without building one; the simulator never assigns
+to it. A step's result is a `StepResult` NamedTuple, whose `outcome` is the
+simulator's shared, frozen `Outcome`; its `detail` text is made when read.
 """
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -41,18 +44,30 @@ class ScenarioSyntaxError(Exception):
         self.line_no = line_no
 
 
-class Step(NamedTuple):
-    line_no: int
-    text: str
-    kind: str  # time | env | call | admin | assert
-    payload: dict
+def _record(kind: str, fields: str, defaults: tuple = ()) -> type:
+    """The record type of one step kind."""
+    record = namedtuple(kind.capitalize(), "line_no text " + fields, defaults=defaults)
+    record.kind = kind
+    return record
+
+
+Call = _record("call", "call expect_ok expect_reason")  # an expect_reason of None: any reason
+Time = _record("time", "to")
+Env = _record("env", "bindings")
+Admin = _record("admin", "action target sender expect_ok")
+Assert = _record("assert", "check value actor", (None,))  # check: state | counter | admin(actor)
+Step = Call | Time | Env | Admin | Assert  # not typing.Union, whose cache keeps its types alive
 
 
 class StepResult(NamedTuple):
     step: Step
     ok: bool
-    detail: str = ""
-    outcome: Optional[Outcome] = None
+    outcome: Optional[Outcome] = None  # of a call or admin step
+    note: str = ""  # what a time, env or assert step read from the session
+
+    @property
+    def detail(self) -> str:
+        return self.note if self.outcome is None else _describe(self.outcome)
 
 
 @dataclass
@@ -73,7 +88,9 @@ class Report:
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ADMIN = re.compile(r"admin\((\w+)\)")
-_REASONS = {r.value: r for r in RevertReason}
+# A call's expectation: (expect_ok, expect_reason).
+_EXPECTATIONS = {"ok": (True, None), "revert": (False, None),
+                 **{f"revert:{r.value}": (False, r) for r in RevertReason}}
 
 
 def _parse_bool(line_no: int, text: str) -> bool:
@@ -91,7 +108,7 @@ def _parse_int(line_no: int, text: str) -> int:
         raise ScenarioSyntaxError(line_no, f"expected an integer, got '{text}'") from None
 
 
-def _parse_call(line_no: int, parts: list[str]) -> dict:
+def _parse_call(line_no: int, text: str, parts: list[str]) -> Call:
     if len(parts) < 3 or parts[1] != "as":
         raise ScenarioSyntaxError(line_no, "call syntax: call <transition> as <actor> ...")
     n = reenter = expect_ok = expect_reason = None
@@ -104,17 +121,12 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
             if i + 2 != len(parts):
                 raise ScenarioSyntaxError(line_no, "expect must be last: expect <ok|revert:<Reason>>")
             expectation = parts[i + 1]
-            if expectation == "ok":
-                expect_ok = True
-            elif expectation.startswith("revert:"):
-                reason = expectation[len("revert:"):]
-                if reason not in _REASONS:
+            if expectation not in _EXPECTATIONS:
+                if expectation.startswith("revert:"):
+                    reason = expectation[len("revert:"):]
                     raise ScenarioSyntaxError(line_no, f"unknown revert reason '{reason}'")
-                expect_ok, expect_reason = False, _REASONS[reason]
-            elif expectation == "revert":
-                expect_ok = False
-            else:
                 raise ScenarioSyntaxError(line_no, f"bad expectation '{expectation}'")
+            expect_ok, expect_reason = _EXPECTATIONS[expectation]
             break
         key, eq, value = word.partition("=")
         if not eq:
@@ -137,35 +149,31 @@ def _parse_call(line_no: int, parts: list[str]) -> dict:
         raise ScenarioSyntaxError(line_no, "reenter:g<k> needs reenter=<transition>")
     call = Invocation(parts[0], parts[2], n, overrides, timed,
                       None if reenter is None else Invocation(reenter, parts[2], None, probe_overrides))
-    return {"transition": parts[0], "sender": parts[2], "n": n, "overrides": overrides,
-            "timed": timed, "reenter": reenter, "expect_ok": expect_ok,
-            "expect_reason": expect_reason, "call": call}
+    return Call(line_no, text, call, expect_ok, expect_reason)
 
 
-def _parse_admin(line_no: int, parts: list[str]) -> dict:
+def _parse_admin(line_no: int, text: str, parts: list[str]) -> Admin:
     if (len(parts) != 6 or parts[0] not in ("add", "remove")
             or parts[2] != "by" or parts[4] != "expect"):
         raise ScenarioSyntaxError(line_no, "admin syntax: admin <add|remove> <actor> by <actor> expect <ok|revert>")
     if parts[5] not in ("ok", "revert"):
         raise ScenarioSyntaxError(line_no, f"bad expectation '{parts[5]}'")
-    return {"action": parts[0], "target": parts[1], "sender": parts[3],
-            "expect_ok": parts[5] == "ok"}
+    return Admin(line_no, text, parts[0], parts[1], parts[3], parts[5] == "ok")
 
 
-def _parse_assert(line_no: int, parts: list[str]) -> dict:
+def _parse_assert(line_no: int, text: str, parts: list[str]) -> Assert:
     if len(parts) != 1 or "=" not in parts[0]:
         raise ScenarioSyntaxError(line_no, "assert syntax: assert <key>=<value>")
     key, value = parts[0].split("=", 1)
-    admin_match = _ADMIN.fullmatch(key)
     if key == "state":
         if not _IDENT.match(value):
             raise ScenarioSyntaxError(line_no, f"bad state name '{value}'")
-        return {"check": "state", "value": value}
+        return Assert(line_no, text, "state", value)
     if key == "counter":
-        return {"check": "counter", "value": _parse_int(line_no, value)}
+        return Assert(line_no, text, "counter", _parse_int(line_no, value))
+    admin_match = _ADMIN.fullmatch(key)
     if admin_match:
-        return {"check": "admin", "actor": admin_match.group(1),
-                "value": _parse_bool(line_no, value)}
+        return Assert(line_no, text, key, _parse_bool(line_no, value), admin_match.group(1))
     raise ScenarioSyntaxError(line_no, f"unknown assertion '{key}'")
 
 
@@ -177,12 +185,12 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
     parts = text.split()
     kind, rest = parts[0], parts[1:]
     if kind == "call":
-        payload = _parse_call(line_no, rest)
-    elif kind == "time":
+        return _parse_call(line_no, text, rest)
+    if kind == "time":
         if len(rest) != 1:
             raise ScenarioSyntaxError(line_no, "time syntax: time <seconds>")
-        payload = {"to": _parse_int(line_no, rest[0])}
-    elif kind == "env":
+        return Time(line_no, text, _parse_int(line_no, rest[0]))
+    if kind == "env":
         bindings = {}
         if not rest:
             raise ScenarioSyntaxError(line_no, "env syntax: env <ident>=<int> [...]")
@@ -193,14 +201,12 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
             if not _IDENT.match(name):
                 raise ScenarioSyntaxError(line_no, f"bad env name '{name}'")
             bindings[name] = _parse_int(line_no, value)
-        payload = {"bindings": bindings}
-    elif kind == "admin":
-        payload = _parse_admin(line_no, rest)
-    elif kind == "assert":
-        payload = _parse_assert(line_no, rest)
-    else:
-        raise ScenarioSyntaxError(line_no, f"unknown step '{kind}'")
-    return Step(line_no, text, kind, payload)
+        return Env(line_no, text, bindings)
+    if kind == "admin":
+        return _parse_admin(line_no, text, rest)
+    if kind == "assert":
+        return _parse_assert(line_no, text, rest)
+    raise ScenarioSyntaxError(line_no, f"unknown step '{kind}'")
 
 
 def parse_scenario(text: str) -> list[Step]:
@@ -221,44 +227,35 @@ def run_step(session: SimSession, step: Step) -> StepResult:
 
 
 def _run_step(session: SimSession, step: Step) -> StepResult:
-    kind, p = step.kind, step.payload
-    if kind == "call":  # the commonest step first
-        unknown = p["timed"] and sorted(p["timed"].keys() - {
+    kind = type(step)
+    if kind is Call:  # the commonest step first
+        timed = step.call.timed_guard_overrides
+        unknown = timed and sorted(timed.keys() - {
             tt.name for tt in session.woven.base.timed_transitions if tt.guard is not None})
         if unknown:
             raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
-        outcome = invoke(session, p["call"])
-        return StepResult(step, _expectation_met(p, outcome), _describe(outcome), outcome)
-    if kind == "time":
-        if p["to"] < session.now:
-            return StepResult(step, False, f"time {p['to']} is before now={session.now}")
-        advance_time(session, p["to"])
-        return StepResult(step, True, f"now={session.now}")
-    if kind == "env":
-        session.env.update(p["bindings"])
-        return StepResult(step, True, "env updated")
-    if kind == "admin":
-        outcome = admin_call(session, p["action"], p["target"], p["sender"])
-        ok = outcome.executed == p["expect_ok"]
-        return StepResult(step, ok, _describe(outcome), outcome)
-    if kind == "assert":
-        if p["check"] == "state":
-            ok = session.current_state == p["value"]
-            return StepResult(step, ok, f"state={session.current_state}")
-        if p["check"] == "counter":
-            ok = session.transition_counter == p["value"]
-            return StepResult(step, ok, f"counter={session.transition_counter}")
-        ok = (p["actor"] in session.is_admin) == p["value"]
-        return StepResult(step, ok, f"admin({p['actor']})={p['actor'] in session.is_admin}")
-    raise AssertionError(f"unhandled step kind {kind}")
-
-
-def _expectation_met(p: dict, outcome: Outcome) -> bool:
-    if p["expect_ok"]:
-        return outcome.executed
-    if outcome.executed:
-        return False
-    return p["expect_reason"] is None or outcome.revert_reason == p["expect_reason"]
+        outcome = invoke(session, step.call)
+        ok = outcome.executed if step.expect_ok else (
+            not outcome.executed and step.expect_reason in (None, outcome.revert_reason))
+        return StepResult(step, ok, outcome)
+    if kind is Time:
+        if step.to < session.now:
+            return StepResult(step, False, None, f"time {step.to} is before now={session.now}")
+        advance_time(session, step.to)
+        return StepResult(step, True, None, f"now={session.now}")
+    if kind is Env:
+        session.env.update(step.bindings)
+        return StepResult(step, True, None, "env updated")
+    if kind is Admin:
+        outcome = admin_call(session, step.action, step.target, step.sender)
+        return StepResult(step, outcome.executed == step.expect_ok, outcome)
+    if step.check == "state":
+        seen = session.current_state
+    elif step.check == "counter":
+        seen = session.transition_counter
+    else:
+        seen = step.actor in session.is_admin
+    return StepResult(step, seen == step.value, None, f"{step.check}={seen}")
 
 
 def _describe(outcome: Outcome) -> str:
@@ -285,8 +282,10 @@ def run_scenario(woven: WovenContract, text: str,
     """
     steps = parse_scenario(text)
     session = new_session(woven, config)
-    report = Report()
-    for step in steps:
-        report.results.append(run_step(session, step))
-    report.final_snapshot = session.snapshot()
-    return report
+    results = []
+    try:
+        for step in steps:
+            results.append(_run_step(session, step))
+    except SimUsageError as exc:
+        raise ScenarioSyntaxError(step.line_no, str(exc)) from exc
+    return Report(results, session.snapshot())

@@ -154,6 +154,8 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
                  io_names: set[str]):
     path = f"timed_transitions[{index}]"
     _check_ends(out, path, tt, states)
+    if tt.time_offset_seconds >= 2**256:  # `creationTime + offset` is uint256 arithmetic
+        out.error("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
     fragments = [(f"{path}.guard", tt.guard.text, True)] if tt.guard is not None else []
     fragments += [(f"{path}.statements[{j}]", s.text, False) for j, s in enumerate(tt.statements)]
     for fpath, text, inline in fragments:

@@ -185,6 +185,98 @@ def test_sim_bad_scenario_syntax(auction_path, tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+HAPPY_STDOUT = """\
+   3 ok: call bid as alice n=0 expect ok -> Executed
+   4 ok: assert state=ABB -> state=ABB
+   5 ok: call close as alice n=1 expect revert:GuardFailed -> Reverted(GuardFailed)
+   6 ok: time 432000 -> now=432000
+   7 ok: call close as alice n=1 expect ok -> Executed
+   8 ok: assert state=RB -> state=RB
+   9 ok: call reveal as alice n=2 g0=true expect ok -> Executed
+  10 ok: time 864000 -> now=864000
+  11 ok: call finish as bob n=3 expect ok -> Executed
+  12 ok: assert state=F -> state=F
+  13 ok: call withdraw as alice n=4 expect ok -> Executed
+  14 ok: assert state=F -> state=F
+  15 ok: assert counter=5 -> counter=5
+final: {'state': 'F', 'counter': 5, 'admins': [], 'now': 864000}
+"""
+
+KINDS_FSM = """contract Kinds {
+    states { initial A; B; }
+    plugins { locking; timed; access; events; }
+    var private uint k;
+    transition go from A to B tags (event) { guard { k > 1 } }
+    transition back from B to A tags (admin) { }
+    transition stay from B to B { }
+    transition idle from A to A { }
+    timed late from B to A at 1 days { }
+}
+"""
+
+KINDS_SCN = """# every step kind
+env k=2 j=-1
+call go as alice reenter=go expect ok
+assert state=B
+call back as alice expect ok        # alice is no admin yet
+admin add alice by deployer expect ok
+admin add bob by mallory expect revert
+assert admin(alice)=true
+call back as alice expect ok
+call back as bob expect revert:Locked
+assert counter=0
+env k=0
+call go as bob expect revert:GuardFailed
+env k=5
+call go as bob expect ok
+time 100000
+call stay as bob expect ok
+call idle as bob expect ok
+assert state=A
+time 50
+admin remove alice by alice expect ok
+assert admin(bob)=true
+"""
+
+KINDS_STDOUT = """\
+   2 ok: env k=2 j=-1 -> env updated
+   3 ok: call go as alice reenter=go expect ok -> Executed events=['Eventgo'] probe=Reverted(Locked)
+   4 ok: assert state=B -> state=B
+   5 FAIL: call back as alice expect ok -> Reverted(NotAdmin)
+   6 ok: admin add alice by deployer expect ok -> Executed
+   7 ok: admin add bob by mallory expect revert -> Reverted(NotAdmin)
+   8 ok: assert admin(alice)=true -> admin(alice)=True
+   9 ok: call back as alice expect ok -> Executed
+  10 FAIL: call back as bob expect revert:Locked -> Reverted(NotAdmin)
+  11 ok: assert counter=0 -> counter=0
+  12 ok: env k=0 -> env updated
+  13 ok: call go as bob expect revert:GuardFailed -> Reverted(GuardFailed)
+  14 ok: env k=5 -> env updated
+  15 ok: call go as bob expect ok -> Executed events=['Eventgo']
+  16 ok: time 100000 -> now=100000
+  17 FAIL: call stay as bob expect ok -> Reverted(WrongState)
+  18 ok: call idle as bob expect ok -> Executed fired_timed=['late']
+  19 ok: assert state=A -> state=A
+  20 FAIL: time 50 -> time 50 is before now=100000
+  21 ok: admin remove alice by alice expect ok -> Executed
+  22 FAIL: assert admin(bob)=true -> admin(bob)=False
+final: {'state': 'A', 'counter': 0, 'admins': ['deployer'], 'now': 100000}
+"""
+
+
+def test_sim_stdout_is_pinned(auction_path, corpus_dir, tmp_path, capsys):
+    # Every step kind, a reverted reentry probe, wrong expectations and a
+    # time step that goes backwards, byte for byte.
+    assert main(["sim", auction_path, "--scenario",
+                 str(corpus_dir / "blind_auction_happy.scn")]) == 0
+    assert capsys.readouterr() == (HAPPY_STDOUT, "")
+    model, scn = tmp_path / "kinds.fsm", tmp_path / "kinds.scn"
+    model.write_text(KINDS_FSM)
+    scn.write_text(KINDS_SCN)
+    assert main(["sim", str(model), "--scenario", str(scn)]) == 1
+    assert capsys.readouterr() == (KINDS_STDOUT, "")
+
+
 def test_fmt_prints_canonical_form(auction_path, capsys):
     assert main(["fmt", auction_path]) == 0
     out = capsys.readouterr().out

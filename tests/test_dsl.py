@@ -161,6 +161,8 @@ def test_error_spans_point_at_the_source():
         (head + " transition t from A to B tags ( event ,  event ) { }\n}", "E_DUP_DECL", 4, 41),
         (head + " timed t from A to B at 5   # c\n fortnights { }\n}", "E_BAD_UNIT", 5, 2),
         (head + " transition t from A to B { guard # c\n x }\n}", "E_SYNTAX", 5, 2),
+        # A number takes ASCII digits only: `5٣` is no 53-second offset.
+        (head + " timed t from A to B at 5\u0663 seconds { }\n}", "E_SYNTAX", 4, 26),
     ]:
         with pytest.raises(ParseError) as exc:
             parse(text)

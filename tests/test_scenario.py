@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 from fsmforge.cli import main
 from fsmforge.dsl import emit_dsl, parse_dsl
 from fsmforge.scenario import (
+    Admin,
+    Assert,
+    Call,
+    Env,
     Report,
     ScenarioSyntaxError,
+    Time,
     parse_scenario,
     parse_step,
     run_scenario,
@@ -33,35 +38,48 @@ def test_parse_step_variants():
     assert parse_step(1, "   # just a comment") is None
     step = parse_step(1, "call bid as alice n=0 g0=true reenter=bid expect ok")
     assert step.kind == "call"
-    assert step.payload["transition"] == "bid"
-    assert step.payload["n"] == 0
-    assert step.payload["overrides"] == {0: True}
-    assert step.payload["timed"] == {}
-    assert step.payload["reenter"] == "bid"
-    assert step.payload["call"] == Invocation("bid", "alice", 0, {0: True}, {},
-                                              Invocation("bid", "alice"))
+    assert step.call == Invocation("bid", "alice", 0, {0: True}, {}, Invocation("bid", "alice"))
+    assert (step.expect_ok, step.expect_reason) == (True, None)
     step = parse_step(1, "call bid as alice reenter=bid reenter:g1=false reenter:g0=true expect ok")
-    assert step.payload["call"].reentry_probe.guard_overrides == {1: False, 0: True}
-    assert step.payload["call"].guard_overrides == {}
-    assert parse_step(1, "call bid as alice g١=true expect ok").payload["overrides"] == {1: True}
+    assert step.call.reentry_probe.guard_overrides == {1: False, 0: True}
+    assert step.call.guard_overrides == {}
+    assert parse_step(1, "call bid as alice g١=true expect ok").call.guard_overrides == {1: True}
     step = parse_step(1, "call stay as alice timed:tick=false timed:tock=true expect ok")
-    assert step.payload["timed"] == {"tick": False, "tock": True}
-    assert step.payload["expect_ok"] is True
+    assert step.call.timed_guard_overrides == {"tick": False, "tock": True}
+    assert step.call.reentry_probe is None
+    assert step.expect_ok is True
 
     step = parse_step(2, "call close as bob expect revert:WrongState")
-    assert step.payload["expect_ok"] is False
-    assert step.payload["expect_reason"] == RevertReason.WRONG_STATE
+    assert step.expect_ok is False
+    assert step.expect_reason == RevertReason.WRONG_STATE
+    assert parse_step(2, "call close as bob expect revert").expect_reason is None
 
     step = parse_step(3, "admin add alice by boss expect ok")
-    assert step.payload == {"action": "add", "target": "alice",
-                            "sender": "boss", "expect_ok": True}
+    assert (step.action, step.target, step.sender, step.expect_ok) == ("add", "alice", "boss", True)
 
-    assert parse_step(4, "time 42").payload == {"to": 42}
-    assert parse_step(5, "env k=3 j=-1").payload == {"bindings": {"k": 3, "j": -1}}
-    assert parse_step(6, "assert state=RB").payload == {"check": "state", "value": "RB"}
-    assert parse_step(7, "assert counter=5").payload == {"check": "counter", "value": 5}
-    assert parse_step(8, "assert admin(alice)=true").payload == {
-        "check": "admin", "actor": "alice", "value": True}
+    assert parse_step(4, "time 42").to == 42
+    assert parse_step(5, "env k=3 j=-1").bindings == {"k": 3, "j": -1}
+    step = parse_step(6, "assert state=RB")
+    assert (step.check, step.value, step.actor) == ("state", "RB", None)
+    step = parse_step(7, "assert counter=5")
+    assert (step.check, step.value, step.actor) == ("counter", 5, None)
+    step = parse_step(8, "assert admin(alice)=true")
+    assert (step.check, step.value, step.actor) == ("admin(alice)", True, "alice")
+
+
+@pytest.mark.parametrize("line, record, kind", [
+    ("call bid as alice n=0 expect ok  # note", Call, "call"),
+    ("time 42", Time, "time"),
+    ("env k=3", Env, "env"),
+    ("admin add alice by boss expect revert", Admin, "admin"),
+    ("assert counter=5", Assert, "assert"),
+])
+def test_each_step_kind_parses_to_its_record(line, record, kind):
+    step = parse_step(9, "  " + line)
+    assert type(step) is record and record.kind == step.kind == kind
+    assert (step.line_no, step.text) == (9, line.split("#")[0].strip())
+    assert [type(s) for s in parse_scenario(f"# head\n\n{line}\n")] == [record]
+    assert parse_scenario(f"\n{line}")[0].line_no == 2
 
 
 @pytest.mark.parametrize("bad", [
@@ -131,7 +149,7 @@ def test_a_parsed_script_runs_alike_in_fresh_sessions(auction):
     assert all(r.ok for r in runs[0][0]) and "probe=Reverted(Locked)" in runs[0][0][0].detail
     for step in steps:
         if step.kind == "call":
-            assert step.payload["call"] == parse_step(step.line_no, step.text).payload["call"]
+            assert step.call == parse_step(step.line_no, step.text).call
 
 
 def test_time_backwards_fails_the_step(auction):

@@ -56,6 +56,9 @@ FIXTURES = {
     "W_UNDECLARED_IDENT": model(
         transitions=(t(guards=(Fragment("mystery > 0", "expr"),)),)),
     "E_LINE_COMMENT": model(transitions=(t(guards=(Fragment("now > 5 // c", "expr"),)),)),
+    "E_BAD_OFFSET": model(
+        plugins=PluginConfig(timed=True),
+        timed_transitions=(TimedTransition("tt", "A", "B", 2**256),)),
 }
 
 
@@ -204,6 +207,23 @@ def test_line_comments_in_guards_and_types_are_refused():
                 diagnostics = validate(frontend)
                 assert [d.code for d in diagnostics] == want, (slot, comment)
                 assert [d.path for d in diagnostics] == [path] * len(want)
+
+
+def test_timed_offsets_must_fit_in_a_uint256():
+    # The generator writes `now >= creationTime + <offset>`, which Solidity
+    # refuses to compile for a literal past 2**256 - 1.
+    head = "contract M { states { initial A; B; } plugins { timed; } timed tt from A to B at "
+    for at, want in [("9" * 81 + " seconds", ["E_BAD_OFFSET"]),
+                     ("1" + "0" * 76 + " weeks", ["E_BAD_OFFSET"]),
+                     (f"{2**256 - 1}", []), ("52 weeks", [])]:
+        m = parse_dsl(head + at + " { } }")
+        for frontend in (m, parse_json(emit_json(m))):
+            diagnostics = validate(frontend)
+            assert [d.code for d in diagnostics] == want
+            assert [d.path for d in diagnostics] == ["timed_transitions[0]"] * len(want)
+        if not want:
+            offset = m.timed_transitions[0].time_offset_seconds
+            assert f"creationTime + {offset})" in generate(weave(m))
 
 
 def test_diagnostics_render(capsys):

@@ -11,7 +11,6 @@ from .guards import parse_guard_expr
 from .jsonio import emit_json, parse_json
 from .model import (
     ContractModel,
-    Fragment,
     Param,
     StructDef,
     TimedTransition,
@@ -40,7 +39,7 @@ from .weave import WovenContract, weave
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractModel", "Fragment", "Param", "PluginConfig", "StructDef",
+    "ContractModel", "Param", "PluginConfig", "StructDef",
     "TimedTransition", "Transition", "VariableDecl", "canonicalize",
     "Diagnostic", "SourceSpan", "has_errors",
     "ParseError", "parse_dsl", "emit_dsl", "parse_json", "emit_json",

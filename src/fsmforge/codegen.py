@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from .fragments import lex_fragment
 from .model import Transition
-from .plugins import BY_FIELD
-from .weave import WovenContract, guard_conjunction
+from .plugins import PLUGINS
+from .weave import WovenContract
 
 _INDENT = "    "
 # Lines of the generator's own code; the validator reserves the names they
@@ -24,15 +24,26 @@ def _emit_block(out: list[str], text: str, indent: int):
         out.append(pad + line if line else "")
 
 
+def guard_conjunction(t: Transition) -> str:
+    """Emitted guard require; empty when the transition has no guards."""
+    if not t.guards:
+        return ""
+    if len(t.guards) == 1:
+        return f"require({t.guards[0]});"
+    joined = " && ".join(f"({g})" for g in t.guards)
+    return f"require( {joined} );"
+
+
 def _emit_transition(out: list[str], woven: WovenContract, t: Transition):
     out.append(f"{_INDENT}//Transition {t.name}")
-    params = woven.injected_params.get(t.name, ()) + t.inputs
-    rendered = ", ".join(f"{p.type_text} {p.name}" for p in params)
-    out.append(f"{_INDENT}function {t.name}({rendered})")
+    chain = woven.chains.get(t.name, ())
+    params = [f"{type_text} {name}" for plugin in chain for name, type_text in plugin.params]
+    params += [f"{p.type_text} {p.name}" for p in t.inputs]
+    out.append(f"{_INDENT}function {t.name}({', '.join(params)})")
     if "payable" in t.tags:
         out.append(f"{_INDENT * 2}payable")
-    for modifier in woven.per_transition.get(t.name, ()):
-        out.append(f"{_INDENT * 2}{modifier}")
+    for plugin in chain:
+        out.append(f"{_INDENT * 2}{plugin.modifier.format(name=t.name)}")
     if t.outputs:
         returns = ", ".join(f"{p.type_text} {p.name}" for p in t.outputs)
         out.append(f"{_INDENT * 2}returns ({returns})")
@@ -47,7 +58,7 @@ def _emit_transition(out: list[str], woven: WovenContract, t: Transition):
     if t.statements:
         out.append(f"{_INDENT * 2}//Actions")
         for stmt in t.statements:
-            _emit_block(out, stmt.text, 2)
+            _emit_block(out, stmt, 2)
     if t.to_state != t.from_state:
         out.append(f"{_INDENT * 2}//State change")
         out.append(f"{_INDENT * 2}state = States.{t.to_state};")
@@ -69,16 +80,18 @@ def generate(woven: WovenContract) -> str:
     out.append(f"{_INDENT}//Variables definition")
     for struct in model.structs:
         out.append(f"{_INDENT}struct {struct.name} {{")
-        for type_text, member in struct.members:
-            out.append(f"{_INDENT * 2}{type_text} {member};")
+        for member in struct.members:
+            out.append(f"{_INDENT * 2}{member.type_text} {member.name};")
         out.append(f"{_INDENT}}}")
     for var in model.variables:
         out.append(f"{_INDENT}{var.type_text} {var.visibility} {var.name};")
     out.append(_INDENT + CREATION_TIME)
-    for plugin, decls in woven.contract_fragments:
-        out.append("")
-        out.append(f"{_INDENT}{BY_FIELD[plugin].banner}")
-        _emit_block(out, decls, 1)
+    for plugin in PLUGINS:
+        decls = getattr(model.plugins, plugin.field) and plugin.decls(model)
+        if decls:
+            out.append("")
+            out.append(f"{_INDENT}{plugin.banner}")
+            _emit_block(out, decls, 1)
     out.append("")
     out.append(f"{_INDENT}//Transitions")
     for i, t in enumerate(model.transitions):

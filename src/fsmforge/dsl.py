@@ -14,7 +14,6 @@ from .fragments import COMMENT, STRING, SourceText
 from .model import (
     TIME_UNITS,
     ContractModel,
-    Fragment,
     Param,
     StructDef,
     TimedTransition,
@@ -28,6 +27,7 @@ IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a na
 # Whitespace and `#` comments: every move of the cursor skips what follows.
 _GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
 _SKIP = re.compile(_GAP)
+_LINE_COMMENT = re.compile(r"[ \t]*#[^\n]*")  # with the blanks before it
 _WORD = re.compile(rf"({IDENT.pattern}){_GAP}")
 _NUMBER = re.compile(rf"([0-9]+){_GAP}")
 # Inside a fragment only braces count; strings and comments are skipped
@@ -180,9 +180,11 @@ def _scan_typed_decl(cur: _Cursor, terminators: str, what: str) -> tuple[str, st
         i += 1
     if i >= n:
         cur.fail("E_SYNTAX", f"unterminated {what}", start)
-    slice_text = text[start:i].strip()
+    slice_text = text[start:i]
+    if "#" in slice_text:  # the comments stepped over above are not part of the type
+        slice_text = _LINE_COMMENT.sub("", slice_text)
     cur.i = i
-    return _split_type_and_name(cur, slice_text, start, what)
+    return _split_type_and_name(cur, slice_text.strip(), start, what)
 
 
 def _parse_param_list(cur: _Cursor, what: str) -> tuple[Param, ...]:
@@ -249,15 +251,15 @@ def _parse_plugins(cur: _Cursor) -> PluginConfig:
 def _parse_struct(cur: _Cursor) -> StructDef:
     name = cur.expect_ident("struct name")
     cur.expect_punct("{")
-    members: dict[str, str] = {}  # member -> type text, in order
+    members: dict[str, Param] = {}  # by name, in order
     while not cur.try_punct("}"):
         pos = cur.i
         type_text, member = _scan_typed_decl(cur, ";", "struct member")
         cur.expect_punct(";")
         if member in members:
             cur.fail("E_DUP_DECL", f"duplicate struct member '{member}'", pos)
-        members[member] = type_text
-    return StructDef(name=name, members=tuple((t, m) for m, t in members.items()))
+        members[member] = Param(name=member, type_text=type_text)
+    return StructDef(name=name, members=tuple(members.values()))
 
 
 def _parse_var(cur: _Cursor) -> VariableDecl:
@@ -294,8 +296,8 @@ def _parse_transition(cur: _Cursor) -> Transition:
     inputs: tuple[Param, ...] | None = None
     outputs: tuple[Param, ...] | None = None
     locals_: tuple[Param, ...] | None = None
-    guards: list[Fragment] = []
-    statements: list[Fragment] = []
+    guards: list[str] = []
+    statements: list[str] = []
     while not cur.try_punct("}"):
         pos = cur.i
         word = cur.read_word()
@@ -312,9 +314,9 @@ def _parse_transition(cur: _Cursor) -> Transition:
                 cur.fail("E_DUP_DECL", "duplicate 'locals' section", pos)
             locals_ = _parse_param_list(cur, "local declaration")
         elif word == "guard":
-            guards.append(Fragment(_scan_fragment(cur), kind="expr"))
+            guards.append(_scan_fragment(cur))
         elif word == "action":
-            statements.append(Fragment(_scan_fragment(cur), kind="stmt"))
+            statements.append(_scan_fragment(cur))
         else:
             cur.fail("E_SYNTAX", "expected input/output/locals/guard/action or '}'", pos)
     return Transition(
@@ -346,17 +348,17 @@ def _parse_timed(cur: _Cursor) -> TimedTransition:
             cur.fail("E_BAD_UNIT", f"unknown time unit '{unit_word}'", pos)
         seconds = value * TIME_UNITS[unit_word]
     cur.expect_punct("{")
-    guard: Fragment | None = None
-    statements: list[Fragment] = []
+    guard: str | None = None
+    statements: list[str] = []
     while not cur.try_punct("}"):
         pos = cur.i
         word = cur.read_word()
         if word == "guard":
             if guard is not None:
                 cur.fail("E_DUP_DECL", "timed transition allows a single guard", pos)
-            guard = Fragment(_scan_fragment(cur), kind="expr")
+            guard = _scan_fragment(cur)
         elif word == "action":
-            statements.append(Fragment(_scan_fragment(cur), kind="stmt"))
+            statements.append(_scan_fragment(cur))
         else:
             cur.fail("E_SYNTAX", "expected guard/action or '}'", pos)
     return TimedTransition(
@@ -428,14 +430,14 @@ def parse_dsl(text: str, file: str = "<input>") -> ContractModel:
 _INDENT = "    "
 
 
-def _emit_fragment(out: list[str], keyword: str, fragment: Fragment, indent: int):
+def _emit_fragment(out: list[str], keyword: str, fragment: str, indent: int):
     pad = _INDENT * indent
-    if "\n" not in fragment.text and "//" not in fragment.text:
-        out.append(f"{pad}{keyword} {{ {fragment.text} }}")
+    if "\n" not in fragment and "//" not in fragment:
+        out.append(f"{pad}{keyword} {{ {fragment} }}")
         return
     out.append(f"{pad}{keyword} {{")
     inner = _INDENT * (indent + 1)
-    for line in fragment.text.split("\n"):
+    for line in fragment.split("\n"):
         out.append(inner + line if line else "")
     out.append(f"{pad}}}")
 
@@ -463,8 +465,8 @@ def emit_dsl(model: ContractModel) -> str:
         out.append(f"{_INDENT}}}")
     for struct in model.structs:
         out.append(f"{_INDENT}struct {struct.name} {{")
-        for type_text, member in struct.members:
-            out.append(f"{_INDENT * 2}{type_text} {member};")
+        for member in struct.members:
+            out.append(f"{_INDENT * 2}{member.type_text} {member.name};")
         out.append(f"{_INDENT}}}")
     for var in model.variables:
         out.append(f"{_INDENT}var {var.visibility} {var.type_text} {var.name};")

@@ -8,7 +8,6 @@ from .diagnostics import Diagnostic
 from .dsl import ParseError
 from .model import (
     ContractModel,
-    Fragment,
     Param,
     StructDef,
     TimedTransition,
@@ -51,16 +50,17 @@ def _str_list(value: Any, path: str) -> list[str]:
     return value
 
 
-def _typed_name(item: Any, path: str) -> tuple[str, str]:
-    obj = _check_keys(item, {"name", "type"}, path)
-    return _str(obj["type"], path), _str(obj["name"], path)
-
-
 def _params(value: Any, path: str) -> tuple[Param, ...]:
+    """A list of `{"name", "type"}` objects: parameters, locals or struct members."""
     if not isinstance(value, list):
         raise _shape_error("expected a list", path)
-    pairs = [_typed_name(item, f"{path}[{i}]") for i, item in enumerate(value)]
-    return tuple(Param(name=name, type_text=type_text) for type_text, name in pairs)
+    params = []
+    for i, item in enumerate(value):
+        item_path = f"{path}[{i}]"
+        obj = _check_keys(item, {"name", "type"}, item_path)
+        type_text = _str(obj["type"], item_path)
+        params.append(Param(name=_str(obj["name"], item_path), type_text=type_text))
+    return tuple(params)
 
 
 def parse_json(text: str, file: str = "<input>") -> ContractModel:
@@ -95,10 +95,8 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
     for i, item in enumerate(top["structs"]):
         path = f"structs[{i}]"
         obj = _check_keys(item, {"name", "members"}, path)
-        if not isinstance(obj["members"], list):
-            raise _shape_error("expected a list", f"{path}.members")
-        members = [_typed_name(m, f"{path}.members[{j}]") for j, m in enumerate(obj["members"])]
-        structs.append(StructDef(name=_str(obj["name"], path), members=tuple(members)))
+        members = _params(obj["members"], f"{path}.members")
+        structs.append(StructDef(name=_str(obj["name"], path), members=members))
     transitions = []
     if not isinstance(top["transitions"], list):
         raise _shape_error("expected a list", "transitions")
@@ -113,9 +111,8 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
             inputs=_params(obj["inputs"], f"{path}.inputs"),
             outputs=_params(obj["outputs"], f"{path}.outputs"),
             locals=_params(obj["locals"], f"{path}.locals"),
-            guards=tuple(Fragment(g, "expr") for g in _str_list(obj["guards"], f"{path}.guards")),
-            statements=tuple(Fragment(s, "stmt")
-                             for s in _str_list(obj["statements"], f"{path}.statements")),
+            guards=tuple(_str_list(obj["guards"], f"{path}.guards")),
+            statements=tuple(_str_list(obj["statements"], f"{path}.statements")),
         ))
     timed = []
     if not isinstance(top["timed"], list):
@@ -134,9 +131,8 @@ def parse_json(text: str, file: str = "<input>") -> ContractModel:
             from_state=_str(obj["from"], path),
             to_state=_str(obj["to"], path),
             time_offset_seconds=at,
-            guard=None if guard is None else Fragment(guard, "expr"),
-            statements=tuple(Fragment(s, "stmt")
-                             for s in _str_list(obj["statements"], f"{path}.statements")),
+            guard=guard,
+            statements=tuple(_str_list(obj["statements"], f"{path}.statements")),
         ))
     plugins_obj = _check_keys(top["plugins"], {p.field for p in PLUGINS}, "plugins")
     for key, value in plugins_obj.items():
@@ -170,22 +166,20 @@ def emit_json(model: ContractModel) -> str:
         ],
         "structs": [
             {"name": s.name,
-             "members": [{"name": n, "type": t} for t, n in s.members]}
+             "members": params(s.members)}
             for s in model.structs
         ],
         "transitions": [
             {"name": t.name, "from": t.from_state, "to": t.to_state,
              "tags": list(t.tags), "inputs": params(t.inputs),
              "outputs": params(t.outputs), "locals": params(t.locals),
-             "guards": [g.text for g in t.guards],
-             "statements": [s.text for s in t.statements]}
+             "guards": list(t.guards), "statements": list(t.statements)}
             for t in model.transitions
         ],
         "timed": [
             {"name": tt.name, "from": tt.from_state, "to": tt.to_state,
              "atSeconds": tt.time_offset_seconds,
-             "guard": None if tt.guard is None else tt.guard.text,
-             "statements": [s.text for s in tt.statements]}
+             "guard": tt.guard, "statements": list(tt.statements)}
             for tt in model.timed_transitions
         ],
         "plugins": {p.field: getattr(model.plugins, p.field) for p in PLUGINS},

@@ -1,7 +1,9 @@
 """In-memory representation of a contract FSM.
 
-All model values are immutable dataclasses; `canonicalize` returns a new
-model with the timed transitions stably sorted by their firing offset.
+All model values are immutable dataclasses of plain data. A guard or an
+action is its verbatim Solidity text, a `str`; every typed name (a
+parameter, a local, a struct member) is a `Param`. `canonicalize` returns a
+new model with the timed transitions stably sorted by their firing offset.
 """
 from __future__ import annotations
 
@@ -22,16 +24,8 @@ TIME_UNITS = {
 
 
 @dataclass(frozen=True)
-class Fragment:
-    """Verbatim Solidity source carried through the pipeline untouched."""
-
-    text: str
-    kind: str = "stmt"  # "expr" | "stmt"
-
-
-@dataclass(frozen=True)
 class Param:
-    """A transition input, output or local: its name and type text."""
+    """A typed name: a transition input, output or local, or a struct member."""
 
     name: str
     type_text: str
@@ -51,7 +45,7 @@ class StructDef:
     """A struct declaration and its members."""
 
     name: str
-    members: tuple[tuple[str, str], ...] = ()  # (type_text, name)
+    members: tuple[Param, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -61,11 +55,11 @@ class Transition:
     name: str
     from_state: str
     to_state: str
-    guards: tuple[Fragment, ...] = ()
+    guards: tuple[str, ...] = ()  # Solidity expressions
     inputs: tuple[Param, ...] = ()
     outputs: tuple[Param, ...] = ()
     locals: tuple[Param, ...] = ()
-    statements: tuple[Fragment, ...] = ()
+    statements: tuple[str, ...] = ()  # Solidity statements
     tags: tuple[str, ...] = ()
 
 
@@ -77,8 +71,8 @@ class TimedTransition:
     from_state: str
     to_state: str
     time_offset_seconds: int
-    guard: Optional[Fragment] = None
-    statements: tuple[Fragment, ...] = ()
+    guard: Optional[str] = None
+    statements: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)

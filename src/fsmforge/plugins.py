@@ -8,8 +8,9 @@ modifier. `PLUGINS` lists the entries in declaration order; `CHAIN` lists
 them in the order their modifiers wrap a transition, outermost first:
 locking, timedTransitions, transitionCounting, onlyAdmin, then the
 per-transition event modifier. `weave` stores `chain(config, t)` for each
-transition, and the generator and the simulator both walk that stored
-tuple, so they cannot disagree on the order.
+transition in `WovenContract.chains`. The generator writes each modifier
+and injected parameter from that stored tuple, and the simulator runs its
+steps from the same tuple, so the two cannot disagree on the order.
 """
 from __future__ import annotations
 
@@ -106,10 +107,10 @@ def timed_transition_block(tt: TimedTransition) -> str:
         head.append(clause + ") {")
     else:
         head.append(clause)
-        head.append(f"    && ({tt.guard.text})) {{")
+        head.append(f"    && ({tt.guard})) {{")
     body = []
     for stmt in tt.statements:
-        body.extend("    " + ln if ln else "" for ln in stmt.text.split("\n"))
+        body.extend("    " + ln if ln else "" for ln in stmt.split("\n"))
     body.append(f"    state = States.{tt.to_state};")
     return "\n".join(head + body + ["}"])
 

@@ -253,8 +253,9 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
         seen = session.current_state
     elif step.check == "counter":
         seen = session.transition_counter
-    else:
+    else:  # `true`/`false` as a script writes them, so the note reads back as an assert
         seen = step.actor in session.is_admin
+        return StepResult(step, seen == step.value, None, f"{step.check}={str(seen).lower()}")
     return StepResult(step, seen == step.value, None, f"{step.check}={seen}")
 
 

@@ -1,11 +1,13 @@
 """Abstract execution of a woven contract.
 
-Runs the modifier chain and transition body semantics (state requires,
-guard conjunction, lock, counter, admin set, timed firing) on the session
-itself. The fields a call can change (state, lock, counter) are saved
-before each call and restored when the call reverts or raises, so a
-reverted call leaves the session untouched, mirroring transactional rollback. Statement fragments are opaque and never
-executed; the modeled effect of a transition is its state change.
+Runs each transition's woven chain (`WovenContract.chains`, the tuple the
+generator writes its modifiers from) and the transition body semantics
+(state requires, guard conjunction, lock, counter, admin set, timed firing)
+on the session itself. The fields a call can change (state, lock, counter)
+are saved before each call and restored when the call reverts or raises, so
+a reverted call leaves the session untouched, mirroring transactional
+rollback. Statement fragments are opaque and never executed; the modeled
+effect of a transition is its state change.
 
 Guards are parsed once per contract, into the woven contract's `sim_plan`:
 a transition's on its first call, the timed transitions' on the first timed
@@ -110,7 +112,6 @@ class SimSession:
     locked: bool = False
     transition_counter: int = 0
     is_admin: frozenset[str] = frozenset()
-    num_admins: int = 0
     env: dict[str, int] = field(default_factory=dict)
     log: list[tuple[Invocation, Outcome]] = field(default_factory=list)
 
@@ -138,7 +139,6 @@ def new_session(woven: WovenContract, config: SimConfig = SimConfig()) -> SimSes
     )
     if model.plugins.access_control:
         session.is_admin = frozenset({config.deployer})
-        session.num_admins = 1
     return session
 
 
@@ -226,7 +226,7 @@ def _entry(woven: WovenContract, name: str):
             return None  # not cached: unknown names must not grow the plan
         chain = woven.chains[name]
         entry = woven.sim_plan[name] = (
-            t, chain, tuple(g.parse_guard_expr(x.text) for x in t.guards),
+            t, chain, tuple(g.parse_guard_expr(x) for x in t.guards),
             Outcome(executed=True, events=(f"Event{t.name}",)) if EVENTS in chain else _EXECUTED)
     return entry
 
@@ -237,7 +237,7 @@ def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
     timed = plan.get(_TIMED)
     if timed is None:
         timed = plan[_TIMED] = tuple(
-            (tt, None if tt.guard is None else g.parse_guard_expr(tt.guard.text))
+            (tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
             for tt in session.woven.base.timed_transitions)
     fired: list[str] = []
     for tt, ast in timed:
@@ -359,12 +359,10 @@ def admin_call(session: SimSession, action: str, target: str, sender: str) -> Ou
         if target in session.is_admin:
             return _revert(RevertReason.GUARD_FAILED)
         session.is_admin = session.is_admin | {target}
-        session.num_admins += 1
     else:
         if target not in session.is_admin:
             return _revert(RevertReason.GUARD_FAILED)
-        if session.num_admins <= 1:
+        if len(session.is_admin) <= 1:  # the contract keeps at least one admin
             return _revert(RevertReason.GUARD_FAILED)
         session.is_admin = session.is_admin - {target}
-        session.num_admins -= 1
     return _EXECUTED

@@ -141,13 +141,13 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
     own_names = {p.name for p in t.inputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
-        tokens = _check_fragment(out, gpath, guard.text, lex=True, inline=True)
+        tokens = _check_fragment(out, gpath, guard, lex=True, inline=True)
         for name in sorted(_free_identifiers(tokens) - own_names - declared_guard_names
                            - _GUARD_BUILTINS):
             out.warn("W_UNDECLARED_IDENT", gpath,
                      f"guard references undeclared identifier '{name}'")
     for j, stmt in enumerate(t.statements):
-        _check_fragment(out, f"{path}.statements[{j}]", stmt.text)
+        _check_fragment(out, f"{path}.statements[{j}]", stmt)
 
 
 def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[str],
@@ -156,8 +156,8 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
     _check_ends(out, path, tt, states)
     if tt.time_offset_seconds >= 2**256:  # `creationTime + offset` is uint256 arithmetic
         out.error("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
-    fragments = [(f"{path}.guard", tt.guard.text, True)] if tt.guard is not None else []
-    fragments += [(f"{path}.statements[{j}]", s.text, False) for j, s in enumerate(tt.statements)]
+    fragments = [(f"{path}.guard", tt.guard, True)] if tt.guard is not None else []
+    fragments += [(f"{path}.statements[{j}]", s, False) for j, s in enumerate(tt.statements)]
     for fpath, text, inline in fragments:
         tokens = _check_fragment(out, fpath, text, lex=True, inline=inline)
         for name in sorted(_free_identifiers(tokens) & io_names):
@@ -192,9 +192,9 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     for i, struct in enumerate(model.structs):
         out.declare(contract, f"structs[{i}]", "struct", struct.name, generated)
         members: dict[str, str] = {}
-        for j, (type_text, member) in enumerate(struct.members):
-            out.declare(members, f"structs[{i}].members[{j}]", "struct member", member)
-            _check_fragment(out, f"structs[{i}].members[{j}]", type_text, inline=True)
+        for j, member in enumerate(struct.members):
+            out.declare(members, f"structs[{i}].members[{j}]", "struct member", member.name)
+            _check_fragment(out, f"structs[{i}].members[{j}]", member.type_text, inline=True)
 
     declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
     for i, t in enumerate(model.transitions):

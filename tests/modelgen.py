@@ -7,7 +7,6 @@ from dataclasses import replace
 
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     Param,
     PluginConfig,
     StructDef,
@@ -67,7 +66,7 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
         StructDef(
             name=f"Rec{i}",
             members=tuple(
-                (rng.choice(SIMPLE_TYPES), f"m{j}") for j in range(rng.randint(1, 3))
+                Param(f"m{j}", rng.choice(SIMPLE_TYPES)) for j in range(rng.randint(1, 3))
             ),
         )
         for i in range(rng.randint(0, 2))
@@ -101,16 +100,14 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
             name=f"t{i}",
             from_state=from_state,
             to_state=to_state,
-            guards=tuple(Fragment(guard_text(), "expr")
-                         for _ in range(rng.randint(0, 2))),
+            guards=tuple(guard_text() for _ in range(rng.randint(0, 2))),
             inputs=tuple(Param(f"in{j}", rng.choice(SIMPLE_TYPES))
                          for j in range(rng.randint(0, 2))),
             outputs=tuple(Param(f"out{j}", rng.choice(SIMPLE_TYPES))
                           for j in range(rng.randint(0, 1))),
             locals=tuple(Param(f"lc{j}", rng.choice(SIMPLE_TYPES))
                          for j in range(rng.randint(0, 2))),
-            statements=tuple(Fragment(rng.choice(_STMT_POOL), "stmt")
-                             for _ in range(rng.randint(0, 2))),
+            statements=tuple(rng.choice(_STMT_POOL) for _ in range(rng.randint(0, 2))),
             tags=tuple(tags),
         ))
 
@@ -122,8 +119,8 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
                 from_state=rng.choice(states),
                 to_state=rng.choice(states),
                 time_offset_seconds=rng.randint(0, 10) * 86400,
-                guard=Fragment(guard_text(), "expr") if rng.random() < 0.6 else None,
-                statements=tuple(Fragment(f"{rng.choice(var_names)} = 0;", "stmt")
+                guard=guard_text() if rng.random() < 0.6 else None,
+                statements=tuple(f"{rng.choice(var_names)} = 0;"
                                  for _ in range(rng.randint(0, 1))),
             ))
 
@@ -207,7 +204,7 @@ def hostile_model(rng: random.Random) -> ContractModel:
             i = rng.randrange(len(m.structs))
             members = m.structs[i].members
             j = rng.randrange(len(members))
-            struct = replace(m.structs[i], members=_at(members, j, (members[j][0], new)))
+            struct = replace(m.structs[i], members=_at(members, j, replace(members[j], name=new)))
             m = replace(m, structs=_at(m.structs, i, struct))
         elif kind == "transition":
             m = replace(m, transitions=_renamed(rng, m.transitions, new))
@@ -310,7 +307,7 @@ class ReferenceFsm:
         if self.state != t.from_state:
             return False
         for guard in t.guards:
-            if not self._guard_holds(guard.text):
+            if not self._guard_holds(guard):
                 return False
         if self.model.plugins.counter:
             self.counter += 1

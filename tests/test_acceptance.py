@@ -27,7 +27,6 @@ from fsmforge.dsl import emit_dsl, parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     PluginConfig,
     TimedTransition,
     Transition,
@@ -134,9 +133,9 @@ def test_criterion_2_plugin_free_snippets(corpus_dir):
     model = replace(model, plugins=PluginConfig())
     # The snippet presentation of bid shows only the push statement.
     bid = model.transitions[0]
-    push_only = bid.statements[0].text.rsplit("\n", 1)[0]
+    push_only = bid.statements[0].rsplit("\n", 1)[0]
     model = replace(model, transitions=(
-        replace(bid, statements=(Fragment(push_only, "stmt"),)),
+        replace(bid, statements=(push_only,)),
         *model.transitions[1:]))
     source = generate(weave(model))
 
@@ -302,15 +301,14 @@ def test_criterion_4_simulator_properties():
         for _ in range(12):
             admin_call(session, rng.choice(["add", "remove"]),
                        rng.choice(people), rng.choice(people))
-            assert session.num_admins >= 1
-            assert len(session.is_admin) == session.num_admins
+            assert len(session.is_admin) >= 1
 
     # exhaustive: all call sequences of length <= 5 against a reference FSM
     ref_model = ContractModel(
         name="X", states=("A", "B", "C"), initial_state="A",
         transitions=(
             Transition("ab", "A", "B"),
-            Transition("bc", "B", "C", guards=(Fragment("k > 0", "expr"),)),
+            Transition("bc", "B", "C", guards=("k > 0",)),
             Transition("ca", "C", "A"),
             Transition("aa", "A", "A"),
         ))

@@ -245,7 +245,7 @@ KINDS_STDOUT = """\
    5 FAIL: call back as alice expect ok -> Reverted(NotAdmin)
    6 ok: admin add alice by deployer expect ok -> Executed
    7 ok: admin add bob by mallory expect revert -> Reverted(NotAdmin)
-   8 ok: assert admin(alice)=true -> admin(alice)=True
+   8 ok: assert admin(alice)=true -> admin(alice)=true
    9 ok: call back as alice expect ok -> Executed
   10 FAIL: call back as bob expect revert:Locked -> Reverted(NotAdmin)
   11 ok: assert counter=0 -> counter=0
@@ -259,7 +259,7 @@ KINDS_STDOUT = """\
   19 ok: assert state=A -> state=A
   20 FAIL: time 50 -> time 50 is before now=100000
   21 ok: admin remove alice by alice expect ok -> Executed
-  22 FAIL: assert admin(bob)=true -> admin(bob)=False
+  22 FAIL: assert admin(bob)=true -> admin(bob)=false
 final: {'state': 'A', 'counter': 0, 'admins': ['deployer'], 'now': 100000}
 """
 

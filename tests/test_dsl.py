@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmforge.dsl import ParseError, _clean_fragment, emit_dsl, parse_dsl
-from fsmforge.model import Fragment, Param, PluginConfig
+from fsmforge.model import Param, PluginConfig
+from fsmforge.validate import validate
 from modelgen import random_model
 
 
@@ -50,8 +51,8 @@ def test_full_transition_sections():
     assert t.inputs == (Param("x", "uint"), Param("y", "bytes32"))
     assert t.outputs == (Param("z", "uint"),)
     assert t.locals == (Param("w", "uint"),)
-    assert [g.text for g in t.guards] == ["x > 0", "y != 0"]
-    assert t.statements == (Fragment("z = x;", "stmt"),)
+    assert t.guards == ("x > 0", "y != 0")
+    assert t.statements == ("z = x;",)
     assert t.tags == ("payable",)
 
 
@@ -108,7 +109,7 @@ def test_fragment_capture_preserves_relative_indent():
         }
     }
     """)
-    assert model.transitions[0].statements[0].text == "if (x) {\n    y = 1;\n}"
+    assert model.transitions[0].statements[0] == "if (x) {\n    y = 1;\n}"
 
 
 def test_hash_is_literal_inside_fragments():
@@ -120,7 +121,7 @@ def test_hash_is_literal_inside_fragments():
         }
     }
     """)
-    assert model.transitions[0].statements[0].text == 's = "#1";'
+    assert model.transitions[0].statements[0] == 's = "#1";'
 
 
 def _expect_code(text, code):
@@ -198,6 +199,48 @@ def test_emit_is_idempotent(corpus_dir):
         assert emit_dsl(parse_dsl(once)) == once
 
 
+def test_comments_in_typed_declarations_round_trip():
+    # A `#` comment inside a typed declaration, also one after the name, is
+    # skipped like any other comment: it stays out of the type text, and the
+    # emitted text parses back to the same model.
+    commented = parse("""
+    contract M {
+        states { initial A; }
+        struct S { uint # the count
+            n; mapping(address # key
+            => uint) m # after the name
+            ; }
+        var public uint # the count
+            total;
+        transition t from A to A {
+            input (uint # amount
+                x, bool y # a flag
+            );
+            output (uint # out
+                o);
+            locals (uint # scratch
+                l);
+        }
+    }
+    """)
+    plain = parse("""
+    contract M {
+        states { initial A; }
+        struct S { uint n; mapping(address
+            => uint) m; }
+        var public uint total;
+        transition t from A to A {
+            input (uint x, bool y);
+            output (uint o);
+            locals (uint l);
+        }
+    }
+    """)
+    assert commented == plain
+    assert parse_dsl(emit_dsl(commented)) == commented
+    assert validate(commented) == []
+
+
 def test_random_models_round_trip():
     rng = random.Random(1234)
     for _ in range(100):
@@ -254,7 +297,7 @@ def _named(m, section, word):
     return {
         "contract": lambda: replace(m, name=word),
         "struct": lambda: replace(m, structs=(replace(s, name=word),)),
-        "member": lambda: replace(m, structs=(replace(s, members=(("uint", word),)),)),
+        "member": lambda: replace(m, structs=(replace(s, members=(Param(word, "uint"),)),)),
         "variable": lambda: replace(m, variables=(replace(m.variables[0], name=word),)),
         "transition": lambda: replace(m, transitions=(replace(t, name=word),)),
         "input": lambda: replace(m, transitions=(replace(t, inputs=(Param(word, "uint"),)),)),

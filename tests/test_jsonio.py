@@ -108,7 +108,7 @@ def test_timed_sorted_on_parse():
     }
     model = parse_json(json.dumps(data))
     assert [t.name for t in model.timed_transitions] == ["early", "late"]
-    assert model.timed_transitions[0].guard.text == "x > 0"
+    assert model.timed_transitions[0].guard == "x > 0"
 
 
 def test_json_names_must_be_identifiers(corpus_dir):

@@ -4,7 +4,6 @@ import pytest
 
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     PluginConfig,
     TimedTransition,
     canonicalize,
@@ -55,11 +54,11 @@ def test_fragment_text_compared_verbatim():
     a = make([])
     b = ContractModel(name="M", states=("A", "B"), initial_state="A",
                       timed_transitions=(TimedTransition(
-                          "t", "A", "B", 1, guard=Fragment("a  >  b", "expr")),),
+                          "t", "A", "B", 1, guard="a  >  b"),),
                       plugins=PluginConfig(timed=True))
     c = ContractModel(name="M", states=("A", "B"), initial_state="A",
                       timed_transitions=(TimedTransition(
-                          "t", "A", "B", 1, guard=Fragment("a > b", "expr")),),
+                          "t", "A", "B", 1, guard="a > b"),),
                       plugins=PluginConfig(timed=True))
     assert b != c
     assert a != b

@@ -196,6 +196,27 @@ def test_admin_steps(corpus_dir):
     assert report.ok, [r.detail for r in report.results if not r.ok]
 
 
+def test_an_assert_note_reads_back_as_the_assert_it_reports(corpus_dir):
+    # `sim` prints each assert's note; pasted after `assert `, it must parse
+    # to the same check, and hold on the session it was read from.
+    woven = weave(parse_dsl((corpus_dir / "voting.fsm").read_text()))
+    session = new_session(woven, SimConfig())
+    asserts = 0
+    for step in parse_scenario("\n".join([
+        "assert admin(deployer)=true", "assert admin(bob)=true", "assert state=Closed",
+        "admin add alice by deployer expect ok", "assert admin(alice)=false",
+        "assert counter=3", "admin remove deployer by alice expect ok",
+        "assert admin(deployer)=false", "assert state=Setup", "assert counter=0",
+    ])):
+        result = run_step(session, step)
+        if isinstance(step, Assert):
+            asserts += 1
+            echo = parse_step(step.line_no, "assert " + result.note)
+            assert echo.check == step.check, result.note
+            assert run_step(session, echo).ok, result.note
+    assert asserts == 8
+
+
 def test_step_the_simulator_refuses_raises_with_its_line(auction):
     with pytest.raises(ScenarioSyntaxError) as exc:
         run_scenario(auction, "time 1\ncall bid as alice expect ok\n")  # no n= on a counter model

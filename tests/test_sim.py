@@ -8,7 +8,6 @@ import pytest
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     PluginConfig,
     TimedTransition,
     Transition,
@@ -44,7 +43,7 @@ def build(transitions, timed_transitions=(), **plugin_flags):
 
 
 def t(name, frm, to, guard=None, tags=()):
-    guards = (Fragment(guard, "expr"),) if guard else ()
+    guards = (guard,) if guard else ()
     return Transition(name, frm, to, guards=guards, tags=tuple(tags))
 
 
@@ -218,11 +217,11 @@ def test_admin_management():
     assert admin_call(s, "add", "alice", "mallory").revert_reason == RevertReason.NOT_ADMIN
     assert admin_call(s, "add", "boss", "boss").revert_reason == RevertReason.GUARD_FAILED
     assert admin_call(s, "add", "alice", "boss").executed
-    assert s.num_admins == 2
+    assert len(s.is_admin) == 2
     assert admin_call(s, "remove", "mallory", "boss").revert_reason == RevertReason.GUARD_FAILED
     assert admin_call(s, "remove", "boss", "alice").executed
     assert admin_call(s, "remove", "alice", "alice").revert_reason == RevertReason.GUARD_FAILED
-    assert s.num_admins == 1
+    assert len(s.is_admin) == 1
 
 
 def test_admin_call_requires_plugin():
@@ -255,7 +254,7 @@ def timed_chain(guard_bc=None):
         timed_transitions=[
             TimedTransition("ab", "A", "B", 100),
             TimedTransition("bc", "B", "C", 200,
-                            guard=Fragment(guard_bc, "expr") if guard_bc else None),
+                            guard=guard_bc or None),
         ],
         timed=True,
     )
@@ -343,12 +342,12 @@ def test_timed_guard_division_by_zero_reverts_and_is_logged():
 
 def test_revert_reason_comes_from_the_outer_failing_check():
     # Each call fails two checks. The reason must be that of the check the
-    # generated code runs first: the outer modifier in per_transition, with
+    # generated code runs first: the outer modifier in the woven chain, with
     # the body's state check innermost.
-    tick = TimedTransition("tick", "A", "C", 0, guard=Fragment("votes[msg.sender] > 0", "expr"))
+    tick = TimedTransition("tick", "A", "C", 0, guard="votes[msg.sender] > 0")
     woven = build([t("go", "A", "B", tags=("admin",))], [tick],
                   locking=True, timed=True, counter=True, access_control=True)
-    order = woven.per_transition["go"] + ("body",)
+    order = tuple(p.modifier.format(name="go") for p in woven.chains["go"]) + ("body",)
     reason = {
         "timedTransitions": RevertReason.MISSING_OVERRIDE,
         "transitionCounting(nextTransitionNumber)": RevertReason.COUNTER_MISMATCH,
@@ -437,8 +436,8 @@ def test_steady_state_does_no_parsing(monkeypatch):
         return parse_guard_expr(text)
 
     monkeypatch.setattr("fsmforge.guards.parse_guard_expr", counting)
-    go = Transition("go", "A", "A", guards=(Fragment("k > 0", "expr"), Fragment("k < 9", "expr")))
-    tick = TimedTransition("tick", "A", "B", 100, guard=Fragment("k >= 2", "expr"))
+    go = Transition("go", "A", "A", guards=("k > 0", "k < 9"))
+    tick = TimedTransition("tick", "A", "B", 100, guard="k >= 2")
     woven = build([go, t("bb", "B", "B")], [tick], timed=True)
     s = new_session(woven)
     s.env["k"] = 2
@@ -494,7 +493,7 @@ GUARDED_CALL_TO_GUARD_PARSE_MAX = 0.5
 
 def test_guarded_call_costs_at_most_half_a_guard_parse(corpus_dir):
     woven = weave(parse_dsl((corpus_dir / "blind_auction.fsm").read_text()))
-    guard = next(t for t in woven.base.transitions if t.name == "close").guards[0].text
+    guard = next(t for t in woven.base.transitions if t.name == "close").guards[0]
     s = new_session(woven)
     close = Invocation("close", "alice", 0)  # reverts on its guard before 5 days
     call = timeit.Timer(lambda: invoke(s, close))

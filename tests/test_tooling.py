@@ -96,6 +96,17 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
     assert calls["codegen", "lex_fragment"] == 1
 
 
+def test_star_import_binds_every_exported_name():
+    # `__all__` is the public API: each name in it must be bound by a star
+    # import, to the package's own attribute, however the package loads it.
+    namespace: dict = {}
+    exec("from fsmforge import *", namespace)
+    assert len(set(fsmforge.__all__)) == len(fsmforge.__all__)
+    missing = [name for name in fsmforge.__all__ if name not in namespace]
+    assert missing == []
+    assert all(namespace[name] is getattr(fsmforge, name) for name in fsmforge.__all__)
+
+
 def test_every_dataclass_has_its_own_docstring():
     # Without one, `dataclass()` builds `Name(field: type, ...)` with
     # `inspect.signature`, which costs import time for every class.

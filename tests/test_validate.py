@@ -7,7 +7,6 @@ from fsmforge.dsl import parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     Param,
     PluginConfig,
     StructDef,
@@ -49,13 +48,13 @@ FIXTURES = {
         plugins=PluginConfig(timed=True),
         transitions=(t(inputs=(Param("amount", "uint"),)),),
         timed_transitions=(TimedTransition(
-            "tt", "A", "B", 60, guard=Fragment("amount > 0", "expr")),)),
+            "tt", "A", "B", 60, guard="amount > 0"),)),
     "E_RESERVED": model(variables=(VariableDecl("state", "uint", "private"),)),
     "E_BAD_NAME": model(transitions=(t(name="return"),)),
-    "E_UNBALANCED": model(transitions=(t(guards=(Fragment("(x > 0", "expr"),)),)),
+    "E_UNBALANCED": model(transitions=(t(guards=("(x > 0",)),)),
     "W_UNDECLARED_IDENT": model(
-        transitions=(t(guards=(Fragment("mystery > 0", "expr"),)),)),
-    "E_LINE_COMMENT": model(transitions=(t(guards=(Fragment("now > 5 // c", "expr"),)),)),
+        transitions=(t(guards=("mystery > 0",)),)),
+    "E_LINE_COMMENT": model(transitions=(t(guards=("now > 5 // c",)),)),
     "E_BAD_OFFSET": model(
         plugins=PluginConfig(timed=True),
         timed_transitions=(TimedTransition("tt", "A", "B", 2**256),)),
@@ -93,26 +92,26 @@ def test_guard_builtins_do_not_warn():
     m = model(
         variables=(VariableDecl("highestBid", "uint", "private"),),
         transitions=(t(
-            guards=(Fragment("now >= creationTime + 5 days", "expr"),
-                    Fragment("msg.value > highestBid", "expr"),
-                    Fragment("true || false", "expr")),),))
+            guards=("now >= creationTime + 5 days",
+                    "msg.value > highestBid",
+                    "true || false"),),))
     assert codes(m) == []
 
 
 def test_guard_sees_inputs_locals_and_structs():
     m = model(
-        structs=(StructDef("Rec", (("uint", "x"),)),),
+        structs=(StructDef("Rec", (Param("x", "uint"),)),),
         transitions=(t(
             inputs=(Param("amount", "uint"),),
             locals=(Param("tmp", "uint"),),
-            guards=(Fragment("amount > tmp && Rec > 0", "expr"),)),))
+            guards=("amount > tmp && Rec > 0",)),))
     assert codes(m) == []
 
 
 def test_member_access_is_not_a_free_identifier():
     m = model(
         variables=(VariableDecl("values", "uint[]", "private"),),
-        transitions=(t(guards=(Fragment("values.length == 0", "expr"),)),))
+        transitions=(t(guards=("values.length == 0",)),))
     assert codes(m) == []
 
 
@@ -141,7 +140,7 @@ def test_duplicates_across_sections():
     m = model(
         variables=(VariableDecl("x", "uint", "private"),
                    VariableDecl("x", "uint", "public")),
-        structs=(StructDef("R", (("uint", "a"), ("uint", "a"))),
+        structs=(StructDef("R", (Param("a", "uint"), Param("a", "uint"))),
                  StructDef("R", ())),
         transitions=(t(name="dup"), t(name="dup"),
                      t(name="p", inputs=(Param("q", "uint"),),
@@ -158,10 +157,10 @@ def test_timed_io_only_flags_transition_io_names():
         transitions=(t(inputs=(Param("x", "uint"),),
                        outputs=(Param("y", "uint"),)),),
         timed_transitions=(
-            TimedTransition("ok", "A", "B", 1, guard=Fragment("total > 0", "expr")),
-            TimedTransition("badIn", "A", "B", 2, guard=Fragment("x > 0", "expr")),
+            TimedTransition("ok", "A", "B", 1, guard="total > 0"),
+            TimedTransition("badIn", "A", "B", 2, guard="x > 0"),
             TimedTransition("badOut", "A", "B", 3,
-                            statements=(Fragment("y = 1;", "stmt"),)),
+                            statements=("y = 1;",)),
         ))
     assert codes(m) == ["E_TIMED_IO", "E_TIMED_IO"]
 
@@ -242,7 +241,7 @@ def test_one_contract_scope_across_sections():
     # and a transition `return`: each used to reach the generated code.
     m = model(states=("uint", "B"), initial_state="uint",
               variables=(VariableDecl("t", "uint", "public"),),
-              structs=(StructDef("t", (("uint", "x"),)),),
+              structs=(StructDef("t", (Param("x", "uint"),)),),
               transitions=(t("t", "uint", "B"), t("return", "uint", "B")))
     assert diags(m) == [
         ("E_BAD_NAME", "states[0]", "state 'uint' is a Solidity keyword"),
@@ -279,12 +278,12 @@ def test_builtins_the_generated_code_reads_are_generated_names():
     # `msg` is read only by the access plugin's code, and a user fragment's
     # reads are the user's own.
     assert codes(model(variables=(VariableDecl("msg", "uint", "private"),),
-                       transitions=(t(statements=(Fragment("msg = 1;", "stmt"),)),))) == []
+                       transitions=(t(statements=("msg = 1;",)),))) == []
 
 
 def test_every_declared_name_must_be_an_identifier_and_no_keyword():
     m = model(name="contract", states=("A", "B", "1st"),
-              structs=(StructDef("R", (("uint", "bytes32"), ("uint", "x y"))),),
+              structs=(StructDef("R", (Param("bytes32", "uint"), Param("x y", "uint"))),),
               variables=(VariableDecl("fixed128x18", "uint", "private"),),
               transitions=(t("cast votes", inputs=(Param("uint8", "uint"),)),),
               plugins=PluginConfig(timed=True),
@@ -299,7 +298,7 @@ def test_every_declared_name_must_be_an_identifier_and_no_keyword():
     # Builtins may be shadowed; states and struct members have their own scopes.
     assert codes(model(variables=(VariableDecl("super", "uint", "public"),))) == []
     assert codes(model(states=("A", "B", "state"),
-                       structs=(StructDef("R", (("uint", "locked"),)),),
+                       structs=(StructDef("R", (Param("locked", "uint"),)),),
                        plugins=PluginConfig(locking=True))) == []
 
 
@@ -362,7 +361,7 @@ def test_validate_time_grows_linearly_in_event_tagged_transitions():
             plugins=PluginConfig(events=True),
             variables=tuple(VariableDecl(f"v{i}", "uint", "private") for i in range(n)),
             transitions=tuple(t(f"t{i}", tags=("event",), inputs=(Param(f"p{i}", "uint"),),
-                                guards=(Fragment(f"p{i} > v{i}", "expr"),)) for i in range(n)))
+                                guards=(f"p{i} > v{i}",)) for i in range(n)))
 
     def best_of_3(m):
         times = []

@@ -1,19 +1,19 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 
-from fsmforge.codegen import generate, token_diff, token_equal, token_texts
+from fsmforge.codegen import generate, guard_conjunction, token_diff, token_equal, token_texts
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
     ContractModel,
-    Fragment,
     Param,
     PluginConfig,
     TimedTransition,
     Transition,
 )
-from fsmforge.plugins import timed_modifier
-from fsmforge.weave import guard_conjunction, weave
+from fsmforge.plugins import COUNTER, PLUGINS, timed_modifier
+from fsmforge.weave import weave
 
 
 def small_model(**plugin_flags):
@@ -22,55 +22,86 @@ def small_model(**plugin_flags):
         states=("A", "B"),
         initial_state="A",
         transitions=(
-            Transition("go", "A", "B", guards=(Fragment("x > 0", "expr"),),
+            Transition("go", "A", "B", guards=("x > 0",),
                        tags=("payable", "admin", "event")),
             Transition("stay", "A", "A"),
         ),
         timed_transitions=(
             TimedTransition("auto", "A", "B", 3600,
-                            guard=Fragment("x > 1", "expr")),
+                            guard="x > 1"),
         ) if plugin_flags.get("timed") else (),
         plugins=PluginConfig(**plugin_flags),
     )
 
 
+def _header(source: str, name: str) -> list[str]:
+    """The stripped lines of function `name` ahead of its body's brace."""
+    lines = source.split(f"//Transition {name}\n")[1].split("\n")
+    return [ln.strip() for ln in lines[: lines.index("    {")]]
+
+
+def _modifiers(source: str, name: str) -> list[str]:
+    return [ln for ln in _header(source, name)[1:]
+            if ln != "payable" and not ln.startswith("returns")]
+
+
+BANNERS = [p.banner for p in PLUGINS]
+
+
 def test_modifier_chain_order_is_fixed():
-    woven = weave(small_model(locking=True, counter=True, timed=True,
-                              access_control=True, events=True))
-    assert woven.per_transition["go"] == (
+    source = generate(weave(small_model(locking=True, counter=True, timed=True,
+                                        access_control=True, events=True)))
+    assert _modifiers(source, "go") == [
         "locking", "timedTransitions", "transitionCounting(nextTransitionNumber)",
-        "onlyAdmin", "eventgo")
-    assert woven.per_transition["stay"] == (
-        "locking", "timedTransitions", "transitionCounting(nextTransitionNumber)")
+        "onlyAdmin", "eventgo"]
+    assert _modifiers(source, "stay") == [
+        "locking", "timedTransitions", "transitionCounting(nextTransitionNumber)"]
 
 
 def test_contract_fragment_order_is_fixed():
-    woven = weave(small_model(locking=True, counter=True, timed=True,
-                              access_control=True, events=True))
-    assert [name for name, _ in woven.contract_fragments] == [
-        "locking", "counter", "timed", "access_control", "events"]
+    source = generate(weave(small_model(locking=True, counter=True, timed=True,
+                                        access_control=True, events=True)))
+    assert [ln.strip() for ln in source.splitlines() if ln.strip() in BANNERS] == [
+        "//Locking", "//Transition counter", "//Timed transitions", "//Access control",
+        "//Events"]
 
 
 def test_counter_injects_leading_parameter():
-    woven = weave(small_model(counter=True))
-    assert woven.injected_params["go"] == (Param("nextTransitionNumber", "uint"),)
-    source = generate(woven)
+    source = generate(weave(small_model(counter=True)))
     assert "function go(uint nextTransitionNumber)" in source
 
 
 def test_no_plugins_no_fragments():
-    woven = weave(small_model())
-    assert woven.contract_fragments == ()
-    assert woven.per_transition["go"] == ()
-    assert woven.injected_params["go"] == ()
+    source = generate(weave(small_model()))
+    assert not any(ln.strip() in BANNERS for ln in source.splitlines())
+    assert _header(source, "go") == ["function go()", "payable"]
+    assert _modifiers(source, "stay") == []
+
+
+def test_generator_writes_the_chain_the_simulator_runs(corpus_dir):
+    # The simulator walks `woven.chains`; each generated function must carry
+    # exactly that chain's modifiers, and the counter's parameter first when
+    # the chain has the counter, under every plugin configuration.
+    for path in sorted(corpus_dir.glob("*.fsm")):
+        base = parse_dsl(path.read_text())
+        for flags in itertools.product([False, True], repeat=5):
+            woven = weave(replace(base, plugins=PluginConfig(*flags)))
+            source = generate(woven)
+            for t in woven.base.transitions:
+                chain = woven.chains[t.name]
+                assert _modifiers(source, t.name) == [
+                    p.modifier.format(name=t.name) for p in chain]
+                counted = _header(source, t.name)[0].startswith(
+                    f"function {t.name}(uint nextTransitionNumber")
+                assert counted == (COUNTER in chain)
 
 
 def test_guard_conjunction():
     t0 = Transition("t", "A", "A")
     assert guard_conjunction(t0) == ""
-    t1 = replace(t0, guards=(Fragment("a > 0", "expr"),))
+    t1 = replace(t0, guards=("a > 0",))
     assert guard_conjunction(t1) == "require(a > 0);"
-    t2 = replace(t0, guards=(Fragment("a > 0", "expr"), Fragment("b < 1", "expr")))
+    t2 = replace(t0, guards=("a > 0", "b < 1"))
     assert guard_conjunction(t2) == "require( (a > 0) && (b < 1) );"
 
 
@@ -85,16 +116,14 @@ def test_timed_modifier_layout():
 
 
 def test_access_control_uses_contract_name_constructor():
-    woven = weave(small_model(access_control=True))
-    block = dict(woven.contract_fragments)["access_control"]
+    block = generate(weave(small_model(access_control=True))).split("//Access control")[1]
     assert "function Demo() {" in block
     assert "modifier onlyAdmin" in block
     assert "require(numAdmins > 1);" in block
 
 
 def test_event_declarations_per_tagged_transition():
-    woven = weave(small_model(events=True))
-    block = dict(woven.contract_fragments)["events"]
+    block = generate(weave(small_model(events=True))).split("//Events")[1].split("//Transitions")[0]
     assert "event Eventgo;" in block
     assert "modifier eventgo {" in block
     assert "Eventstay" not in block

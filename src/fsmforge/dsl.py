@@ -4,13 +4,27 @@ The grammar is line-comment (`#`) and whitespace insensitive outside
 fragments. Solidity fragments between `guard { ... }` / `action { ... }`
 braces are captured verbatim (boundary blank lines trimmed, common
 indentation removed) so generated code reproduces them byte-for-byte.
+
+One regex split over a table of token kinds turns the text into a list of
+tokens and a list of the gaps (whitespace and `#` comments) after them, and
+the parser walks the two by index. A whole `guard { ... }` or `action { ... }`
+section is one token, its braces balanced up to `_DEPTH` levels, strings and
+comments inside it skipped whole. A section nested deeper, or never closed,
+gives a token that ends at its `{` and ends the scan: the section's end is
+found by a delimiter scan from that brace, and the lists are extended from
+there. Where `guard` or `action` is a name (`to action {`), its token is cut
+back to the word and the rest of the text is scanned again without whole
+sections, so at most once per parse. A type text is rebuilt from its tokens
+and gaps. Offsets, and so spans, are summed from the lengths of tokens and
+gaps only where the lists are extended or a diagnostic is raised.
 """
 from __future__ import annotations
 
 import re
+from string import ascii_letters
 
-from .diagnostics import Diagnostic, SourceSpan
-from .fragments import COMMENT, STRING, SourceText
+from .diagnostics import Diagnostic
+from .fragments import STRING, SourceText
 from .model import (
     TIME_UNITS,
     ContractModel,
@@ -24,91 +38,47 @@ from .model import (
 from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a name
-# Whitespace and `#` comments: every move of the cursor skips what follows.
-_GAP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+# Whitespace and `#` comments. A comment runs to the end of its line, so a
+# match cannot end inside one, in `guard # c {` say, by giving characters
+# back; and a gap with no comment enters no repeat of the regex engine.
+_COMMENT = r"#[^\n]*(?![^\n])"
+_GAP = rf"[ \t\r\n]*(?:{_COMMENT}(?:[ \t\r\n]*{_COMMENT})*[ \t\r\n]*|)"
 _SKIP = re.compile(_GAP)
 _LINE_COMMENT = re.compile(r"[ \t]*#[^\n]*")  # with the blanks before it
-_WORD = re.compile(rf"({IDENT.pattern}){_GAP}")
-_NUMBER = re.compile(rf"([0-9]+){_GAP}")
-# Inside a fragment only braces count; strings and comments are skipped
-# whole, with the lexer's own patterns.
+# Inside a fragment only braces count. A plain character, or a string, a
+# comment or a lone "/" skipped whole: no text matches two of these parts,
+# so a match that fails backtracks in linear time.
+_PLAIN = r"[^\"'/{}]"
+_SKIPPED = rf"{STRING}|//[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/|/(?![/*])"
 _FRAGMENT_PART = re.compile(
-    rf"(?P<skip>[^\"'/{{}}]+|{COMMENT}|{STRING}|/(?!\*))|(?P<brace>[{{}}])"
+    rf"(?P<skip>{_PLAIN}+|{_SKIPPED})|(?P<brace>[{{}}])"
     r"|(?P<open_string>[\"'])|(?P<open_comment>/\*)", re.S)
+_DEPTH = 4  # brace levels a section token holds, its own braces included
+_BRACED = rf"\{{{_PLAIN}*(?:(?:{_SKIPPED}){_PLAIN}*)*\}}"
+for _ in range(_DEPTH - 1):
+    _BRACED = rf"\{{{_PLAIN}*(?:(?:{_SKIPPED}|{_BRACED}){_PLAIN}*)*\}}"
+
+
+def _token_table(section: str) -> re.Pattern:
+    """A match is a token and the gap after it. A token that opens a section
+    it does not close ends in "{" and takes the rest of the text, uncaptured;
+    the last token, at the end of the text, is ""."""
+    return re.compile(rf"((?:guard|action)(?![A-Za-z0-9_]){_GAP}{section}"
+                      rf"|{IDENT.pattern}|[0-9]+|.|\Z)(?(2).*|({_GAP}))", re.S)
+
+
+_TOKENS = _token_table(rf"(?:{_BRACED}|(\{{))")
+_TOKENS_WITHOUT_SECTIONS = _token_table(r"(\{)")
+_IDENT_START = frozenset(ascii_letters + "_")
+_NESTING = {"(": 1, "[": 1, ")": -1, "]": -1}
+_PARAM_SECTIONS = {"input": "input parameter", "output": "output parameter",
+                   "locals": "local declaration"}
 
 
 class ParseError(Exception):
     def __init__(self, diagnostics: list[Diagnostic]):
         super().__init__("; ".join(d.message for d in diagnostics))
         self.diagnostics = diagnostics
-
-
-class _Cursor:
-    """A position in the text; each move leaves it past whitespace and `#` comments."""
-
-    def __init__(self, text: str, file: str):
-        self.text = text
-        self.source = SourceText(text, file)
-        self.i = _SKIP.match(text).end()
-
-    def span(self, pos: int | None = None, length: int = 1) -> SourceSpan:
-        pos = self.i if pos is None else pos
-        return self.source.span(min(pos, len(self.text)), length)
-
-    def fail(self, code: str, message: str, pos: int | None = None):
-        raise ParseError([Diagnostic(code, "error", message, span=self.span(pos))])
-
-    def move(self, i: int):
-        """Move to offset i, then past whitespace and comments."""
-        self.i = _SKIP.match(self.text, i).end()
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.text)
-
-    def read_word(self) -> str | None:
-        m = _WORD.match(self.text, self.i)
-        if m is None:
-            return None
-        self.i = m.end()
-        return m.group(1)
-
-    def try_word(self, word: str) -> bool:
-        m = _WORD.match(self.text, self.i)
-        if m is None or m.group(1) != word:
-            return False
-        self.i = m.end()
-        return True
-
-    def expect_ident(self, what: str) -> str:
-        word = self.read_word()
-        if word is None:
-            self.fail("E_SYNTAX", f"expected {what}")
-        return word
-
-    def expect_word(self, word: str):
-        if not self.try_word(word):
-            self.fail("E_SYNTAX", f"expected '{word}'")
-
-    def try_punct(self, ch: str) -> bool:
-        if not self.text.startswith(ch, self.i):
-            return False
-        self.move(self.i + 1)
-        return True
-
-    def expect_punct(self, ch: str):
-        if not self.try_punct(ch):
-            self.fail("E_SYNTAX", f"expected '{ch}'")
-
-    def expect_number(self) -> int:
-        m = _NUMBER.match(self.text, self.i)
-        if not m:
-            self.fail("E_SYNTAX", "expected a number")
-        try:
-            value = int(m.group(1))
-        except ValueError:  # past int()'s digit limit
-            self.fail("E_SYNTAX", "number too long")
-        self.i = m.end()
-        return value
 
 
 def _clean_fragment(raw: str) -> str:
@@ -121,254 +91,329 @@ def _clean_fragment(raw: str) -> str:
         lines.pop()
     if len(lines) <= 1:
         return lines[0].strip() if lines else ""
-    common = min(len(ln) - len(ln.lstrip()) for ln in lines if ln)
+    common = min([len(ln) - len(ln.lstrip()) for ln in lines if ln])
     return "\n".join([ln[common:] for ln in lines])
 
 
-def _scan_fragment(cur: _Cursor) -> str:
-    """Consume `{ balanced text }` and return the cleaned inner text."""
-    start = cur.i + 1  # the text keeps what follows the brace
-    cur.expect_punct("{")
-    depth = 1
-    for m in _FRAGMENT_PART.finditer(cur.text, start):
-        kind = m.lastgroup
-        if kind == "brace":
-            depth += 1 if m.group() == "{" else -1
-            if depth == 0:
-                cur.move(m.end())
-                return _clean_fragment(cur.text[start:m.start()])
-        elif kind == "open_string":
-            cur.fail("E_SYNTAX", "unterminated string in fragment", m.start())
-        elif kind == "open_comment":
-            cur.fail("E_SYNTAX", "unterminated comment in fragment", m.start())
-    cur.fail("E_SYNTAX", "unclosed fragment brace", start - 1)
+class _Parser:
+    """Walks the token list by index; a method takes the index it starts at."""
 
+    def __init__(self, text: str, file: str):
+        self.text = text
+        self.source = SourceText(text, file)
+        self.table = _TOKENS
+        start = _SKIP.match(text).end()
+        # One split makes no tuple per token: its parts are, per match, the
+        # token, the group that marks an open section, the gap and "".
+        parts = _TOKENS.split(text[start:] if start else text)
+        self.toks, self.gaps = parts[1::4], parts[3::4]
+        self.anchors = [(0, start)]  # (index, offset) where the lists were started or cut
 
-def _split_type_and_name(cur: _Cursor, slice_text: str, pos: int, what: str) -> tuple[str, str]:
-    matches = list(IDENT.finditer(slice_text))
-    if not matches:
-        cur.fail("E_SYNTAX", f"expected {what}", pos)
-    name_match = matches[-1]
-    if name_match.end() != len(slice_text.rstrip()):
-        cur.fail("E_SYNTAX", f"{what} must end in an identifier", pos)
-    type_text = slice_text[: name_match.start()].strip()
-    if not type_text:
-        cur.fail("E_SYNTAX", f"missing type before '{name_match.group()}'", pos)
-    return type_text, name_match.group()
+    def offset(self, k: int) -> int:
+        for index, pos in reversed(self.anchors):
+            if index <= k:
+                return pos + sum(map(len, self.toks[index:k])) + sum(map(len, self.gaps[index:k]))
 
+    def fail_at(self, code: str, message: str, pos: int):
+        span = self.source.span(min(pos, len(self.text)), 1)
+        raise ParseError([Diagnostic(code, "error", message, span=span)])
 
-def _scan_typed_decl(cur: _Cursor, terminators: str, what: str) -> tuple[str, str]:
-    """Read `TYPETEXT IDENT` up to (not consuming) a top-level terminator."""
-    start = cur.i
-    text, n = cur.text, len(cur.text)
-    depth = 0
-    i = start
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl
-            continue
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            if depth == 0:
-                break
-            depth -= 1
-        elif ch in terminators and depth == 0:
-            break
-        i += 1
-    if i >= n:
-        cur.fail("E_SYNTAX", f"unterminated {what}", start)
-    slice_text = text[start:i]
-    if "#" in slice_text:  # the comments stepped over above are not part of the type
-        slice_text = _LINE_COMMENT.sub("", slice_text)
-    cur.i = i
-    return _split_type_and_name(cur, slice_text.strip(), start, what)
+    def fail(self, code: str, message: str, k: int, shift: int = 0):
+        self.fail_at(code, message, self.offset(k) + shift)
 
+    def resume(self, k: int, pos: int):
+        """Replace the tokens from k on with those of the text from pos on."""
+        found = self.table.findall(self.text, pos)  # split would need a copy of the rest
+        self.toks[k:] = [tok for tok, _, _ in found]
+        self.gaps[k:] = [gap for _, _, gap in found]
+        self.anchors.append((k, pos))
 
-def _parse_param_list(cur: _Cursor, what: str) -> tuple[Param, ...]:
-    cur.expect_punct("(")
-    params: list[Param] = []
-    if cur.try_punct(")"):
-        cur.expect_punct(";")
-        return ()
-    while True:
-        type_text, name = _scan_typed_decl(cur, ",)", what)
-        params.append(Param(name=name, type_text=type_text))
-        if cur.try_punct(","):
-            continue
-        cur.expect_punct(")")
-        break
-    cur.expect_punct(";")
-    return tuple(params)
+    def expect(self, k: int, tok: str) -> int:
+        if self.toks[k] != tok:
+            self.fail("E_SYNTAX", f"expected '{tok}'", k)
+        return k + 1
 
+    def word(self, k: int) -> str | None:
+        """The identifier that starts token k, if any."""
+        tok = self.toks[k]
+        if tok[:1] not in _IDENT_START:
+            return None
+        if tok[-1] in "{}":  # a section token
+            return "guard" if tok[0] == "g" else "action"
+        return tok
 
-def _parse_states(cur: _Cursor) -> tuple[tuple[str, ...], str | None]:
-    cur.expect_punct("{")
-    states: dict[str, None] = {}  # ordered, and a set for the duplicate check
-    initial: str | None = None
-    while not cur.try_punct("}"):
-        pos = cur.i
-        is_initial = cur.try_word("initial")
-        if is_initial:
-            pos += len("initial")  # a duplicate is reported right after the keyword
-        if is_initial and cur.text.startswith((";", "}"), cur.i):
-            is_initial, name = False, "initial"  # a state named `initial`
-        else:
-            name = cur.expect_ident("state name")
-        if name in states:
-            cur.fail("E_DUP_DECL", f"duplicate state '{name}'", pos)
-        if is_initial:
-            if initial is not None:
-                cur.fail("E_SYNTAX", "more than one initial state", pos)
-            initial = name
-        states[name] = None
-        if not cur.try_punct(";"):
-            cur.expect_punct("}")
-            break
-    return tuple(states), initial
+    def name(self, k: int, what: str) -> str:
+        tok = self.toks[k]
+        if tok[:1] not in _IDENT_START:
+            self.fail("E_SYNTAX", f"expected {what}", k)
+        if tok[-1] in "{}":  # `guard` or `action` as a name: the section token is cut
+            word = self.word(k)
+            pos = self.offset(k) + len(word)
+            after = _SKIP.match(self.text, pos).end()
+            self.toks[k], self.gaps[k] = word, self.text[pos:after]
+            self.table = _TOKENS_WITHOUT_SECTIONS  # so the rest is cut at most once
+            self.resume(k + 1, after)
+            return word
+        return tok
 
+    def fragment(self, k: int) -> str:
+        """The cleaned text of the section whose keyword is token k."""
+        tok = self.toks[k]
+        if tok[-1] != "{":
+            if tok[-1] != "}":
+                self.fail("E_SYNTAX", "expected '{'", k + 1)
+            return _clean_fragment(tok[_SKIP.match(tok, 5 if tok[0] == "g" else 6).end() + 1:-1])
+        start = self.offset(k) + len(tok)  # deeper than _DEPTH, or not closed
+        depth = 1
+        for m in _FRAGMENT_PART.finditer(self.text, start):
+            kind = m.lastgroup
+            if kind == "brace":
+                depth += 1 if m.group() == "{" else -1
+                if depth == 0:
+                    self.resume(k + 1, _SKIP.match(self.text, m.end()).end())
+                    return _clean_fragment(self.text[start:m.start()])
+            elif kind == "open_string":
+                self.fail_at("E_SYNTAX", "unterminated string in fragment", m.start())
+            elif kind == "open_comment":
+                self.fail_at("E_SYNTAX", "unterminated comment in fragment", m.start())
+        self.fail_at("E_SYNTAX", "unclosed fragment brace", start - 1)
 
-def _parse_plugins(cur: _Cursor) -> PluginConfig:
-    cur.expect_punct("{")
-    enabled: dict[str, bool] = {}
-    while not cur.try_punct("}"):
-        pos = cur.i
-        name = cur.expect_ident("plugin name")
-        if name not in BY_KEYWORD:
-            cur.fail("E_SYNTAX", f"unknown plugin '{name}'", pos)
-        field = BY_KEYWORD[name].field
-        if field in enabled:
-            cur.fail("E_DUP_DECL", f"duplicate plugin '{name}'", pos)
-        enabled[field] = True
-        if not cur.try_punct(";"):
-            cur.expect_punct("}")
-            break
-    return PluginConfig(**enabled)
-
-
-def _parse_struct(cur: _Cursor) -> StructDef:
-    name = cur.expect_ident("struct name")
-    cur.expect_punct("{")
-    members: dict[str, Param] = {}  # by name, in order
-    while not cur.try_punct("}"):
-        pos = cur.i
-        type_text, member = _scan_typed_decl(cur, ";", "struct member")
-        cur.expect_punct(";")
-        if member in members:
-            cur.fail("E_DUP_DECL", f"duplicate struct member '{member}'", pos)
-        members[member] = Param(name=member, type_text=type_text)
-    return StructDef(name=name, members=tuple(members.values()))
-
-
-def _parse_var(cur: _Cursor) -> VariableDecl:
-    pos = cur.i
-    visibility = cur.expect_ident("variable visibility")
-    if visibility not in ("public", "private"):
-        cur.fail("E_SYNTAX", "variable visibility must be 'public' or 'private'", pos)
-    type_text, name = _scan_typed_decl(cur, ";", "variable declaration")
-    cur.expect_punct(";")
-    return VariableDecl(name=name, type_text=type_text, visibility=visibility)
-
-
-def _parse_transition(cur: _Cursor) -> Transition:
-    name = cur.expect_ident("transition name")
-    cur.expect_word("from")
-    from_state = cur.expect_ident("source state")
-    cur.expect_word("to")
-    to_state = cur.expect_ident("target state")
-    tags: list[str] = []
-    if cur.try_word("tags"):
-        pos = cur.i + 1  # a duplicate is reported right after the "(" or "," before it
-        cur.expect_punct("(")
+    def typed_decl(self, k: int, terminators: str, what: str) -> tuple[str, str, int]:
+        """Read `TYPETEXT IDENT` up to (not consuming) a top-level terminator."""
+        toks = self.toks
+        start, depth = k, 0
         while True:
-            tag = cur.expect_ident("tag")
-            if tag in tags:
-                cur.fail("E_DUP_DECL", f"duplicate tag '{tag}'", pos)
-            tags.append(tag)
-            pos = cur.i + 1
-            if cur.try_punct(","):
+            tok = toks[k]
+            if not tok:
+                self.fail("E_SYNTAX", f"unterminated {what}", start)
+            step = _NESTING.get(tok)
+            if step is not None:
+                if step < 0 and depth == 0:
+                    break
+                depth += step
+            elif depth == 0 and tok in terminators:
+                break
+            elif tok[-1] in "{}" and len(tok) > 1:
+                self.name(k, what)  # cut the section token
                 continue
-            cur.expect_punct(")")
-            break
-    cur.expect_punct("{")
-    inputs: tuple[Param, ...] | None = None
-    outputs: tuple[Param, ...] | None = None
-    locals_: tuple[Param, ...] | None = None
-    guards: list[str] = []
-    statements: list[str] = []
-    while not cur.try_punct("}"):
-        pos = cur.i
-        word = cur.read_word()
-        if word == "input":
-            if inputs is not None:
-                cur.fail("E_DUP_DECL", "duplicate 'input' section", pos)
-            inputs = _parse_param_list(cur, "input parameter")
-        elif word == "output":
-            if outputs is not None:
-                cur.fail("E_DUP_DECL", "duplicate 'output' section", pos)
-            outputs = _parse_param_list(cur, "output parameter")
-        elif word == "locals":
-            if locals_ is not None:
-                cur.fail("E_DUP_DECL", "duplicate 'locals' section", pos)
-            locals_ = _parse_param_list(cur, "local declaration")
-        elif word == "guard":
-            guards.append(_scan_fragment(cur))
-        elif word == "action":
-            statements.append(_scan_fragment(cur))
-        else:
-            cur.fail("E_SYNTAX", "expected input/output/locals/guard/action or '}'", pos)
-    return Transition(
-        name=name,
-        from_state=from_state,
-        to_state=to_state,
-        guards=tuple(guards),
-        inputs=inputs or (),
-        outputs=outputs or (),
-        locals=locals_ or (),
-        statements=tuple(statements),
-        tags=tuple(tags),
-    )
+            k += 1
+        if k == start + 2 and "#" not in self.gaps[start]:  # `TYPE NAME`, the commonest
+            type_text, name = toks[start:k]
+            if type_text[0] in _IDENT_START and name[0] in _IDENT_START:
+                return type_text, name, k
+        slice_text = "".join([tok + gap for tok, gap in zip(toks[start:k], self.gaps[start:k])])
+        if "#" in slice_text:  # the comments are not part of the type
+            slice_text = _LINE_COMMENT.sub("", slice_text)
+        slice_text = slice_text.strip()
+        matches = list(IDENT.finditer(slice_text))
+        if not matches:
+            self.fail("E_SYNTAX", f"expected {what}", start)
+        name_match = matches[-1]
+        if name_match.end() != len(slice_text):
+            self.fail("E_SYNTAX", f"{what} must end in an identifier", start)
+        type_text = slice_text[: name_match.start()].strip()
+        if not type_text:
+            self.fail("E_SYNTAX", f"missing type before '{name_match.group()}'", start)
+        return type_text, name_match.group(), k
 
+    def param_list(self, k: int, what: str) -> tuple[tuple[Param, ...], int]:
+        toks = self.toks
+        k = self.expect(k, "(")
+        params: list[Param] = []
+        if toks[k] != ")":
+            while True:
+                type_text, name, k = self.typed_decl(k, ",)", what)
+                params.append(Param(name, type_text))
+                if toks[k] != ",":
+                    break
+                k += 1
+        return tuple(params), self.expect(self.expect(k, ")"), ";")
 
-def _parse_timed(cur: _Cursor) -> TimedTransition:
-    name = cur.expect_ident("timed transition name")
-    cur.expect_word("from")
-    from_state = cur.expect_ident("source state")
-    cur.expect_word("to")
-    to_state = cur.expect_ident("target state")
-    cur.expect_word("at")
-    value = cur.expect_number()
-    pos = cur.i
-    unit_word = cur.read_word()
-    seconds = value
-    if unit_word is not None:
-        if unit_word not in TIME_UNITS:
-            cur.fail("E_BAD_UNIT", f"unknown time unit '{unit_word}'", pos)
-        seconds = value * TIME_UNITS[unit_word]
-    cur.expect_punct("{")
-    guard: str | None = None
-    statements: list[str] = []
-    while not cur.try_punct("}"):
-        pos = cur.i
-        word = cur.read_word()
-        if word == "guard":
-            if guard is not None:
-                cur.fail("E_DUP_DECL", "timed transition allows a single guard", pos)
-            guard = _scan_fragment(cur)
-        elif word == "action":
-            statements.append(_scan_fragment(cur))
-        else:
-            cur.fail("E_SYNTAX", "expected guard/action or '}'", pos)
-    return TimedTransition(
-        name=name,
-        from_state=from_state,
-        to_state=to_state,
-        time_offset_seconds=seconds,
-        guard=guard,
-        statements=tuple(statements),
-    )
+    def states(self, k: int) -> tuple[tuple[str, ...], str | None, int]:
+        toks = self.toks
+        k = self.expect(k, "{")
+        states: dict[str, None] = {}  # ordered, and a set for the duplicate check
+        initial: str | None = None
+        while toks[k] != "}":
+            pos, shift = k, 0
+            is_initial = toks[k] == "initial"
+            if is_initial:
+                k += 1
+                shift = len("initial")  # a duplicate is reported right after the keyword
+            if is_initial and toks[k] in (";", "}"):
+                is_initial, name = False, "initial"  # a state named `initial`
+            else:
+                name = self.name(k, "state name")
+                k += 1
+            if name in states:
+                self.fail("E_DUP_DECL", f"duplicate state '{name}'", pos, shift)
+            if is_initial:
+                if initial is not None:
+                    self.fail("E_SYNTAX", "more than one initial state", pos, shift)
+                initial = name
+            states[name] = None
+            if toks[k] != ";":
+                break
+            k += 1
+        return tuple(states), initial, self.expect(k, "}")
+
+    def plugins(self, k: int) -> tuple[PluginConfig, int]:
+        toks = self.toks
+        k = self.expect(k, "{")
+        enabled: dict[str, bool] = {}
+        while toks[k] != "}":
+            name = self.name(k, "plugin name")
+            if name not in BY_KEYWORD:
+                self.fail("E_SYNTAX", f"unknown plugin '{name}'", k)
+            field = BY_KEYWORD[name].field
+            if field in enabled:
+                self.fail("E_DUP_DECL", f"duplicate plugin '{name}'", k)
+            enabled[field] = True
+            k += 1
+            if toks[k] != ";":
+                break
+            k += 1
+        return PluginConfig(**enabled), self.expect(k, "}")
+
+    def struct(self, k: int) -> tuple[StructDef, int]:
+        name = self.name(k, "struct name")
+        k = self.expect(k + 1, "{")
+        members: dict[str, Param] = {}  # by name, in order
+        while self.toks[k] != "}":
+            pos = k
+            type_text, member, k = self.typed_decl(k, ";", "struct member")
+            k = self.expect(k, ";")
+            if member in members:
+                self.fail("E_DUP_DECL", f"duplicate struct member '{member}'", pos)
+            members[member] = Param(member, type_text)
+        return StructDef(name=name, members=tuple(members.values())), k + 1
+
+    def var(self, k: int) -> tuple[VariableDecl, int]:
+        visibility = self.name(k, "variable visibility")
+        if visibility not in ("public", "private"):
+            self.fail("E_SYNTAX", "variable visibility must be 'public' or 'private'", k)
+        type_text, name, k = self.typed_decl(k + 1, ";", "variable declaration")
+        return VariableDecl(name, type_text, visibility), self.expect(k, ";")
+
+    def header(self, k: int, what: str) -> tuple[str, str, str, int]:
+        """`NAME from STATE to STATE`."""
+        name = self.name(k, what)
+        k = self.expect(k + 1, "from")
+        from_state = self.name(k, "source state")
+        k = self.expect(k + 1, "to")
+        return name, from_state, self.name(k, "target state"), k + 1
+
+    def transition(self, k: int) -> tuple[Transition, int]:
+        toks = self.toks
+        name, from_state, to_state, k = self.header(k, "transition name")
+        tags: list[str] = []
+        if toks[k] == "tags":
+            pos = k + 1  # a duplicate is reported right after the "(" or "," before it
+            k = self.expect(k + 1, "(")
+            while True:
+                tag = self.name(k, "tag")
+                if tag in tags:
+                    self.fail("E_DUP_DECL", f"duplicate tag '{tag}'", pos, 1)
+                tags.append(tag)
+                pos = k = k + 1
+                if toks[k] != ",":
+                    break
+                k += 1
+            k = self.expect(k, ")")
+        k = self.expect(k, "{")
+        params: dict[str, tuple[Param, ...]] = {}
+        guards: list[str] = []
+        statements: list[str] = []
+        while toks[k] != "}":
+            word = self.word(k)
+            if word == "guard":
+                guards.append(self.fragment(k))
+                k += 1
+            elif word == "action":
+                statements.append(self.fragment(k))
+                k += 1
+            elif word in _PARAM_SECTIONS:
+                if word in params:
+                    self.fail("E_DUP_DECL", f"duplicate '{word}' section", k)
+                params[word], k = self.param_list(k + 1, _PARAM_SECTIONS[word])
+            else:
+                self.fail("E_SYNTAX", "expected input/output/locals/guard/action or '}'", k)
+        # Positional arguments, in the fields' order: a frozen record sets each
+        # field through object.__setattr__, and keywords add to that.
+        return Transition(
+            name, from_state, to_state, tuple(guards), params.get("input", ()),
+            params.get("output", ()), params.get("locals", ()), tuple(statements), tuple(tags),
+        ), k + 1
+
+    def timed(self, k: int) -> tuple[TimedTransition, int]:
+        toks = self.toks
+        name, from_state, to_state, k = self.header(k, "timed transition name")
+        k = self.expect(k, "at")
+        if not (toks[k].isascii() and toks[k].isdigit()):
+            self.fail("E_SYNTAX", "expected a number", k)
+        try:
+            seconds = int(toks[k])
+        except ValueError:  # past int()'s digit limit
+            self.fail("E_SYNTAX", "number too long", k)
+        k += 1
+        unit = self.word(k)
+        if unit is not None:
+            if unit not in TIME_UNITS:
+                self.fail("E_BAD_UNIT", f"unknown time unit '{unit}'", k)
+            seconds *= TIME_UNITS[unit]
+            k += 1
+        k = self.expect(k, "{")
+        guard: str | None = None
+        statements: list[str] = []
+        while toks[k] != "}":
+            word = self.word(k)
+            if word == "guard":
+                if guard is not None:
+                    self.fail("E_DUP_DECL", "timed transition allows a single guard", k)
+                guard = self.fragment(k)
+            elif word == "action":
+                statements.append(self.fragment(k))
+            else:
+                self.fail("E_SYNTAX", "expected guard/action or '}'", k)
+            k += 1
+        timed = TimedTransition(name, from_state, to_state, seconds, guard, tuple(statements))
+        return timed, k + 1
+
+    def contract(self) -> ContractModel:
+        toks = self.toks
+        name = self.name(self.expect(0, "contract"), "contract name")
+        k = self.expect(2, "{")
+        states: tuple[str, ...] | None = None
+        initial: str | None = None
+        plugins: PluginConfig | None = None
+        declared: dict[str, list] = {"var": [], "struct": [], "transition": [], "timed": []}
+        while toks[k] != "}":
+            word = self.word(k)
+            if word in declared:  # read by the method of the same name
+                declaration, k = getattr(self, word)(k + 1)
+                declared[word].append(declaration)
+            elif word == "states":
+                if states is not None:
+                    self.fail("E_DUP_DECL", "duplicate 'states' block", k)
+                states, initial, k = self.states(k + 1)
+            elif word == "plugins":
+                if plugins is not None:
+                    self.fail("E_DUP_DECL", "duplicate 'plugins' block", k)
+                plugins, k = self.plugins(k + 1)
+            else:
+                self.fail("E_SYNTAX", "expected a declaration or '}'", k)
+        if toks[k + 1]:
+            self.fail("E_SYNTAX", "trailing input after contract", k + 1)
+        return ContractModel(
+            name=name,
+            states=states or (),
+            initial_state=initial,
+            variables=tuple(declared["var"]),
+            structs=tuple(declared["struct"]),
+            transitions=tuple(declared["transition"]),
+            timed_transitions=tuple(declared["timed"]),
+            plugins=plugins or PluginConfig(),
+        )
 
 
 def parse_dsl(text: str, file: str = "<input>") -> ContractModel:
@@ -376,53 +421,7 @@ def parse_dsl(text: str, file: str = "<input>") -> ContractModel:
 
     Raises ParseError carrying the diagnostics on any malformed input.
     """
-    cur = _Cursor(text, file)
-    cur.expect_word("contract")
-    name = cur.expect_ident("contract name")
-    cur.expect_punct("{")
-    states: tuple[str, ...] = ()
-    initial: str | None = None
-    seen_states = False
-    plugins: PluginConfig | None = None
-    variables: list[VariableDecl] = []
-    structs: list[StructDef] = []
-    transitions: list[Transition] = []
-    timed: list[TimedTransition] = []
-    while not cur.try_punct("}"):
-        pos = cur.i
-        word = cur.read_word()
-        if word == "states":
-            if seen_states:
-                cur.fail("E_DUP_DECL", "duplicate 'states' block", pos)
-            states, initial = _parse_states(cur)
-            seen_states = True
-        elif word == "plugins":
-            if plugins is not None:
-                cur.fail("E_DUP_DECL", "duplicate 'plugins' block", pos)
-            plugins = _parse_plugins(cur)
-        elif word == "struct":
-            structs.append(_parse_struct(cur))
-        elif word == "var":
-            variables.append(_parse_var(cur))
-        elif word == "transition":
-            transitions.append(_parse_transition(cur))
-        elif word == "timed":
-            timed.append(_parse_timed(cur))
-        else:
-            cur.fail("E_SYNTAX", "expected a declaration or '}'", pos)
-    if not cur.at_end():
-        cur.fail("E_SYNTAX", "trailing input after contract")
-    model = ContractModel(
-        name=name,
-        states=states,
-        initial_state=initial,
-        variables=tuple(variables),
-        structs=tuple(structs),
-        transitions=tuple(transitions),
-        timed_transitions=tuple(timed),
-        plugins=plugins or PluginConfig(),
-    )
-    return canonicalize(model)
+    return canonicalize(_Parser(text, file).contract())
 
 
 # --- emission ---------------------------------------------------------------

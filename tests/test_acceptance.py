@@ -45,18 +45,7 @@ from fsmforge.validate import validate
 from fsmforge.weave import weave
 from modelgen import ReferenceFsm, random_model
 from test_validate import FIXTURES as VALIDATION_FIXTURES
-
-
-class Deadline:
-    def __init__(self, seconds: float):
-        self.limit = seconds
-        self.start = time.perf_counter()
-
-    def check(self, label: str, elapsed: float | None = None):
-        """Charge `elapsed` seconds, or by default the wall time since start."""
-        if elapsed is None:
-            elapsed = time.perf_counter() - self.start
-        assert elapsed < self.limit, f"{label}: {elapsed:.2f}s exceeds {self.limit}s"
+from timing import Deadline
 
 
 # --- 1. golden reproduction ------------------------------------------------

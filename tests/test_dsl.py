@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmforge.dsl import ParseError, _clean_fragment, emit_dsl, parse_dsl
-from fsmforge.model import Param, PluginConfig
+from fsmforge.model import Param, PluginConfig, StructDef, Transition
 from fsmforge.validate import validate
-from modelgen import random_model
+from conftest import CORPUS
+from modelgen import hostile_model, random_model
+from timing import Deadline, sample
 
 
 def parse(text):
@@ -313,3 +316,193 @@ def test_dsl_keywords_round_trip_as_names(section):
     for word in _DSL_WORDS:
         m = _named(_ALL_SECTIONS, section, word)
         assert parse(emit_dsl(m)) == m, (section, word)
+
+
+# --- the token scan's fallbacks -------------------------------------------
+
+_HEAD = "contract M {\n    states { initial A; B; }\n    plugins { timed; }\n"
+
+
+@pytest.mark.parametrize("text, got, want", [
+    ("contract action {\n    states { initial A; }\n}", lambda m: m.name, "action"),
+    (_HEAD + "    struct guard { uint a; }\n}", lambda m: m.structs[0],
+     StructDef("guard", (Param("a", "uint"),))),
+    (_HEAD + "    transition t from A to action { guard { a > 0 } action { a = 1; } }\n}",
+     lambda m: m.transitions[0],
+     Transition("t", "A", "action", guards=("a > 0",), statements=("a = 1;",))),
+    (_HEAD + "    transition t from A to action # a comment { with a brace\n    { }\n}",
+     lambda m: m.transitions[0], Transition("t", "A", "action")),
+])
+def test_section_keywords_before_a_brace_are_names(text, got, want):
+    assert got(parse(text)) == want
+
+
+def _in_transition(*sections):
+    model = parse(_HEAD + "    transition t from A to B {\n%s\n    }\n}" % "\n".join(sections))
+    return model.transitions[0]
+
+
+def test_fragments_nested_deeper_than_a_section_token():
+    deep = "if (a) { if (b) { if (c) { if (d) { if (e) { x = 1; } } } } }"
+    t = _in_transition(
+        "guard { { { { { { ok } } } } } }",
+        "action { %s }" % deep,
+        "action { y = 2; }",  # read from the end of the deep one
+        "action {\n    while (a) { { { { {\n        b;\n    } } } } }\n}")
+    assert t.guards == ("{ { { { { ok } } } } }",)
+    assert t.statements == (deep, "y = 2;", "while (a) { { { { {\n    b;\n} } } } }")
+    model = parse(_HEAD + "    timed tt from A to B at 1 days { guard { {{{{ g }}}} } "
+                          "action { %s } }\n}" % deep)
+    assert (model.timed_transitions[0].guard, model.timed_transitions[0].statements) == (
+        "{{{{ g }}}}", (deep,))
+
+
+@pytest.mark.parametrize("depth", [0, 5])  # in a section token, and read by the delimiter scan
+def test_hash_quotes_and_braces_inside_strings_and_comments_of_fragments(depth):
+    inner = "{ " * depth + "s = \"#}{'\"; c = '\"{#'; /* } { # */ // } \" #\nt = 1;" + " }" * depth
+    t = _in_transition("action {\n%s\n}" % inner, "guard { x # y }")
+    assert t.statements == (inner,)
+    assert t.guards == ("x # y",)
+
+
+@pytest.mark.parametrize("section, code, message, line, column", [
+    ('action { { { { { { s = "abc; } } } } } }', "E_SYNTAX", "unterminated string in fragment", 5, 29),
+    ("action { /* } } } } } } }", "E_SYNTAX", "unterminated comment in fragment", 5, 15),
+    ("action { { { { { { { { x; } } }", "E_SYNTAX", "unclosed fragment brace", 5, 13),
+    ("action # {\n x }", "E_SYNTAX", "expected '{'", 6, 2),
+])
+def test_fragment_errors_point_at_the_source(section, code, message, line, column):
+    with pytest.raises(ParseError) as exc:
+        _in_transition("     " + section)
+    d = exc.value.diagnostics[0]
+    assert (d.code, d.message, d.span.line, d.span.column) == (code, message, line, column)
+
+
+def test_an_unclosed_fragment_is_reported_in_linear_time():
+    # Each part of a fragment's pattern matches text no other part matches,
+    # so the failed match of a whole section backtracks in linear time.
+    body = "".join('    // line %d { "\n    /* %d } */ s = "{%d}"; \'}\';\n' % (i, i, i)
+                   for i in range(5_000))  # 10,000 lines
+    text = _HEAD + "    transition t from A to B {\n        action {\n" + body
+    deadline = Deadline(2.0)
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    deadline.check("an unclosed fragment of 10,000 lines")
+    d = exc.value.diagnostics[0]
+    assert (d.code, d.message, d.span.line, d.span.column) == (
+        "E_SYNTAX", "unclosed fragment brace", 5, 16)
+
+
+def _clone(n: int) -> str:
+    """The corpus blind auction with its transitions cloned to n, renamed apart."""
+    text = (CORPUS / "blind_auction.fsm").read_text()
+    start, end = text.index("\n    transition ") + 1, text.rindex("}")
+    blocks = re.split(r"(?m)^(?=    transition )", text[start:end])[1:]
+    return text[:start] + "".join(
+        re.sub(r"transition (\w+) ", rf"transition \g<1>_{i} ", blocks[i % len(blocks)], count=1)
+        for i in range(n)) + "}\n"
+
+
+def _fallbacks(n: int, transition: str) -> str:
+    return _HEAD + "".join(transition % i for i in range(n)) + "}\n"
+
+
+@pytest.mark.parametrize("make", [
+    _clone,
+    # a target state named `action`: its section token is cut once per parse
+    lambda n: _fallbacks(n, "    transition t%d from A to action { guard { x > 0 } }\n"),
+    # sections deeper than a section token, each read by the delimiter scan
+    lambda n: _fallbacks(n, "    transition t%d from A to B { action { {{{{{ x; }}}}} } }\n"),
+], ids=["clones", "target named action", "deep sections"])
+def test_parse_time_grows_linearly(make):
+    small, big = make(250), make(2000)
+    assert len(parse(big).transitions) == 2000
+    big_s, small_s = sample([lambda: parse_dsl(big), lambda: parse_dsl(small)], rounds=3)
+    # 8x the transitions; linear growth gives a ratio near 8.
+    assert big_s / small_s < 24, f"parsing 8x the transitions took {big_s / small_s:.1f}x as long"
+
+
+# --- emitted text with gaps added, and mutated ------------------------------
+
+_GAPS = [" ", "\t", "\n", "\n\n    ", " # {\"'/* guard {\n", "\n# action }\n\t"]
+_HEADERS = ("contract ", "transition ", "timed ", "struct ", "states ", "plugins ")
+
+
+def _with_gaps(text: str, rng: random.Random) -> str:
+    """text with whitespace and `#` comments added between structural tokens."""
+    out, closer = [], None
+    for line in text.split("\n"):
+        body = line.lstrip(" ")
+        pad = line[:len(line) - len(body)]
+        if closer is not None:  # inside a fragment written over several lines
+            if line == closer:
+                closer = None
+            out.append(line)
+            continue
+        if body in ("guard {", "action {"):
+            closer = pad + "}"
+            out.append(line)
+            continue
+        # Spaces in a header separate names and keywords; a `var` line's
+        # first two do too. Any other space may be part of a type text.
+        cut = len(line) if body.startswith(_HEADERS) else (
+            len(pad) + len(" ".join(body.split(" ")[:3])) if body.startswith("var ") else 0)
+        if body.startswith(("guard {", "action {")):
+            cut = len(pad)  # a fragment on one line
+        line = "".join(rng.choice(_GAPS) if ch == " " and i < cut and rng.random() < 0.5 else ch
+                       for i, ch in enumerate(line))
+        if rng.random() < 0.3:
+            line += rng.choice([" # {\"'", "\t# }", "\n    # guard {"])
+        out.append(line)
+    return "\n".join(out)
+
+
+def _mutated(text: str, rng: random.Random) -> str:
+    chars = list(text)
+    for _ in range(rng.randint(1, 6)):
+        i = rng.randrange(len(chars) + 1)
+        piece = rng.choice(["{", "}", "(", ")", ";", ",", "#", '"', "'", "/*", "//", "\n", " ",
+                            "guard {", "action", "x", "0", "\x0c"])
+        op = rng.random()
+        if op < 0.4:
+            chars[i:i] = piece
+        elif op < 0.7:
+            del chars[i:i + rng.randint(1, 3)]
+        else:
+            chars[i:i + 1] = piece
+    return "".join(chars)
+
+
+def _deepened(m):
+    """m with one action nested deeper than a section token holds."""
+    for i, t in enumerate(m.transitions):
+        if t.statements:
+            deep = "{ { { { { %s } } } } }" % t.statements[0].replace("\n", " ")
+            if "//" not in deep:
+                t = replace(t, statements=(deep,) + t.statements[1:])
+                return replace(m, transitions=m.transitions[:i] + (t,) + m.transitions[i + 1:])
+    return m
+
+
+def test_emitted_text_with_gaps_parses_back_and_mutations_raise_only_parse_errors(corpus_dir):
+    rng = random.Random(1616)
+    models = [parse_dsl(p.read_text()) for p in sorted(corpus_dir.glob("*.fsm"))]
+    for _ in range(40):
+        models += [random_model(rng), hostile_model(rng)]
+    for m in models:
+        if rng.random() < 0.3:
+            m = replace(m, name=rng.choice(["guard", "action"]))
+        if rng.random() < 0.3:
+            m = _deepened(m)
+        text = emit_dsl(m)
+        for _ in range(3):
+            spaced = _with_gaps(text, rng)
+            assert parse(spaced) == m, spaced
+            mutated = _mutated(spaced, rng)
+            try:
+                parse(mutated)
+            except ParseError as exc:
+                lines = mutated.split("\n")
+                for d in exc.diagnostics:
+                    assert 1 <= d.span.line <= len(lines), (d, mutated)
+                    assert 1 <= d.span.column <= len(lines[d.span.line - 1]) + 1, (d, mutated)

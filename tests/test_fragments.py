@@ -1,5 +1,4 @@
 import re
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 from fsmforge.codegen import token_texts
 from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, check_fragment, lex_fragment
 from fsmforge.model import TIME_UNITS
+from timing import sample
 
 
 def test_identifiers_numbers_operators():
@@ -112,16 +112,10 @@ def test_tokens_cover_the_source_with_reference_spans(text):
 def test_lexing_time_grows_linearly(corpus_dir):
     listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text()
 
-    def best_of_3(text):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            lex_fragment(text)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
+    big, small = listing * 80, listing * 10
+    big_s, small_s = sample([lambda: lex_fragment(big), lambda: lex_fragment(small)], rounds=3)
     # 8x the text; linear growth gives a ratio near 8.
-    ratio = best_of_3(listing * 80) / best_of_3(listing * 10)
+    ratio = big_s / small_s
     assert ratio < 24, f"lexing 8x the text took {ratio:.1f}x as long"
 
 
@@ -223,18 +217,13 @@ def test_scan_matches_the_loop_oracle(text):
 
 
 def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):
-    # Only the lexers' own calls are timed, best of 5 interleaved runs, so a
-    # change in the host's load slows both sides alike.
+    # Only the lexers' own calls are timed, best of 9 interleaved rounds, so a
+    # change in the host's load slows both sides alike, and a load spike must
+    # last all 9 rounds to reach the minimum.
     listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text()
-    big = listing * 80
-    best = {"scan": [], "oracle": [], "scan x10": []}
-    for _ in range(5):
-        for label, lex, text in (("scan", token_texts, big), ("oracle", oracle_lex, big),
-                                 ("scan x10", token_texts, listing * 10)):
-            t0 = time.perf_counter()
-            lex(text)
-            best[label].append(time.perf_counter() - t0)
-    scan, oracle, small = (min(best[label]) for label in ("scan", "oracle", "scan x10"))
+    big, x10 = listing * 80, listing * 10
+    scan, oracle, small = sample(
+        [lambda: token_texts(big), lambda: oracle_lex(big), lambda: token_texts(x10)], rounds=9)
     assert scan <= 0.5 * oracle, f"token_texts took {scan / oracle:.2f}x the oracle's time"
     # 8x the text; linear growth gives a ratio near 8.
     assert scan / small < 24, f"token_texts on 8x the text took {scan / small:.1f}x as long"

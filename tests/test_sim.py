@@ -31,6 +31,7 @@ from fsmforge.guards import MAX_DEPTH, Binary, IntLit, Opaque, parse_guard_expr
 from fsmforge.weave import weave
 from modelgen import random_model
 from test_guards import DEEP_GUARDS
+from timing import sample
 
 
 def build(transitions, timed_transitions=(), **plugin_flags):
@@ -498,12 +499,10 @@ def test_guarded_call_costs_at_most_half_a_guard_parse(corpus_dir):
     close = Invocation("close", "alice", 0)  # reverts on its guard before 5 days
     call = timeit.Timer(lambda: invoke(s, close))
     parse = timeit.Timer(lambda: parse_guard_expr(guard))
-    calls, parses = [], []
-    for _ in range(21):
-        calls.append(call.timeit(200) / 200)
-        parses.append(parse.timeit(50) / 50)
+    calls, parses = sample([lambda: call.timeit(200), lambda: parse.timeit(50)],
+                           rounds=21, take=statistics.median)
     assert s.log[-1][1].revert_reason == RevertReason.GUARD_FAILED
-    ratio = statistics.median(calls) / statistics.median(parses)
+    ratio = (calls / 200) / (parses / 50)
     assert ratio <= GUARDED_CALL_TO_GUARD_PARSE_MAX, (
         f"invoke(close) takes {ratio:.2f} x parse_guard_expr of its guard, "
         f"more than {GUARDED_CALL_TO_GUARD_PARSE_MAX}")

@@ -1,5 +1,4 @@
 import random
-import time
 from collections import Counter
 
 from fsmforge.codegen import generate
@@ -23,6 +22,7 @@ from modelgen import (
     hostile_model,
     without_fragments,
 )
+from timing import sample
 
 
 def model(**kwargs):
@@ -334,21 +334,14 @@ def test_parse_and_validate_time_grows_linearly_in_the_states():
         return model(states=tuple(f"s{i}" for i in range(n)), initial_state="s0",
                      transitions=tuple(t(f"t{i}", f"s{i}", f"s{i + 1}") for i in range(n - 1)))
 
-    def best_of_3(f, arg):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            f(arg)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
     # 8x the states; linear growth gives ratios near 8.
-    ratio = best_of_3(parse_dsl, states(8000)) / best_of_3(parse_dsl, states(1000))
-    assert ratio < 24, f"parsing 8x the states took {ratio:.1f}x as long"
+    small, big = states(1000), states(8000)
+    big_s, small_s = sample([lambda: parse_dsl(big), lambda: parse_dsl(small)], rounds=3)
+    assert big_s / small_s < 24, f"parsing 8x the states took {big_s / small_s:.1f}x as long"
     small, big = chain(1000), chain(8000)
     assert validate(big) == []
-    ratio = best_of_3(validate, big) / best_of_3(validate, small)
-    assert ratio < 24, f"validating 8x the states took {ratio:.1f}x as long"
+    big_s, small_s = sample([lambda: validate(big), lambda: validate(small)], rounds=3)
+    assert big_s / small_s < 24, f"validating 8x the states took {big_s / small_s:.1f}x as long"
 
 
 def test_validate_time_grows_linearly_in_event_tagged_transitions():
@@ -363,16 +356,9 @@ def test_validate_time_grows_linearly_in_event_tagged_transitions():
             transitions=tuple(t(f"t{i}", tags=("event",), inputs=(Param(f"p{i}", "uint"),),
                                 guards=(f"p{i} > v{i}",)) for i in range(n)))
 
-    def best_of_3(m):
-        times = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            validate(m)
-            times.append(time.perf_counter() - t0)
-        return min(times)
-
     small, big = events(1000), events(8000)
     assert validate(big) == []
     # 8x the transitions; linear growth gives a ratio near 8.
-    ratio = best_of_3(big) / best_of_3(small)
+    big_s, small_s = sample([lambda: validate(big), lambda: validate(small)], rounds=3)
+    ratio = big_s / small_s
     assert ratio < 24, f"validating 8x the event-tagged transitions took {ratio:.1f}x as long"

@@ -65,13 +65,16 @@ def _print_diagnostics(diagnostics) -> None:
         print(d.render(), file=sys.stderr)
 
 
-def _check_model(path: str) -> tuple[ContractModel, int]:
-    """Load and validate; returns (model, exit code). model is None on parse failure."""
+def _check_model(path: str, plugins: PluginConfig | None = None) -> tuple[ContractModel, int]:
+    """Load, override the plugins if given, and validate; returns (model, exit
+    code). model is None on parse failure."""
     try:
         model = _load_model(path)
     except ParseError as exc:
         _print_diagnostics(exc.diagnostics)
         return None, EXIT_DIAGNOSTICS
+    if plugins is not None:
+        model = replace(model, plugins=plugins)
     diagnostics = validate(model)
     _print_diagnostics(diagnostics)
     return model, (EXIT_DIAGNOSTICS if has_errors(diagnostics) else EXIT_OK)
@@ -95,17 +98,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_gen(args) -> int:
     plugins = None if args.plugins is None else _parse_plugin_list(args.plugins)
-    try:
-        model = _load_model(args.file)
-    except ParseError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_DIAGNOSTICS
-    if plugins is not None:
-        model = replace(model, plugins=plugins)
-    diagnostics = validate(model)
-    _print_diagnostics(diagnostics)
-    if has_errors(diagnostics):
-        return EXIT_DIAGNOSTICS
+    model, code = _check_model(args.file, plugins)
+    if model is None or code != EXIT_OK:
+        return code
     source = generate(weave(model))
     if args.output == "-":
         sys.stdout.write(source)

@@ -113,12 +113,10 @@ def token_texts(text: str) -> list[str]:
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on malformed text.
     """
-    return [_normalized(tok) if tok[0] in "/0123456789" else tok
-            for tok in lex_fragment(text, file="<solidity>")]
-
-
-def token_equal(a: str, b: str) -> bool:
-    return token_texts(a) == token_texts(b)
+    texts = lex_fragment(text, file="<solidity>")
+    changed = {tok: norm for tok in set(texts) if tok[0] in "/0123456789"
+               for norm in (_normalized(tok),) if norm != tok}
+    return list(map(changed.get, texts, texts)) if changed else texts
 
 
 def token_diff(a: str, b: str) -> list[tuple[int, str, str]]:

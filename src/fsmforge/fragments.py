@@ -2,19 +2,19 @@
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks. One check, `check_fragment`, visits only the tokens
-that can fail it and keeps none. `lex_fragment` runs that check and then one
-text scan, driven by one table of token patterns, that returns the token
-texts; every reader (the validator, the golden compare's `token_texts`, the
-guard parser) tells a token's kind from its text. Spans are computed only
-for errors.
+validator's cross-checks. `lex_fragment` makes one text scan, driven by one
+table of token patterns, and checks the token texts it returns, in which any
+fault shows; every reader (the validator, the golden compare's `token_texts`,
+the guard parser) tells a token's kind from its text. `check_fragment` finds
+the first fault and its span, keeping no tokens. Spans are computed only for
+errors.
 """
 from __future__ import annotations
 
 import re
 from bisect import bisect_right
 from itertools import islice
-from string import ascii_letters
+from string import ascii_letters, digits
 
 from .diagnostics import Diagnostic, SourceSpan
 from .model import TIME_UNITS
@@ -99,14 +99,26 @@ _CHECK = re.compile(
     rf"{_RUN}(?:(?:/(?![/*])|{COMMENT}|{STRING}){_RUN})*([()[\]{{}}\"']|/\*|.)?", re.S)
 _OPENERS = frozenset("([{")
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
+_DELIMITERS = _OPENERS.union(_CLOSERS)
 _UNTERMINATED = {'"': "string literal", "'": "string literal", "/*": "block comment"}
+# A lone quote, a bare "/*" or any other one-character text outside these is a fault.
+_SINGLES = _DELIMITERS.union(ascii_letters, digits, "_$", (op for op in _OPERATORS if len(op) == 1))
 
 
-def _fail(text: str, file: str, index: int, code: str, message: str, to_end: bool = False):
-    """Raise the LexError for the index-th token the check reads, found by a rescan."""
-    start = next(islice(_CHECK.finditer(text), index, None)).start(1)
-    span = SourceText(text, file).span(start, len(text) - start if to_end else 1)
-    raise LexError(Diagnostic(code, "error", message, span=span))
+def _first_fault(read: list[str]) -> tuple[int, str, str, bool] | None:
+    """(index, code, message, span to the end?) of the first fault among a check's tokens."""
+    opened: list[int] = []  # indices of the open delimiters
+    for i, tok in enumerate(read):
+        if tok in _OPENERS:
+            opened.append(i)
+        elif tok in _CLOSERS:
+            if not opened or read[opened.pop()] != _CLOSERS[tok]:
+                return i, "E_UNBALANCED", f"unmatched '{tok}'", False
+        elif tok in _UNTERMINATED:
+            return i, "E_BAD_TOKEN", f"unterminated {_UNTERMINATED[tok]}", True
+        elif tok:
+            return i, "E_BAD_TOKEN", f"byte {tok!r} cannot start a token", False
+    return (opened[-1], "E_UNBALANCED", f"unclosed '{read[opened[-1]]}'", False) if opened else None
 
 
 def check_fragment(text: str, file: str = "<fragment>") -> None:
@@ -115,23 +127,19 @@ def check_fragment(text: str, file: str = "<fragment>") -> None:
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
-    read = _CHECK.findall(text)
-    opened: list[int] = []  # indices of the open delimiters
-    for i, tok in enumerate(read):
-        if tok in _OPENERS:
-            opened.append(i)
-        elif tok in _CLOSERS:
-            if not opened or read[opened.pop()] != _CLOSERS[tok]:
-                _fail(text, file, i, "E_UNBALANCED", f"unmatched '{tok}'")
-        elif tok in _UNTERMINATED:
-            _fail(text, file, i, "E_BAD_TOKEN", f"unterminated {_UNTERMINATED[tok]}", to_end=True)
-        elif tok:
-            _fail(text, file, i, "E_BAD_TOKEN", f"byte {tok!r} cannot start a token")
-    if opened:
-        _fail(text, file, opened[-1], "E_UNBALANCED", f"unclosed '{read[opened[-1]]}'")
+    fault = _first_fault(_CHECK.findall(text))
+    if fault:  # the index-th token the check reads, found by a rescan
+        index, code, message, to_end = fault
+        start = next(islice(_CHECK.finditer(text), index, None)).start(1)
+        span = SourceText(text, file).span(start, len(text) - start if to_end else 1)
+        raise LexError(Diagnostic(code, "error", message, span=span))
 
 
 def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
     """The texts of a Solidity fragment's tokens, in order; raises as `check_fragment` does."""
-    check_fragment(text, file)
-    return _TEXTS.findall(text)
+    texts = _TEXTS.findall(text)
+    # A fault shows in the texts; a string or a comment is one text, never read inside.
+    odd = set(texts) - _SINGLES
+    if "/*" in odd or 1 in map(len, odd) or _first_fault([t for t in texts if t in _DELIMITERS]):
+        check_fragment(text, file)  # raises the first fault, with its span
+    return texts

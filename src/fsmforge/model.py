@@ -22,6 +22,12 @@ TIME_UNITS = {
     "weeks": 604800,
 }
 
+# Solidity's elementary integer type names, each with its least and greatest value.
+INT_RANGES = {f"{kind}{bits}": (0, 2**bits - 1) if kind == "uint"
+              else (-2**(bits - 1), 2**(bits - 1) - 1)
+              for kind in ("int", "uint") for bits in range(8, 257, 8)}
+INT_RANGES.update(int=INT_RANGES["int256"], uint=INT_RANGES["uint256"])
+
 
 @dataclass(frozen=True)
 class Param:

@@ -32,6 +32,7 @@ from .sim import (
     SimUsageError,
     advance_time,
     admin_call,
+    bind_env,
     invoke,
     new_session,
 )
@@ -244,7 +245,7 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
         advance_time(session, step.to)
         return StepResult(step, True, None, f"now={session.now}")
     if kind is Env:
-        session.env.update(step.bindings)
+        bind_env(session, step.bindings)
         return StepResult(step, True, None, "env updated")
     if kind is Admin:
         outcome = admin_call(session, step.action, step.target, step.sender)

@@ -11,7 +11,8 @@ effect of a transition is its state change.
 
 Guards are parsed once per contract, into the woven contract's `sim_plan`:
 a transition's on its first call, the timed transitions' on the first timed
-step.
+step. The integer ranges that `bind_env` checks are read there too, on the
+first `env` step.
 
 An `Invocation` is a plain record that the simulator reads and never assigns
 to, so a scenario step can hand the same one to every run; a probe's missing
@@ -26,6 +27,7 @@ from enum import Enum
 from typing import Optional
 
 from . import guards as g
+from .model import INT_RANGES
 from .plugins import ACCESS_CONTROL, COUNTER, EVENTS, LOCKING, TIMED
 from .weave import WovenContract
 
@@ -147,6 +149,25 @@ def advance_time(session: SimSession, to: int) -> SimSession:
         raise TimeBackwardError(f"cannot move the clock back from {session.now} to {to}")
     session.now = to
     return session
+
+
+# The plan's key for its table of state-variable name -> (least, greatest, type).
+_RANGES = object()
+
+
+def bind_env(session: SimSession, bindings: dict[str, int]) -> None:
+    """Bind guard variables; a value outside its state variable's elementary
+    integer type raises SimUsageError. Other names take any value."""
+    ranges = session.woven.sim_plan.get(_RANGES)
+    if ranges is None:
+        ranges = session.woven.sim_plan[_RANGES] = {
+            var.name: (*INT_RANGES[var.type_text], var.type_text)
+            for var in session.woven.base.variables if var.type_text in INT_RANGES}
+    for name, value in bindings.items():
+        low, high, type_text = ranges.get(name, (value, value, ""))
+        if not low <= value <= high:
+            raise SimUsageError(f"{name}={value} is outside the range of its type {type_text}")
+    session.env.update(bindings)
 
 
 def _div_trunc(a: int, b: int) -> int:

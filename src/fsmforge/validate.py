@@ -14,7 +14,7 @@ from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
 from .dsl import IDENT
 from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
-from .model import KNOWN_TAGS, ContractModel, TimedTransition, Transition
+from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
 # Solidity's keywords, reserved words and elementary type names (see
@@ -31,8 +31,7 @@ _KEYWORDS = frozenset("""
     days weeks years after alias apply auto byte case copyof default define final
     implements in inline let macro match mutable null of partial promise reference
     relocatable sealed sizeof static supports switch typedef typeof var
-""".split()) | {f"{t}{n}" for t, k in (("int", 8), ("uint", 8), ("bytes", 1))
-                for n in range(k, 33 * k, k)}
+""".split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
 
 # A name declared at column 0 of a plugin's declaration block: the word after

@@ -344,8 +344,10 @@ def test_repl_handles_eof_and_errors(auction_path, capsys, monkeypatch):
      "line 2: timed:open names no timed transition with a guard"),
     ("rock_paper_scissors.fsm", ["admin add bob by deployer expect ok"], "Play",
      "line 1: access_control plugin is not enabled"),
+    ("voting.fsm", ["env votesCast=-5"], "Setup",
+     "line 1: votesCast=-5 is outside the range of its type uint"),
 ], ids=["unbound-variable", "call-without-n", "override-past-the-guards",
-        "timed-override-without-a-guard", "admin-without-access-control"])
+        "timed-override-without-a-guard", "admin-without-access-control", "env-out-of-range"])
 def test_step_the_simulator_refuses_is_a_usage_error(corpus_dir, tmp_path, capsys, monkeypatch,
                                                      model, lines, initial, message):
     path = str(corpus_dir / model)

@@ -1,9 +1,11 @@
+import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fsmforge import fragments
 from fsmforge.codegen import token_texts
 from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, check_fragment, lex_fragment
 from fsmforge.model import TIME_UNITS
@@ -186,30 +188,45 @@ def oracle_token_texts(text):
     return out
 
 
+def assert_raises_as_the_oracle(text, exc):
+    """Each lexer raises the oracle's error, at the oracle's span."""
+    code, message, start, length = exc.args
+    line = text.count("\n", 0, start) + 1
+    column = start - (text.rfind("\n", 0, start) + 1) + 1
+    for lex in (lex_fragment, token_texts, check_fragment):
+        with pytest.raises(LexError) as got:
+            lex(text)
+        d = got.value.diagnostic
+        assert (d.code, d.message, d.span.line, d.span.column, d.span.length) == (
+            code, message, line, column, length), lex.__name__
+
+
 # Pieces that fold or refuse to fold a time unit, weighted against pieces
 # that make the text malformed, so that both outcomes are drawn often. Every
 # operator kind is drawn, "/" and "*" beside "/" too, so the order of the
-# lexer's table and each normalization of `token_texts` are pinned.
+# lexer's table and each normalization of `token_texts` are pinned. The last
+# three hold fault characters inside a string or a comment, where none is one.
 _ORACLE_PIECES = (_PIECES + ["5 days", "0x1fdays", "5 daysX", "5\tdays", "/", "/=", "*", "-",
                              "=", "==", "<<", "**=", "->", "!", "?", ":", ","]) * 3 + [
-    "@", '"', "/*", "(", "]"]
+    "@", '"', "/*", "(", "[", "{", ")", "]", "}", "'\"@\u00e9(\"'", "/* ) \u00e9 */", "// ] \x0b\n"]
+
+
+# Delimiters nested 40 deep, more than the drawn texts reach: balanced, with
+# a mismatched innermost closer, unclosed, and met at once by a wrong closer.
+_NEST = "f" + "([{" * 40 + " x " + "}])" * 40
 
 
 @given(st.lists(st.sampled_from(_ORACLE_PIECES), max_size=40).map("".join))
+@example(_NEST)
+@example(_NEST.replace(" x }", " x )"))
+@example(_NEST[:-1])
+@example("(" * 40 + "]" + ")" * 39)
 @settings(max_examples=500)
 def test_scan_matches_the_loop_oracle(text):
     try:
         want = oracle_lex(text)
     except OracleError as exc:
-        code, message, start, length = exc.args
-        line = text.count("\n", 0, start) + 1
-        column = start - (text.rfind("\n", 0, start) + 1) + 1
-        for lex in (lex_fragment, token_texts, check_fragment):
-            with pytest.raises(LexError) as got:
-                lex(text)
-            d = got.value.diagnostic
-            assert (d.code, d.message, d.span.line, d.span.column, d.span.length) == (
-                code, message, line, column, length), lex.__name__
+        assert_raises_as_the_oracle(text, exc)
         return
     assert lex_fragment(text) == [tok for _, tok, _ in want]
     assert token_texts(text) == oracle_token_texts(text)
@@ -227,3 +244,41 @@ def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):
     assert scan <= 0.5 * oracle, f"token_texts took {scan / oracle:.2f}x the oracle's time"
     # 8x the text; linear growth gives a ratio near 8.
     assert scan / small < 24, f"token_texts on 8x the text took {scan / small:.1f}x as long"
+
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """The calls to `fragments.check_fragment` made from here on."""
+    calls = []
+
+    def counted(text, file="<fragment>"):
+        calls.append(text)
+        return check_fragment(text, file)
+    monkeypatch.setattr(fragments, "check_fragment", counted)
+    return calls
+
+
+def test_a_well_formed_text_is_scanned_once(corpus_dir, check_calls):
+    listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text()
+    assert lex_fragment(listing) and token_texts(listing)
+    assert check_calls == []  # the token list is checked, the text is not read again
+    for lex in (lex_fragment, token_texts):
+        with pytest.raises(LexError):
+            lex(listing + ")")
+    assert check_calls == [listing + ")"] * 2  # only a fault is looked for in the text
+
+
+# Each fault is spliced into a long well-formed text at a token boundary.
+_FAULTS = [")", "{", "(]", '"', "'", "/*", "@", "\u00e9", "\x0b"]
+
+
+@pytest.mark.parametrize("fault", _FAULTS, ids=ascii)
+def test_a_fault_deep_in_a_long_text_raises_as_the_oracle(corpus_dir, fault):
+    listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text() * 20
+    starts = [start for _, _, start in oracle_lex(listing)]
+    rng = random.Random(f"deep fault {fault!r}")
+    for start in sorted(rng.sample(starts[len(starts) // 2:], 3)):
+        text = listing[:start] + fault + listing[start:]
+        with pytest.raises(OracleError) as exc:
+            oracle_lex(text)
+        assert_raises_as_the_oracle(text, exc.value)

@@ -171,6 +171,46 @@ def test_env_feeds_guards(corpus_dir):
     assert report.ok, [r.detail for r in report.failures]
 
 
+RANGES = """contract R {
+    states { initial A; }
+    var public uint u;
+    var public uint256 u256;
+    var public uint8 u8;
+    var public int i;
+    var public int8 i8;
+    var public uint7 notAType;
+    var public address who;
+    var private mapping(address => uint) votes;
+    transition go from A to A { }
+}
+"""
+
+
+@pytest.mark.parametrize("name, low, high", [
+    ("u", 0, 2**256 - 1), ("u256", 0, 2**256 - 1), ("u8", 0, 255),
+    ("i", -2**255, 2**255 - 1), ("i8", -128, 127)])
+def test_env_takes_exactly_the_range_of_an_integer_variable(name, low, high):
+    woven = weave(parse_dsl(RANGES))
+    report = run_scenario(woven, f"env {name}={low}\nenv {name}={high}\n")
+    assert report.ok
+    for value in (low - 1, high + 1):
+        session = new_session(woven)
+        with pytest.raises(ScenarioSyntaxError) as exc:
+            run_scenario(woven, f"env {name}={low}\nenv x=1 {name}={value}\n")
+        assert str(exc.value).startswith(f"line 2: {name}={value} is outside the range")
+        step = parse_step(1, f"env x=1 {name}={value}")
+        with pytest.raises(ScenarioSyntaxError):
+            run_step(session, step)
+        assert session.env == {}  # a refused step binds none of its names
+
+
+def test_env_takes_any_value_for_other_names():
+    woven = weave(parse_dsl(RANGES))
+    big = 2**300
+    report = run_scenario(woven, f"env notAType=-1 who={big} votes=-{big} undeclared=-{big}\n")
+    assert report.ok
+
+
 def test_guard_division_by_zero_is_an_expected_revert():
     woven = weave(parse_dsl(
         "contract D { states { initial A; B; } "

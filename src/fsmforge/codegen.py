@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .fragments import lex_fragment
 from .model import Transition
-from .plugins import PLUGINS
+from .plugins import PLUGINS, Plugin
 from .weave import WovenContract
 
 _INDENT = "    "
@@ -34,16 +34,22 @@ def guard_conjunction(t: Transition) -> str:
     return f"require( {joined} );"
 
 
-def _emit_transition(out: list[str], woven: WovenContract, t: Transition):
-    out.append(f"{_INDENT}//Transition {t.name}")
-    chain = woven.chains.get(t.name, ())
+def _chain_head(chain: tuple[Plugin, ...]) -> tuple[list[str], str]:
+    """The texts of a chain's injected parameters, and its modifier lines as
+    one template in which `{name}` stands for the transition's name."""
     params = [f"{type_text} {name}" for plugin in chain for name, type_text in plugin.params]
-    params += [f"{p.type_text} {p.name}" for p in t.inputs]
+    return params, "\n".join(f"{_INDENT * 2}{plugin.modifier}" for plugin in chain)
+
+
+def _emit_transition(out: list[str], t: Transition, head: tuple[list[str], str]):
+    injected, modifiers = head
+    out.append(f"{_INDENT}//Transition {t.name}")
+    params = injected + [f"{p.type_text} {p.name}" for p in t.inputs]
     out.append(f"{_INDENT}function {t.name}({', '.join(params)})")
     if "payable" in t.tags:
         out.append(f"{_INDENT * 2}payable")
-    for plugin in chain:
-        out.append(f"{_INDENT * 2}{plugin.modifier.format(name=t.name)}")
+    if modifiers:  # formatted only where a modifier is a `{name}` template
+        out.append(modifiers.format(name=t.name) if "{" in modifiers else modifiers)
     if t.outputs:
         returns = ", ".join(f"{p.type_text} {p.name}" for p in t.outputs)
         out.append(f"{_INDENT * 2}returns ({returns})")
@@ -94,10 +100,14 @@ def generate(woven: WovenContract) -> str:
             _emit_block(out, decls, 1)
     out.append("")
     out.append(f"{_INDENT}//Transitions")
+    heads: dict[tuple[Plugin, ...], tuple[list[str], str]] = {}  # one per chain
     for i, t in enumerate(model.transitions):
         if i > 0:
             out.append("")
-        _emit_transition(out, woven, t)
+        chain = woven.chains.get(t.name, ())
+        if chain not in heads:
+            heads[chain] = _chain_head(chain)
+        _emit_transition(out, t, heads[chain])
     out.append("}")
     return "\n".join(out) + "\n"
 

@@ -63,14 +63,20 @@ _OPERATORS = [
     "?", ":", ".", ",", ";",
 ]
 
+# The one-character tokens that start no longer token: the delimiters and
+# "~ ? : . , ;". One character class matches them in one step, where an
+# alternation of operators tries each in turn.
+_LONE = "()[]{}" + "".join(op for op in _OPERATORS if len(op) == 1
+                           and not any(o != op and o.startswith(op) for o in _OPERATORS))
+
 # Tried in order, commonest first where no two kinds start alike. A comment
 # must be tried before the operators "/" and "/=", so those two follow it,
 # apart from the other operators. The last kind takes one byte no other token
 # starts with, so a scan with this table skips whitespace only.
 _KINDS = (
     _IDENT,
-    r"[()[\]{}]",  # delimiter
-    "|".join(re.escape(op) for op in _OPERATORS if op[0] != "/"),
+    f"[{re.escape(_LONE)}]",
+    "|".join(re.escape(op) for op in _OPERATORS if op[0] != "/" and op not in _LONE),
     COMMENT,
     r"/\*",  # an unterminated block comment
     "|".join(re.escape(op) for op in _OPERATORS if op[0] == "/"),

@@ -7,8 +7,8 @@ declaration block (the validator reads the plugin's names from it) and its
 modifier. `PLUGINS` lists the entries in declaration order; `CHAIN` lists
 them in the order their modifiers wrap a transition, outermost first:
 locking, timedTransitions, transitionCounting, onlyAdmin, then the
-per-transition event modifier. `weave` stores `chain(config, t)` for each
-transition in `WovenContract.chains`. The generator writes each modifier
+per-transition event modifier. `weave` stores `chain(config, t.tags)` for
+each transition in `WovenContract.chains`. The generator writes each modifier
 and injected parameter from that stored tuple, and the simulator runs its
 steps from the same tuple, so the two cannot disagree on the order.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:
-    from .model import ContractModel, TimedTransition, Transition
+    from .model import ContractModel, TimedTransition
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,8 @@ BY_KEYWORD = {p.keyword: p for p in PLUGINS}
 BY_TAG = {p.tag: p for p in PLUGINS if p.tag is not None}
 
 
-def chain(config: PluginConfig, t: Transition) -> tuple[Plugin, ...]:
-    """The enabled plugins whose modifiers wrap `t`, outermost first."""
+def chain(config: PluginConfig, tags: tuple[str, ...]) -> tuple[Plugin, ...]:
+    """The enabled plugins whose modifiers wrap a transition with these tags,
+    outermost first."""
     return tuple(p for p in CHAIN
-                 if getattr(config, p.field) and (p.tag is None or p.tag in t.tags))
+                 if getattr(config, p.field) and (p.tag is None or p.tag in tags))

@@ -103,10 +103,13 @@ def _parse_bool(line_no: int, text: str) -> bool:
 
 
 def _parse_int(line_no: int, text: str) -> int:
+    """An optional "-" and ASCII digits; `int` alone would also take "+5", "1_000" or "١"."""
     try:
-        return int(text)
-    except ValueError:
-        raise ScenarioSyntaxError(line_no, f"expected an integer, got '{text}'") from None
+        if text.isascii() and text.lstrip("-").isdigit():
+            return int(text)
+    except ValueError:  # "--5", or past int()'s digit limit
+        pass
+    raise ScenarioSyntaxError(line_no, f"expected an integer, got '{text}'")
 
 
 def _parse_call(line_no: int, text: str, parts: list[str]) -> Call:

@@ -12,7 +12,6 @@ from dataclasses import replace
 
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
-from .dsl import IDENT
 from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
 from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
@@ -33,6 +32,8 @@ _KEYWORDS = frozenset("""
     relocatable sealed sizeof static supports switch typedef typeof var
 """.split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
+# A name of an integer or bytes type with a width; Solidity has only those in _KEYWORDS.
+_SIZED_TYPE = re.compile(r"(?<![A-Za-z0-9_$])(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])")
 
 # A name declared at column 0 of a plugin's declaration block: the word after
 # `function` / `modifier`, or the last word before `=` or `;` (variables, events).
@@ -85,8 +86,10 @@ class _Collector:
                 generated: set[str] = frozenset()):
         """Add `name` to `scope` (name -> path) unless it collides with a name
         there or with one of the `generated` names, which the scope also sees."""
-        keyword = name in _KEYWORDS or _FIXED.fullmatch(name)
-        if keyword or not IDENT.fullmatch(name):
+        keyword = name in _KEYWORDS or (
+            name.startswith(("fixed", "ufixed")) and _FIXED.fullmatch(name))
+        # An ASCII Python identifier is exactly what dsl.IDENT matches.
+        if keyword or not (name.isascii() and name.isidentifier()):
             why = "a Solidity keyword" if keyword else "not an identifier"
             self.error("E_BAD_NAME", path, f"{what} '{name}' is {why}")
         elif name in generated:
@@ -115,6 +118,16 @@ def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
     return tokens or []
 
 
+def _check_type(out: _Collector, path: str, type_text: str, structs: set[str]):
+    """Check a type text as a fragment, and that each integer or bytes type it
+    names has a width Solidity has, unless the name is a declared struct's."""
+    _check_fragment(out, path, type_text, inline=True)
+    for name in _SIZED_TYPE.findall(type_text):
+        if name not in _KEYWORDS and name not in structs:
+            out.error("E_BAD_TYPE", path, f"Solidity has no type '{name}'")
+            break
+
+
 def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, states: set[str]):
     for end, state in (("from", t.from_state), ("to", t.to_state)):
         if state not in states:
@@ -122,7 +135,8 @@ def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, sta
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      states: set[str], generated: set[str], declared_guard_names: set[str]):
+                      states: set[str], generated: set[str], declared_guard_names: set[str],
+                      structs: set[str]):
     path = f"transitions[{index}]"
     _check_ends(out, path, t, states)
     for tag in t.tags:
@@ -136,7 +150,7 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
             out.declare(param_scope, ppath, "parameter", param.name, generated)
-            _check_fragment(out, ppath, param.type_text, inline=True)
+            _check_type(out, ppath, param.type_text, structs)
     own_names = {p.name for p in t.inputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
@@ -184,21 +198,23 @@ def validate(model: ContractModel) -> list[Diagnostic]:
         out.declare(states, f"states[{i}]", "state", state)
     known_states = set(model.states)  # a bad name too: it is reported once, above
 
+    structs = {struct.name for struct in model.structs}
     for i, var in enumerate(model.variables):
         out.declare(contract, f"variables[{i}]", "variable", var.name, generated)
-        _check_fragment(out, f"variables[{i}]", var.type_text, inline=True)
+        _check_type(out, f"variables[{i}]", var.type_text, structs)
 
     for i, struct in enumerate(model.structs):
         out.declare(contract, f"structs[{i}]", "struct", struct.name, generated)
         members: dict[str, str] = {}
         for j, member in enumerate(struct.members):
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member.name)
-            _check_fragment(out, f"structs[{i}].members[{j}]", member.type_text, inline=True)
+            _check_type(out, f"structs[{i}].members[{j}]", member.type_text, structs)
 
-    declared_guard_names = {v.name for v in model.variables} | {s.name for s in model.structs}
+    declared_guard_names = {v.name for v in model.variables} | structs
     for i, t in enumerate(model.transitions):
         out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
-        _check_transition(out, model, i, t, known_states, generated, declared_guard_names)
+        _check_transition(out, model, i, t, known_states, generated, declared_guard_names,
+                          structs)
 
     io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
     timed: dict[str, str] = {}

@@ -28,4 +28,8 @@ class WovenContract:
 
 def weave(model: ContractModel) -> WovenContract:
     """Weave enabled plugins into a validated model."""
-    return WovenContract(model, {t.name: chain(model.plugins, t) for t in model.transitions})
+    chains: dict[tuple[str, ...], tuple[Plugin, ...]] = {}  # one per tag set
+    for t in model.transitions:
+        if t.tags not in chains:
+            chains[t.tags] = chain(model.plugins, t.tags)
+    return WovenContract(model, {t.name: chains[t.tags] for t in model.transitions})

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -231,6 +232,37 @@ def test_scan_matches_the_loop_oracle(text):
     assert lex_fragment(text) == [tok for _, tok, _ in want]
     assert token_texts(text) == oracle_token_texts(text)
     check_fragment(text)
+
+
+def longest_match(text):
+    """Token texts of a text of operators, delimiters, "//", "/*", digits, letters
+    and spaces: at each point the longest operator, whatever `_OPERATORS`' order."""
+    by_length = sorted(_OPERATORS, key=len, reverse=True)
+    out, i = [], 0
+    while i < len(text):
+        if text[i] == " ":
+            i += 1
+            continue
+        if text.startswith("//", i):
+            return out + [text[i:]]
+        assert not text.startswith("/*", i), "an unterminated comment is the oracle's fault"
+        word = re.compile(r"[0-9]+|[A-Za-z][A-Za-z0-9]*|[()[\]{}]").match(text, i)
+        tok = word.group() if word else next(op for op in by_length if text.startswith(op, i))
+        out.append(tok)
+        i += len(tok)
+    return out
+
+
+def test_every_pair_of_tokens_lexes_by_maximal_munch():
+    pieces = _OPERATORS + list("()[]{}") + ["//", "/*", "7", "x"]
+    for a, b in itertools.product(pieces, repeat=2):
+        for text in (a + b, f"{a} {b}"):
+            try:
+                oracle_lex(text)
+            except OracleError as exc:  # an unbalanced delimiter or an unterminated comment
+                assert_raises_as_the_oracle(text, exc)
+                continue
+            assert lex_fragment(text) == longest_match(text), text
 
 
 def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):

@@ -43,7 +43,7 @@ def test_parse_step_variants():
     step = parse_step(1, "call bid as alice reenter=bid reenter:g1=false reenter:g0=true expect ok")
     assert step.call.reentry_probe.guard_overrides == {1: False, 0: True}
     assert step.call.guard_overrides == {}
-    assert parse_step(1, "call bid as alice g١=true expect ok").call.guard_overrides == {1: True}
+    assert parse_step(1, "call bid as alice g10=true expect ok").call.guard_overrides == {10: True}
     step = parse_step(1, "call stay as alice timed:tick=false timed:tock=true expect ok")
     assert step.call.timed_guard_overrides == {"tick": False, "tock": True}
     assert step.call.reentry_probe is None
@@ -107,6 +107,20 @@ def test_each_step_kind_parses_to_its_record(line, record, kind):
 def test_bad_steps_raise(bad):
     with pytest.raises(ScenarioSyntaxError):
         parse_step(7, bad)
+
+
+@pytest.mark.parametrize("line, number", [
+    ("env k=\u0661", "\u0661"),  # an Arabic-Indic digit
+    ("env k=1_000", "1_000"),
+    ("time +5", "+5"),
+    ("time --5", "--5"),
+    ("call bid as alice n=\u0662 expect ok", "\u0662"),
+    ("call bid as alice g\u0661=true expect ok", "\u0661"),
+])
+def test_scenario_integers_are_an_optional_minus_and_ascii_digits(line, number):
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse_step(3, line)
+    assert str(exc.value) == f"line 3: expected an integer, got '{number}'"
 
 
 def test_line_numbers_in_errors():

@@ -1,8 +1,11 @@
 import random
 from collections import Counter
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from fsmforge.codegen import generate
-from fsmforge.dsl import parse_dsl
+from fsmforge.dsl import IDENT, parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
     ContractModel,
@@ -58,6 +61,7 @@ FIXTURES = {
     "E_BAD_OFFSET": model(
         plugins=PluginConfig(timed=True),
         timed_transitions=(TimedTransition("tt", "A", "B", 2**256),)),
+    "E_BAD_TYPE": model(variables=(VariableDecl("v", "uint7", "public"),)),
 }
 
 
@@ -279,6 +283,32 @@ def test_builtins_the_generated_code_reads_are_generated_names():
     # reads are the user's own.
     assert codes(model(variables=(VariableDecl("msg", "uint", "private"),),
                        transitions=(t(statements=("msg = 1;",)),))) == []
+
+
+def test_integer_and_bytes_types_have_the_widths_solidity_has():
+    def typed(type_text, structs=()):
+        return model(variables=(VariableDecl("v", type_text, "public"),),
+                     structs=tuple(StructDef(s, (Param("x", "uint"),)) for s in structs),
+                     transitions=(t(inputs=(Param("a", type_text),)),))
+
+    for bad in ("uint7", "int300", "uint08", "bytes0", "bytes33", "int0", "uint264"):
+        for text in (bad, f"{bad}[]", f"mapping(address => {bad})", f"mapping(uint8 => {bad}[2])"):
+            assert diags(typed(text)) == [
+                ("E_BAD_TYPE", "variables[0]", f"Solidity has no type '{bad}'"),
+                ("E_BAD_TYPE", "transitions[0].inputs[0]", f"Solidity has no type '{bad}'")]
+        assert codes(typed(bad, structs=(bad,))) == []  # the model's own type
+    for good in ("uint", "int", "bytes", "uint8", "int256", "uint256[]", "bytes1", "bytes32",
+                 "mapping(bytes32 => uint128)", "myuint7", "uint7x", "Lib_uint7", "string"):
+        assert codes(typed(good)) == [], good
+    member = model(structs=(StructDef("R", (Param("x", "bytes33"),)),))
+    assert diags(member) == [
+        ("E_BAD_TYPE", "structs[0].members[0]", "Solidity has no type 'bytes33'")]
+
+
+@given(st.text(alphabet="aZ_09$ \u00e9\u0661\ufb01\n", max_size=5))
+def test_a_name_is_exactly_what_the_dsl_reads_as_an_identifier(name):
+    found = validate(model(states=(name, "B"), initial_state=name))
+    assert [d.code for d in found] == ([] if IDENT.fullmatch(name) else ["E_BAD_NAME"])
 
 
 def test_every_declared_name_must_be_an_identifier_and_no_keyword():

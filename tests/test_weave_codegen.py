@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from fsmforge import plugins
 from fsmforge.codegen import generate, guard_conjunction, token_diff, token_texts
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
@@ -78,17 +79,33 @@ def test_no_plugins_no_fragments():
     assert _modifiers(source, "stay") == []
 
 
+# Transitions that share a chain, one with a per-name modifier (`event{name}`),
+# beside one with another tag set.
+SHARED_CHAINS = """contract Shared {
+    states { initial A; B; }
+    transition open from A to B tags (event) { }
+    transition shut from B to A tags (event) { }
+    transition bump from A to A tags (event, payable) { input (uint k); }
+    transition again from B to B tags (event) { }
+    transition admit from A to A tags (admin, event) { }
+    transition idle from B to B { }
+}
+"""
+
+
 def test_generator_writes_the_chain_the_simulator_runs(corpus_dir):
     # The simulator walks `woven.chains`; each generated function must carry
     # exactly that chain's modifiers, and the counter's parameter first when
     # the chain has the counter, under every plugin configuration.
-    for path in sorted(corpus_dir.glob("*.fsm")):
-        base = parse_dsl(path.read_text())
+    texts = [path.read_text() for path in sorted(corpus_dir.glob("*.fsm"))] + [SHARED_CHAINS]
+    for text in texts:
+        base = parse_dsl(text)
         for flags in itertools.product([False, True], repeat=5):
             woven = weave(replace(base, plugins=PluginConfig(*flags)))
             source = generate(woven)
             for t in woven.base.transitions:
                 chain = woven.chains[t.name]
+                assert chain == plugins.chain(woven.base.plugins, t.tags)
                 assert _modifiers(source, t.name) == [
                     p.modifier.format(name=t.name) for p in chain]
                 counted = _header(source, t.name)[0].startswith(

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -125,3 +126,141 @@ def test_json_names_must_be_identifiers(corpus_dir):
     data["transitions"][cast]["name"] = "cast votes"
     found = [(d.code, d.path) for d in validate(parse_json(json.dumps(data)))]
     assert found == [("E_BAD_NAME", "states[0]"), ("E_BAD_NAME", f"transitions[{cast}].name")]
+
+
+# Each record's JSON keys in emitted order, and a document with one of each.
+RECORD_KEYS = {
+    "": ["name", "states", "initial", "variables", "structs", "transitions", "timed",
+         "plugins"],
+    "variables[0]": ["name", "type", "visibility"],
+    "structs[0]": ["name", "members"],
+    "structs[0].members[0]": ["name", "type"],
+    "transitions[0]": ["name", "from", "to", "tags", "inputs", "outputs", "locals",
+                       "guards", "statements"],
+    "transitions[0].inputs[0]": ["name", "type"],
+    "transitions[0].outputs[0]": ["name", "type"],
+    "transitions[0].locals[0]": ["name", "type"],
+    "timed[0]": ["name", "from", "to", "atSeconds", "guard", "statements"],
+    "plugins": ["locking", "counter", "timed", "access_control", "events"],
+}
+
+FULL = {
+    "name": "M", "states": ["A", "B"], "initial": "A",
+    "variables": [{"name": "x", "type": "uint", "visibility": "public"}],
+    "structs": [{"name": "R", "members": [{"name": "m", "type": "uint"}]}],
+    "transitions": [{
+        "name": "t", "from": "A", "to": "B", "tags": ["payable"],
+        "inputs": [{"name": "a", "type": "uint"}], "outputs": [{"name": "b", "type": "uint"}],
+        "locals": [{"name": "c", "type": "uint"}], "guards": ["a > 0"],
+        "statements": ["x = a;"]}],
+    "timed": [{"name": "w", "from": "B", "to": "A", "atSeconds": 60, "guard": "x > 0",
+               "statements": ["x = 0;"]}],
+    "plugins": {"locking": True, "counter": False, "timed": True, "access_control": False,
+                "events": False},
+}
+
+# (record, key, a wrong value, message, path) for every key of every record.
+_STRING = "expected a string"
+_STRINGS = "expected a list of strings"
+_LIST = "expected a list"
+WRONG_VALUES = [
+    ("", "name", 1, _STRING, "name"),
+    ("", "states", ["A", 1], _STRINGS, "states"),
+    ("", "initial", 1, "expected a string or null", "initial"),
+    ("", "variables", {}, _LIST, "variables"),
+    ("", "structs", "R", _LIST, "structs"),
+    ("", "transitions", None, _LIST, "transitions"),
+    ("", "timed", 1, _LIST, "timed"),
+    ("", "plugins", [], "expected an object at plugins", "plugins"),
+    ("variables[0]", "name", None, _STRING, "variables[0]"),
+    ("variables[0]", "type", 8, _STRING, "variables[0]"),
+    ("variables[0]", "visibility", "banana", "visibility must be 'public' or 'private'",
+     "variables[0].visibility"),
+    ("structs[0]", "name", [], _STRING, "structs[0]"),
+    ("structs[0]", "members", {}, _LIST, "structs[0].members"),
+    ("timed[0]", "name", 1, _STRING, "timed[0]"),
+    ("timed[0]", "from", None, _STRING, "timed[0]"),
+    ("timed[0]", "to", True, _STRING, "timed[0]"),
+    ("timed[0]", "atSeconds", -1, "atSeconds must be a nonnegative integer",
+     "timed[0].atSeconds"),
+    ("timed[0]", "guard", 1, "guard must be a string or null", "timed[0].guard"),
+    ("timed[0]", "statements", "x = 0;", _STRINGS, "timed[0].statements"),
+] + [
+    (record, key, 1, _STRING, record)
+    for record in ["structs[0].members[0]", "transitions[0].inputs[0]",
+                   "transitions[0].outputs[0]", "transitions[0].locals[0]"]
+    for key in ["name", "type"]
+] + [
+    ("transitions[0]", key, 1, _STRING, "transitions[0]") for key in ["name", "from", "to"]
+] + [
+    ("transitions[0]", key, [1], _STRINGS, f"transitions[0].{key}")
+    for key in ["tags", "guards", "statements"]
+] + [
+    ("transitions[0]", key, "uint a", _LIST, f"transitions[0].{key}")
+    for key in ["inputs", "outputs", "locals"]
+] + [
+    ("plugins", key, "yes", "plugin flags must be booleans", f"plugins.{key}")
+    for key in RECORD_KEYS["plugins"]
+]
+
+
+def _steps(path):
+    """The keys and indexes of a record path such as `transitions[0].inputs[0]`."""
+    return [int(part) if part.isdigit() else part
+            for part in re.split(r"[.\[\]]+", path) if part]
+
+
+def _walk(doc, steps):
+    for step in steps:
+        doc = doc[step]
+    return doc
+
+
+def _one_fault(path, change):
+    """The diagnostics for FULL with the record at path replaced by change(record)."""
+    doc = json.loads(json.dumps(FULL))
+    if path:
+        *outer, last = _steps(path)
+        holder = _walk(doc, outer)
+        holder[last] = change(holder[last])
+    else:
+        doc = change(doc)
+    with pytest.raises(ParseError) as exc:
+        parse_json(json.dumps(doc))
+    return [(d.code, d.message, d.path) for d in exc.value.diagnostics]
+
+
+def test_full_document_is_a_model_and_emits_its_keys_in_order():
+    model = parse_json(json.dumps(FULL))
+    text = emit_json(model)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    emitted = json.loads(text)
+    assert emitted == FULL
+    for path, keys in RECORD_KEYS.items():
+        assert list(_walk(emitted, _steps(path))) == keys, path
+
+
+@pytest.mark.parametrize("record, key, value, message, path", WRONG_VALUES,
+                         ids=[f"{r or 'top'}.{k}" for r, k, *_ in WRONG_VALUES])
+def test_each_wrong_value_is_reported_at_its_path(record, key, value, message, path):
+    assert _one_fault(record, lambda obj: dict(obj, **{key: value})) == [
+        ("E_JSON_SHAPE", message, path)]
+
+
+def test_every_key_has_a_wrong_value_case():
+    assert sorted((r, k) for r, k, *_ in WRONG_VALUES) == sorted(
+        (r, k) for r, keys in RECORD_KEYS.items() for k in keys)
+
+
+@pytest.mark.parametrize("record", list(RECORD_KEYS))
+def test_each_record_checks_its_object_and_keys(record):
+    keys = RECORD_KEYS[record]
+    where = record or "top level"
+    assert _one_fault(record, lambda obj: 1) == [
+        ("E_JSON_SHAPE", f"expected an object at {where}", record)]
+    assert _one_fault(record, lambda obj: {k: v for k, v in obj.items()
+                                           if k not in (keys[0], keys[-1])}) == [
+        ("E_JSON_SHAPE", f"missing field(s): {', '.join(sorted([keys[0], keys[-1]]))}",
+         record)]
+    assert _one_fault(record, lambda obj: dict(obj, zz=1, aa=2)) == [
+        ("E_JSON_SHAPE", "unexpected field(s): aa, zz", record)]

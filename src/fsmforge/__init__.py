@@ -5,8 +5,8 @@ Solidity. A transactional simulator executes the woven semantics for
 scenario scripts and property testing.
 """
 from .codegen import generate, token_diff, token_texts
-from .diagnostics import Diagnostic, SourceSpan, has_errors
-from .dsl import ParseError, emit_dsl, parse_dsl
+from .diagnostics import Diagnostic, ParseError, SourceSpan, has_errors
+from .dsl import emit_dsl, parse_dsl
 from .guards import parse_guard_expr
 from .jsonio import emit_json, parse_json
 from .model import (

@@ -14,8 +14,8 @@ from importlib import resources
 from pathlib import Path
 
 from .codegen import generate
-from .diagnostics import has_errors
-from .dsl import ParseError, emit_dsl, parse_dsl
+from .diagnostics import ParseError, has_errors
+from .dsl import emit_dsl, parse_dsl
 from .jsonio import emit_json, parse_json
 from .model import ContractModel
 from .plugins import BY_KEYWORD, PluginConfig

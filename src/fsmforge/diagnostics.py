@@ -47,5 +47,13 @@ class Diagnostic:
         return text
 
 
+class ParseError(Exception):
+    """A DSL or JSON text that is not a model, with the diagnostics saying why."""
+
+    def __init__(self, diagnostics: list[Diagnostic]):
+        super().__init__("; ".join(d.message for d in diagnostics))
+        self.diagnostics = diagnostics
+
+
 def has_errors(diagnostics) -> bool:
     return any(d.severity == "error" for d in diagnostics)

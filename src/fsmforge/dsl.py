@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from string import ascii_letters
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, ParseError
 from .fragments import STRING, SourceText
 from .model import (
     TIME_UNITS,
@@ -73,12 +73,6 @@ _IDENT_START = frozenset(ascii_letters + "_")
 _NESTING = {"(": 1, "[": 1, ")": -1, "]": -1}
 _PARAM_SECTIONS = {"input": "input parameter", "output": "output parameter",
                    "locals": "local declaration"}
-
-
-class ParseError(Exception):
-    def __init__(self, diagnostics: list[Diagnostic]):
-        super().__init__("; ".join(d.message for d in diagnostics))
-        self.diagnostics = diagnostics
 
 
 def _clean_fragment(raw: str) -> str:

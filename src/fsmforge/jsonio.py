@@ -1,11 +1,16 @@
-"""Canonical JSON interchange form of a contract model."""
+"""Canonical JSON interchange form of a contract model.
+
+`FIELDS` is the format: for each record, its JSON keys in the order they are
+emitted, each with the model field it fills and the reader that checks its
+value. `parse_json` and `emit_json` both walk it.
+"""
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any
 
-from .diagnostics import Diagnostic
-from .dsl import ParseError
+from .diagnostics import Diagnostic, ParseError, SourceSpan
 from .model import (
     ContractModel,
     Param,
@@ -17,171 +22,148 @@ from .model import (
 )
 from .plugins import PLUGINS, PluginConfig
 
-_TOP_KEYS = {"name", "states", "initial", "variables", "structs", "transitions", "timed", "plugins"}
-_TRANSITION_KEYS = {"name", "from", "to", "tags", "inputs", "outputs", "locals", "guards", "statements"}
-_TIMED_KEYS = {"name", "from", "to", "atSeconds", "guard", "statements"}
 
-
-def _shape_error(message: str, path: str = "") -> ParseError:
+def _shape_error(message: str, path: str) -> ParseError:
     return ParseError([Diagnostic("E_JSON_SHAPE", "error", message, path=path)])
 
 
-def _check_keys(obj: Any, expected: set[str], path: str) -> dict:
+def _at(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+# A reader takes a value, the path of its record and its key, and returns the
+# model value or raises E_JSON_SHAPE at the key's path.
+def _check(test, message: str):
+    def read(value: Any, path: str, key: str):
+        if not test(value):
+            raise _shape_error(message, _at(path, key))
+        return value
+    return read
+
+
+def _str(value: Any, path: str, key: str) -> str:
+    """A bad string in a nested record is reported at the record."""
+    if not isinstance(value, str):
+        raise _shape_error("expected a string", path or key)
+    return value
+
+
+def _strs(value: Any, path: str, key: str) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise _shape_error("expected a list of strings", _at(path, key))
+    return tuple(value)
+
+
+def _records(cls: type):
+    def read(value: Any, path: str, key: str) -> tuple:
+        path = _at(path, key)
+        if not isinstance(value, list):
+            raise _shape_error("expected a list", path)
+        return tuple([_read(cls, item, f"{path}[{i}]") for i, item in enumerate(value)])
+    return read
+
+
+def _str_or_none(value: Any) -> bool:
+    return value is None or isinstance(value, str)
+
+
+_PARAMS = _records(Param)
+
+FIELDS: dict[type, tuple[tuple[str, str, Any], ...]] = {
+    ContractModel: (
+        ("name", "name", _str),
+        ("states", "states", _strs),
+        ("initial", "initial_state", _check(_str_or_none, "expected a string or null")),
+        ("variables", "variables", _records(VariableDecl)),
+        ("structs", "structs", _records(StructDef)),
+        ("transitions", "transitions", _records(Transition)),
+        ("timed", "timed_transitions", _records(TimedTransition)),
+        ("plugins", "plugins", lambda v, path, key: _read(PluginConfig, v, _at(path, key))),
+    ),
+    VariableDecl: (
+        ("name", "name", _str),
+        ("type", "type_text", _str),
+        ("visibility", "visibility", _check(lambda v: v in ("public", "private"),
+                                            "visibility must be 'public' or 'private'")),
+    ),
+    StructDef: (
+        ("name", "name", _str),
+        ("members", "members", _PARAMS),
+    ),
+    Param: (
+        ("name", "name", _str),
+        ("type", "type_text", _str),
+    ),
+    Transition: (
+        ("name", "name", _str),
+        ("from", "from_state", _str),
+        ("to", "to_state", _str),
+        ("tags", "tags", _strs),
+        ("inputs", "inputs", _PARAMS),
+        ("outputs", "outputs", _PARAMS),
+        ("locals", "locals", _PARAMS),
+        ("guards", "guards", _strs),
+        ("statements", "statements", _strs),
+    ),
+    TimedTransition: (
+        ("name", "name", _str),
+        ("from", "from_state", _str),
+        ("to", "to_state", _str),
+        ("atSeconds", "time_offset_seconds", _check(
+            lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 0,
+            "atSeconds must be a nonnegative integer")),
+        ("guard", "guard", _check(_str_or_none, "guard must be a string or null")),
+        ("statements", "statements", _strs),
+    ),
+    PluginConfig: tuple((p.field, p.field, _check(lambda v: isinstance(v, bool),
+                                                  "plugin flags must be booleans"))
+                        for p in PLUGINS),
+}
+_KEYS = {cls: frozenset(key for key, _, _ in table) for cls, table in FIELDS.items()}
+# Each record's (key, reader) pairs in the order of its fields, so that it is
+# built positionally.
+_READERS = {cls: tuple((key, read) for f in fields(cls) for key, name, read in table
+                       if name == f.name) for cls, table in FIELDS.items()}
+
+
+def _read(cls: type, obj: Any, path: str):
     if not isinstance(obj, dict):
         raise _shape_error(f"expected an object at {path or 'top level'}", path)
-    missing = expected - obj.keys()
-    extra = obj.keys() - expected
-    if missing:
-        raise _shape_error(f"missing field(s): {', '.join(sorted(missing))}", path)
-    if extra:
+    if obj.keys() != _KEYS[cls]:
+        missing = _KEYS[cls] - obj.keys()
+        if missing:
+            raise _shape_error(f"missing field(s): {', '.join(sorted(missing))}", path)
+        extra = obj.keys() - _KEYS[cls]
         raise _shape_error(f"unexpected field(s): {', '.join(sorted(extra))}", path)
-    return obj
-
-
-def _str(value: Any, path: str) -> str:
-    if not isinstance(value, str):
-        raise _shape_error("expected a string", path)
-    return value
-
-
-def _str_list(value: Any, path: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise _shape_error("expected a list of strings", path)
-    return value
-
-
-def _params(value: Any, path: str) -> tuple[Param, ...]:
-    """A list of `{"name", "type"}` objects: parameters, locals or struct members."""
-    if not isinstance(value, list):
-        raise _shape_error("expected a list", path)
-    params = []
-    for i, item in enumerate(value):
-        item_path = f"{path}[{i}]"
-        obj = _check_keys(item, {"name", "type"}, item_path)
-        type_text = _str(obj["type"], item_path)
-        params.append(Param(name=_str(obj["name"], item_path), type_text=type_text))
-    return tuple(params)
+    return cls(*[reader(obj[key], path, key) for key, reader in _READERS[cls]])
 
 
 def parse_json(text: str, file: str = "<input>") -> ContractModel:
     """Parse the JSON form into a canonicalized model.
 
-    Raises ParseError with E_JSON_SHAPE / E_SYNTAX diagnostics on bad input.
+    Raises ParseError with E_JSON_SHAPE / E_SYNTAX diagnostics on bad input;
+    the E_SYNTAX diagnostic of a text that is not JSON points at the fault.
     """
     try:
         data = json.loads(text)
     except (ValueError, RecursionError) as exc:  # ValueError: also a number past int()'s limit
-        raise ParseError([Diagnostic("E_SYNTAX", "error", f"invalid JSON: {exc}")]) from exc
-    top = _check_keys(data, _TOP_KEYS, "")
-    initial = top["initial"]
-    if initial is not None and not isinstance(initial, str):
-        raise _shape_error("expected a string or null", "initial")
-    variables = []
-    if not isinstance(top["variables"], list):
-        raise _shape_error("expected a list", "variables")
-    for i, item in enumerate(top["variables"]):
-        path = f"variables[{i}]"
-        obj = _check_keys(item, {"name", "type", "visibility"}, path)
-        if obj["visibility"] not in ("public", "private"):
-            raise _shape_error("visibility must be 'public' or 'private'", f"{path}.visibility")
-        variables.append(VariableDecl(
-            name=_str(obj["name"], path),
-            type_text=_str(obj["type"], path),
-            visibility=obj["visibility"],
-        ))
-    structs = []
-    if not isinstance(top["structs"], list):
-        raise _shape_error("expected a list", "structs")
-    for i, item in enumerate(top["structs"]):
-        path = f"structs[{i}]"
-        obj = _check_keys(item, {"name", "members"}, path)
-        members = _params(obj["members"], f"{path}.members")
-        structs.append(StructDef(name=_str(obj["name"], path), members=members))
-    transitions = []
-    if not isinstance(top["transitions"], list):
-        raise _shape_error("expected a list", "transitions")
-    for i, item in enumerate(top["transitions"]):
-        path = f"transitions[{i}]"
-        obj = _check_keys(item, _TRANSITION_KEYS, path)
-        transitions.append(Transition(
-            name=_str(obj["name"], path),
-            from_state=_str(obj["from"], path),
-            to_state=_str(obj["to"], path),
-            tags=tuple(_str_list(obj["tags"], f"{path}.tags")),
-            inputs=_params(obj["inputs"], f"{path}.inputs"),
-            outputs=_params(obj["outputs"], f"{path}.outputs"),
-            locals=_params(obj["locals"], f"{path}.locals"),
-            guards=tuple(_str_list(obj["guards"], f"{path}.guards")),
-            statements=tuple(_str_list(obj["statements"], f"{path}.statements")),
-        ))
-    timed = []
-    if not isinstance(top["timed"], list):
-        raise _shape_error("expected a list", "timed")
-    for i, item in enumerate(top["timed"]):
-        path = f"timed[{i}]"
-        obj = _check_keys(item, _TIMED_KEYS, path)
-        at = obj["atSeconds"]
-        if isinstance(at, bool) or not isinstance(at, int) or at < 0:
-            raise _shape_error("atSeconds must be a nonnegative integer", f"{path}.atSeconds")
-        guard = obj["guard"]
-        if guard is not None and not isinstance(guard, str):
-            raise _shape_error("guard must be a string or null", f"{path}.guard")
-        timed.append(TimedTransition(
-            name=_str(obj["name"], path),
-            from_state=_str(obj["from"], path),
-            to_state=_str(obj["to"], path),
-            time_offset_seconds=at,
-            guard=guard,
-            statements=tuple(_str_list(obj["statements"], f"{path}.statements")),
-        ))
-    plugins_obj = _check_keys(top["plugins"], {p.field for p in PLUGINS}, "plugins")
-    for key, value in plugins_obj.items():
-        if not isinstance(value, bool):
-            raise _shape_error("plugin flags must be booleans", f"plugins.{key}")
-    model = ContractModel(
-        name=_str(top["name"], "name"),
-        states=tuple(_str_list(top["states"], "states")),
-        initial_state=initial,
-        variables=tuple(variables),
-        structs=tuple(structs),
-        transitions=tuple(transitions),
-        timed_transitions=tuple(timed),
-        plugins=PluginConfig(**plugins_obj),
-    )
-    return canonicalize(model)
+        span = (SourceSpan(file, exc.lineno, exc.colno)
+                if isinstance(exc, json.JSONDecodeError) else None)
+        raise ParseError([Diagnostic("E_SYNTAX", "error", f"invalid JSON: {exc}",
+                                     span=span)]) from exc
+    return canonicalize(_read(ContractModel, data, ""))
+
+
+def _write(value: Any) -> Any:
+    """The JSON value of a model value: a record becomes an object, a tuple a list."""
+    if type(value) is tuple:
+        return list(map(_write, value)) if value and type(value[0]) in FIELDS else list(value)
+    table = FIELDS.get(type(value))
+    if table is None:
+        return value
+    return {key: _write(getattr(value, name)) for key, name, _ in table}
 
 
 def emit_json(model: ContractModel) -> str:
     """Lossless JSON mirror of the model; parse_json(emit_json(m)) == m."""
-    def params(items):
-        return [{"name": p.name, "type": p.type_text} for p in items]
-
-    data = {
-        "name": model.name,
-        "states": list(model.states),
-        "initial": model.initial_state,
-        "variables": [
-            {"name": v.name, "type": v.type_text, "visibility": v.visibility}
-            for v in model.variables
-        ],
-        "structs": [
-            {"name": s.name,
-             "members": params(s.members)}
-            for s in model.structs
-        ],
-        "transitions": [
-            {"name": t.name, "from": t.from_state, "to": t.to_state,
-             "tags": list(t.tags), "inputs": params(t.inputs),
-             "outputs": params(t.outputs), "locals": params(t.locals),
-             "guards": list(t.guards), "statements": list(t.statements)}
-            for t in model.transitions
-        ],
-        "timed": [
-            {"name": tt.name, "from": tt.from_state, "to": tt.to_state,
-             "atSeconds": tt.time_offset_seconds,
-             "guard": tt.guard, "statements": list(tt.statements)}
-            for tt in model.timed_transitions
-        ],
-        "plugins": {p.field: getattr(model.plugins, p.field) for p in PLUGINS},
-    }
-    return json.dumps(data, indent=2) + "\n"
+    return json.dumps(_write(model), indent=2) + "\n"

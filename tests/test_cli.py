@@ -34,6 +34,17 @@ def test_check_parse_error(tmp_path, capsys):
     assert "E_SYNTAX" in capsys.readouterr().err
 
 
+def test_check_points_at_invalid_json(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{\n  "name": "M",\n  "states": [1 2]\n}\n')
+    assert main(["check", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error E_SYNTAX at {bad}:3:16: invalid JSON: ")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)  # deeper than the recursion limit: no span
+    assert main(["check", str(deep)]) == 1
+    assert capsys.readouterr().err.startswith("error E_SYNTAX: invalid JSON: ")
+
+
 def test_gen_to_stdout(auction_path, capsys):
     assert main(["gen", auction_path]) == 0
     out = capsys.readouterr().out

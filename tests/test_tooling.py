@@ -107,6 +107,22 @@ def test_star_import_binds_every_exported_name():
     assert all(namespace[name] is getattr(fsmforge, name) for name in fsmforge.__all__)
 
 
+def test_the_json_field_table_names_every_model_field_once():
+    # A field added to a model record without a JSON key would otherwise show
+    # only when a random round-trip happened to set it.
+    from fsmforge import model
+    from fsmforge.jsonio import FIELDS
+    from fsmforge.plugins import PLUGINS
+
+    records = {cls for cls in vars(model).values()
+               if dataclasses.is_dataclass(cls) and isinstance(cls, type)}
+    assert set(FIELDS) == records
+    for cls, table in FIELDS.items():
+        assert sorted(name for _, name, _ in table) == sorted(
+            f.name for f in dataclasses.fields(cls)), cls.__name__
+    assert [key for key, _, _ in FIELDS[model.PluginConfig]] == [p.field for p in PLUGINS]
+
+
 def test_every_dataclass_has_its_own_docstring():
     # Without one, `dataclass()` builds `Name(field: type, ...)` with
     # `inspect.signature`, which costs import time for every class.

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
-from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
+from .fragments import COMMENT, IDENT_START, STRING, LexError, check_fragment, lex_fragment
 from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -32,8 +32,10 @@ _KEYWORDS = frozenset("""
     relocatable sealed sizeof static supports switch typedef typeof var
 """.split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
-# A name of an integer or bytes type with a width; Solidity has only those in _KEYWORDS.
-_SIZED_TYPE = re.compile(r"(?<![A-Za-z0-9_$])(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])")
+# In a type text: a name of an integer or bytes type with a width (Solidity
+# has only those in _KEYWORDS), a number, a string or a comment.
+_TYPE_PART = re.compile(rf"(?<![A-Za-z0-9_$])(?:(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])"
+                        rf"|[0-9][A-Za-z0-9_$]*)|{STRING}|{COMMENT}", re.S)
 
 # A name declared at column 0 of a plugin's declaration block: the word after
 # `function` / `modifier`, or the last word before `=` or `;` (variables, events).
@@ -119,12 +121,18 @@ def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
 
 
 def _check_type(out: _Collector, path: str, type_text: str, structs: set[str]):
-    """Check a type text as a fragment, and that each integer or bytes type it
-    names has a width Solidity has, unless the name is a declared struct's."""
+    """Check a type text as a fragment; that each integer or bytes type it
+    names has a width Solidity has, unless the name is a declared struct's;
+    and that each number or string in it is inside `[...]`, an array length."""
     _check_fragment(out, path, type_text, inline=True)
-    for name in _SIZED_TYPE.findall(type_text):
-        if name not in _KEYWORDS and name not in structs:
-            out.error("E_BAD_TYPE", path, f"Solidity has no type '{name}'")
+    for m in _TYPE_PART.finditer(type_text):
+        part, start = m.group(), m.start()
+        if part[0] in IDENT_START:
+            if part not in _KEYWORDS and part not in structs:
+                out.error("E_BAD_TYPE", path, f"Solidity has no type '{part}'")
+                break
+        elif part[0] != "/" and type_text.count("[", 0, start) == type_text.count("]", 0, start):
+            out.error("E_BAD_TYPE", path, f"a type has the literal {part} outside '[...]'")
             break
 
 

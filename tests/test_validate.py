@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 
@@ -303,6 +304,40 @@ def test_integer_and_bytes_types_have_the_widths_solidity_has():
     member = model(structs=(StructDef("R", (Param("x", "bytes33"),)),))
     assert diags(member) == [
         ("E_BAD_TYPE", "structs[0].members[0]", "Solidity has no type 'bytes33'")]
+
+
+def test_a_number_or_string_in_a_type_must_be_inside_brackets():
+    # These parsed, validated and gave Solidity such as `uint 8 x;`.
+    for decl, literal in (("var public uint 8x;", "8"), ('var public uint[] "s" t;', '"s"')):
+        m = parse_dsl(f"contract C {{ states {{ initial A; }} {decl} }}")
+        assert diags(m) == [("E_BAD_TYPE", "variables[0]",
+                             f"a type has the literal {literal} outside '[...]'")]
+    m = parse_dsl("contract C { states { initial A; } transition go from A to A "
+                  "{ input (uint 42 a); } }")
+    assert diags(m) == [("E_BAD_TYPE", "transitions[0].inputs[0]",
+                         "a type has the literal 42 outside '[...]'")]
+    data = json.loads(emit_json(model(structs=(StructDef("R", (Param("m", "uint 8"),)),))))
+    assert diags(parse_json(json.dumps(data))) == [
+        ("E_BAD_TYPE", "structs[0].members[0]", "a type has the literal 8 outside '[...]'")]
+    for good in ("uint[8]", "mapping(uint => bool)", "bytes32[2][3]", "uint /* 8 */"):
+        assert codes(model(variables=(VariableDecl("v", good, "public"),))) == [], good
+
+
+VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",
+               "mapping(address => uint[4])[]", "R[1]"]
+
+
+@given(st.sampled_from(VALID_TYPES), st.sampled_from(["8", "0x1f", "1e3", '"s"', "'x'"]),
+       st.data())
+def test_a_literal_is_refused_exactly_outside_brackets(type_text, literal, data):
+    cuts = [i for i in range(len(type_text) + 1)
+            if not (type_text[i - 1:i].isalnum() and type_text[i:i + 1].isalnum())]
+    i = data.draw(st.sampled_from(cuts))
+    inside = type_text.count("[", 0, i) > type_text.count("]", 0, i)
+    text = f"{type_text[:i]} {literal} {type_text[i:]}"
+    m = model(variables=(VariableDecl("v", text, "public"),),
+              structs=(StructDef("R", (Param("x", "uint"),)),))
+    assert codes(m) == ([] if inside else ["E_BAD_TYPE"]), text
 
 
 @given(st.text(alphabet="aZ_09$ \u00e9\u0661\ufb01\n", max_size=5))

@@ -33,9 +33,13 @@ _KEYWORDS = frozenset("""
 """.split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
 # In a type text: a name of an integer or bytes type with a width (Solidity
-# has only those in _KEYWORDS), a number, a string or a comment.
-_TYPE_PART = re.compile(rf"(?<![A-Za-z0-9_$])(?:(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])"
-                        rf"|[0-9][A-Za-z0-9_$]*)|{STRING}|{COMMENT}", re.S)
+# has only those in _KEYWORDS), a comment, or a number or string outside
+# `[...]`, that is, one after which the next bracket is no `]`. The lookahead
+# first skips every position that starts none of them.
+_OUTSIDE = r"(?![^\[\]]*\])"
+_TYPE_PART = re.compile(
+    rf"(?=[uib0-9\"'/])(?:(?<![A-Za-z0-9_$])(?:(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])"
+    rf"|[0-9][A-Za-z0-9_$]*{_OUTSIDE})|(?:{STRING}){_OUTSIDE}|{COMMENT})", re.S)
 
 # A name declared at column 0 of a plugin's declaration block: the word after
 # `function` / `modifier`, or the last word before `=` or `;` (variables, events).
@@ -125,13 +129,12 @@ def _check_type(out: _Collector, path: str, type_text: str, structs: set[str]):
     names has a width Solidity has, unless the name is a declared struct's;
     and that each number or string in it is inside `[...]`, an array length."""
     _check_fragment(out, path, type_text, inline=True)
-    for m in _TYPE_PART.finditer(type_text):
-        part, start = m.group(), m.start()
+    for part in _TYPE_PART.findall(type_text):
         if part[0] in IDENT_START:
             if part not in _KEYWORDS and part not in structs:
                 out.error("E_BAD_TYPE", path, f"Solidity has no type '{part}'")
                 break
-        elif part[0] != "/" and type_text.count("[", 0, start) == type_text.count("]", 0, start):
+        elif part[0] != "/":
             out.error("E_BAD_TYPE", path, f"a type has the literal {part} outside '[...]'")
             break
 

@@ -30,7 +30,12 @@ EXIT_USAGE = 2
 
 
 class CliError(Exception):
-    """Usage or I/O failure; maps to exit code 2."""
+    """A failure that ends the command with `code`: a usage or I/O error (2),
+    or diagnostics (1), which are printed already and carry no message."""
+
+    def __init__(self, message: str = "", code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
 
 
 def _read_file(path: str) -> str:
@@ -49,35 +54,36 @@ def _write_file(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _load_model(path: str) -> ContractModel:
-    """Parse a .fsm or .json model file; ParseError propagates to the caller."""
-    text = _read_file(path)
-    suffix = Path(path).suffix
-    if suffix == ".fsm":
-        return parse_dsl(text, file=path)
-    if suffix == ".json":
-        return parse_json(text, file=path)
-    raise CliError(f"unsupported model file extension '{suffix}' (use .fsm or .json)")
-
-
 def _print_diagnostics(diagnostics) -> None:
     for d in diagnostics:
         print(d.render(), file=sys.stderr)
 
 
-def _check_model(path: str, plugins: PluginConfig | None = None) -> tuple[ContractModel, int]:
-    """Load, override the plugins if given, and validate; returns (model, exit
-    code). model is None on parse failure."""
+def _load_model(path: str) -> ContractModel:
+    """Parse a .fsm or .json model file; a parse error's diagnostics are
+    printed and raise CliError with exit code 1."""
+    text = _read_file(path)
+    suffix = Path(path).suffix
+    if suffix not in (".fsm", ".json"):
+        raise CliError(f"unsupported model file extension '{suffix}' (use .fsm or .json)")
     try:
-        model = _load_model(path)
+        return (parse_dsl if suffix == ".fsm" else parse_json)(text, file=path)
     except ParseError as exc:
         _print_diagnostics(exc.diagnostics)
-        return None, EXIT_DIAGNOSTICS
+        raise CliError(code=EXIT_DIAGNOSTICS) from None
+
+
+def _check_model(path: str, plugins: PluginConfig | None = None) -> ContractModel:
+    """Load, override the plugins if given, and validate; the diagnostics are
+    printed, and an error among them raises CliError with exit code 1."""
+    model = _load_model(path)
     if plugins is not None:
         model = replace(model, plugins=plugins)
     diagnostics = validate(model)
     _print_diagnostics(diagnostics)
-    return model, (EXIT_DIAGNOSTICS if has_errors(diagnostics) else EXIT_OK)
+    if has_errors(diagnostics):
+        raise CliError(code=EXIT_DIAGNOSTICS)
+    return model
 
 
 def _parse_plugin_list(text: str) -> PluginConfig:
@@ -92,16 +98,13 @@ def _parse_plugin_list(text: str) -> PluginConfig:
 
 
 def _cmd_check(args) -> int:
-    _, code = _check_model(args.file)
-    return code
+    _check_model(args.file)
+    return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
     plugins = None if args.plugins is None else _parse_plugin_list(args.plugins)
-    model, code = _check_model(args.file, plugins)
-    if model is None or code != EXIT_OK:
-        return code
-    source = generate(weave(model))
+    source = generate(weave(_check_model(args.file, plugins)))
     if args.output == "-":
         sys.stdout.write(source)
     else:
@@ -116,12 +119,9 @@ def _print_step(result: StepResult) -> None:
 
 
 def _cmd_sim(args) -> int:
-    model, code = _check_model(args.file)
-    if model is None or code != EXIT_OK:
-        return code
-    text = _read_file(args.scenario)
+    woven = weave(_check_model(args.file))
     try:
-        report = run_scenario(weave(model), text)
+        report = run_scenario(woven, _read_file(args.scenario))
     except ScenarioSyntaxError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -132,9 +132,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_repl(args) -> int:
-    model, code = _check_model(args.file)
-    if model is None or code != EXIT_OK:
-        return code
+    model = _check_model(args.file)
     session = new_session(weave(model))
     print(f"{model.name}: {session.snapshot()}", file=sys.stderr)
     print("enter scenario steps (time/env/call/admin/assert), 'quit' to exit",
@@ -160,11 +158,7 @@ def _cmd_repl(args) -> int:
 
 def _cmd_fmt(args) -> int:
     suffix = Path(args.file).suffix
-    try:
-        model = _load_model(args.file)
-    except ParseError as exc:
-        _print_diagnostics(exc.diagnostics)
-        return EXIT_DIAGNOSTICS
+    model = _load_model(args.file)
     text = emit_dsl(model) if suffix == ".fsm" else emit_json(model)
     if args.write:
         _write_file(args.file, text)
@@ -231,8 +225,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        if exc.code == EXIT_USAGE:
+            print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -273,10 +273,7 @@ def _describe(outcome: Outcome) -> str:
         if outcome.probe is not None:
             extra += f" probe={_describe(outcome.probe)}"
         return "Executed" + extra
-    detail = f"Reverted({outcome.revert_reason.value})"
-    if outcome.probe is not None:
-        detail += f" probe={_describe(outcome.probe)}"
-    return detail
+    return f"Reverted({outcome.revert_reason.value})"
 
 
 def run_scenario(woven: WovenContract, text: str,

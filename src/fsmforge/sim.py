@@ -9,10 +9,10 @@ a reverted call leaves the session untouched, mirroring transactional
 rollback. Statement fragments are opaque and never executed; the modeled
 effect of a transition is its state change.
 
-Guards are parsed once per contract, into the woven contract's `sim_plan`:
-a transition's on its first call, the timed transitions' on the first timed
-step. The integer ranges that `bind_env` checks are read there too, on the
-first `env` step.
+The woven contract's plan (`_plan`) is built once per contract, when the
+contract's first session starts: each transition's chain, parsed guards and
+plain executed outcome, the timed transitions with their parsed guards, and
+the integer ranges that `bind_env` checks.
 
 An `Invocation` is a plain record that the simulator reads and never assigns
 to, so a scenario step can hand the same one to every run; a probe's missing
@@ -24,7 +24,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import guards as g
 from .model import INT_RANGES
@@ -103,6 +103,33 @@ _revert = {r: Outcome(executed=False, revert_reason=r) for r in RevertReason}.__
 _EXECUTED = Outcome(executed=True)
 
 
+class _Plan(NamedTuple):
+    """What the simulator reads of a woven contract, built once per contract."""
+
+    entries: dict  # name -> (its first transition, chain, parsed guards, plain executed outcome)
+    timed: tuple  # (timed transition, parsed guard or None), in firing order
+    ranges: dict  # state variable -> (least, greatest, type)
+
+
+def _plan(woven: WovenContract) -> _Plan:
+    """The woven contract's plan, built when its first session starts."""
+    if not woven.sim_plan:
+        model, entries = woven.base, {}
+        for t in model.transitions:
+            if t.name not in entries:
+                chain = woven.chains.get(t.name, ())  # no chain: run it unwrapped
+                entries[t.name] = (t, chain, tuple(g.parse_guard_expr(x) for x in t.guards),
+                                   Outcome(executed=True, events=(f"Event{t.name}",))
+                                   if EVENTS in chain else _EXECUTED)
+        woven.sim_plan.append(_Plan(
+            entries,
+            tuple((tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
+                  for tt in model.timed_transitions),
+            {var.name: (*INT_RANGES[var.type_text], var.type_text)
+             for var in model.variables if var.type_text in INT_RANGES}))
+    return woven.sim_plan[0]
+
+
 @dataclass
 class SimSession:
     """A simulated deployment of a woven contract and its state."""
@@ -116,6 +143,10 @@ class SimSession:
     is_admin: frozenset[str] = frozenset()
     env: dict[str, int] = field(default_factory=dict)
     log: list[tuple[Invocation, Outcome]] = field(default_factory=list)
+    plan: _Plan = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.plan = _plan(self.woven)
 
     def snapshot(self) -> dict:
         return {
@@ -151,18 +182,10 @@ def advance_time(session: SimSession, to: int) -> SimSession:
     return session
 
 
-# The plan's key for its table of state-variable name -> (least, greatest, type).
-_RANGES = object()
-
-
 def bind_env(session: SimSession, bindings: dict[str, int]) -> None:
     """Bind guard variables; a value outside its state variable's elementary
     integer type raises SimUsageError. Other names take any value."""
-    ranges = session.woven.sim_plan.get(_RANGES)
-    if ranges is None:
-        ranges = session.woven.sim_plan[_RANGES] = {
-            var.name: (*INT_RANGES[var.type_text], var.type_text)
-            for var in session.woven.base.variables if var.type_text in INT_RANGES}
+    ranges = session.plan.ranges
     for name, value in bindings.items():
         low, high, type_text = ranges.get(name, (value, value, ""))
         if not low <= value <= high:
@@ -233,35 +256,10 @@ def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int
     raise SimUsageError(f"unknown guard node {ast!r}")
 
 
-# The plan's key for its timed entry; every other key is a transition name.
-_TIMED = object()
-
-
-def _entry(woven: WovenContract, name: str):
-    """(transition, chain, parsed guards, plain executed outcome) for the first
-    transition named `name`, or None."""
-    entry = woven.sim_plan.get(name)
-    if entry is None:
-        t = next((t for t in woven.base.transitions if t.name == name), None)
-        if t is None:
-            return None  # not cached: unknown names must not grow the plan
-        chain = woven.chains[name]
-        entry = woven.sim_plan[name] = (
-            t, chain, tuple(g.parse_guard_expr(x) for x in t.guards),
-            Outcome(executed=True, events=(f"Event{t.name}",)) if EVENTS in chain else _EXECUTED)
-    return entry
-
-
 def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
     """Fire due timed transitions, in declaration order; each re-reads the state."""
-    plan = session.woven.sim_plan
-    timed = plan.get(_TIMED)
-    if timed is None:
-        timed = plan[_TIMED] = tuple(
-            (tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
-            for tt in session.woven.base.timed_transitions)
     fired: list[str] = []
-    for tt, ast in timed:
+    for tt, ast in session.plan.timed:
         if session.current_state != tt.from_state:
             continue
         if session.now < session.creation_time + tt.time_offset_seconds:
@@ -283,16 +281,22 @@ def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
 
 
 def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
-    entry = _entry(session.woven, call.transition)
+    entries = session.plan.entries
+    entry = entries.get(call.transition)
     if entry is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
     t, chain, asts, done = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
-    if call.guard_overrides and max(call.guard_overrides) >= len(asts):
-        raise SimUsageError(f"call to '{call.transition}' overrides g{max(call.guard_overrides)}, "
-                            f"but it has {len(asts)} guard(s)")
+    if depth == 0 and (call.guard_overrides or call.reentry_probe is not None):
+        # The call's and its probe's overrides, before any modifier runs; a
+        # probe of an unknown name reverts when it runs.
+        for c in (call, call.reentry_probe):
+            known = c is not None and c.guard_overrides and entries.get(c.transition)
+            if known and max(c.guard_overrides) >= len(known[2]):
+                raise SimUsageError(f"call to '{c.transition}' overrides g{max(c.guard_overrides)}"
+                                    f", but it has {len(known[2])} guard(s)")
 
     # The woven modifiers, outermost first; each entry runs its step.
     fired: tuple[str, ...] = ()

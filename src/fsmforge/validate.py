@@ -127,9 +127,11 @@ def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
 def _check_type(out: _Collector, path: str, type_text: str, structs: set[str]):
     """Check a type text as a fragment; that each integer or bytes type it
     names has a width Solidity has, unless the name is a declared struct's;
-    and that each number or string in it is inside `[...]`, an array length."""
+    and that each number or string in it is inside `[...]`, an array length.
+    A text the fragment check refuses gets no other diagnostic."""
+    reported = len(out.diagnostics)
     _check_fragment(out, path, type_text, inline=True)
-    for part in _TYPE_PART.findall(type_text):
+    for part in _TYPE_PART.findall(type_text) if len(out.diagnostics) == reported else ():
         if part[0] in IDENT_START:
             if part not in _KEYWORDS and part not in structs:
                 out.error("E_BAD_TYPE", path, f"Solidity has no type '{part}'")

@@ -21,9 +21,9 @@ class WovenContract:
     base: ContractModel
     # transition name -> the plugins wrapping it, outermost first
     chains: dict[str, tuple[Plugin, ...]] = field(default_factory=dict)
-    # The simulator's plan, filled by sim.py on first use. Not part of the
-    # value: `replace` starts a new, empty plan for the new base.
-    sim_plan: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # Holds the simulator's plan, built by sim.py when the contract's first
+    # session starts. Not part of the value: `replace` starts a new, empty one.
+    sim_plan: list = field(default_factory=list, init=False, compare=False, repr=False)
 
 
 def weave(model: ContractModel) -> WovenContract:

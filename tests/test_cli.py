@@ -30,8 +30,10 @@ def test_check_reports_diagnostics(tmp_path, capsys):
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("contract {\n")
-    assert main(["check", str(bad)]) == 1
-    assert "E_SYNTAX" in capsys.readouterr().err
+    for command in ("check", "fmt"):
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error E_SYNTAX at {bad}:1:10: expected contract name\n")
 
 
 def test_check_points_at_invalid_json(tmp_path, capsys):
@@ -96,6 +98,18 @@ def test_gen_accepts_json_input(auction_path, tmp_path, capsys):
     dsl_out = capsys.readouterr()
     assert main(["gen", auction_path]) == 0
     assert capsys.readouterr().out == dsl_out.out
+
+
+def test_sim_and_repl_refuse_an_invalid_model_before_the_scenario(tmp_path, capsys,
+                                                                 monkeypatch):
+    bad = tmp_path / "bad.fsm"
+    bad.write_text("contract M { states { A; } }\n")  # no initial state
+    monkeypatch.setattr("builtins.input", lambda prompt="": pytest.fail("repl read a step"))
+    for argv in (["sim", str(bad), "--scenario", str(tmp_path / "missing.scn")],
+                 ["repl", str(bad)]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr() == (
+            "", "error E_NO_INITIAL (initial): no initial state is declared\n")
 
 
 def test_unknown_extension(tmp_path, capsys):

@@ -152,6 +152,24 @@ def test_parse_errors():
                  "timed t from A to A at " + "9" * 5000 + " { } }", "E_SYNTAX")
 
 
+@pytest.mark.parametrize("text, message, column", [
+    ("contract M { states { initial A; } states { initial B; } }",
+     "duplicate 'states' block", 36),
+    ("contract M { states { initial A; } plugins { locking; } plugins { counter; } }",
+     "duplicate 'plugins' block", 57),
+    ("contract M { states { initial A; } struct S { uint a; uint a; } }",
+     "duplicate struct member 'a'", 55),
+    ("contract M { states { initial A; } plugins { timed; } "
+     "timed t from A to A at 5 seconds { guard { x } guard { y } } }",
+     "timed transition allows a single guard", 102),
+])
+def test_duplicate_declarations_point_at_the_second_one(text, message, column):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    [d] = exc.value.diagnostics
+    assert (d.code, d.message, d.span.line, d.span.column) == ("E_DUP_DECL", message, 1, column)
+
+
 def test_error_spans_point_at_the_source():
     with pytest.raises(ParseError) as exc:
         parse("contract M {\n  junk\n}")

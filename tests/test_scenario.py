@@ -343,6 +343,17 @@ def test_reentry_override_past_the_probe_guards_is_refused():
     assert str(exc.value) == "line 2: call to 'withdraw' overrides g1, but it has 1 guard(s)"
 
 
+def test_reentry_override_is_refused_when_the_call_reverts_before_the_probe():
+    woven = weave(parse_dsl(WITHDRAW % ""))
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_scenario(woven, "call withdraw as alice g0=false reenter=withdraw "
+                            "reenter:g1=true expect ok\n")
+    assert str(exc.value) == "line 1: call to 'withdraw' overrides g1, but it has 1 guard(s)"
+    report = run_scenario(woven, "call withdraw as alice g0=true reenter=nope reenter:g1=true "
+                                 "expect ok\n")
+    assert report.results[0].detail == "Executed probe=Reverted(UnknownTransition)"
+
+
 # Scenario words for random_model's names, the grammar's own words, and junk:
 # `g١` is a decimal digit int() reads, `g²` a digit it does not, and the long
 # numbers pass int()'s digit limit or nearly reach it.

@@ -5,6 +5,7 @@ from dataclasses import fields, replace
 
 import pytest
 
+from fsmforge.codegen import generate
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
     ContractModel,
@@ -15,6 +16,7 @@ from fsmforge.model import (
 from fsmforge.sim import (
     Invocation,
     MissingOverride,
+    Outcome,
     RevertReason,
     SimConfig,
     SimSession,
@@ -28,7 +30,7 @@ from fsmforge.sim import (
     new_session,
 )
 from fsmforge.guards import MAX_DEPTH, Binary, IntLit, Opaque, parse_guard_expr
-from fsmforge.weave import weave
+from fsmforge.weave import WovenContract, weave
 from modelgen import random_model
 from test_guards import DEEP_GUARDS
 from timing import sample
@@ -483,6 +485,41 @@ def test_plan_is_invisible_and_isolated():
         out = invoke(second, Invocation(f"nope{i}", "u", 0))
         assert out.revert_reason == RevertReason.UNKNOWN_TRANSITION
     assert len(w.sim_plan) == size
+
+
+def test_a_transition_without_a_chain_runs_unwrapped():
+    # The generator writes such a transition with no modifiers, so the
+    # simulator runs it without the counter, lock or event of its plugins.
+    m = ContractModel(name="S", states=("A", "B"), initial_state="A",
+                      transitions=(t("go", "A", "B", tags=("event",)),),
+                      plugins=PluginConfig(counter=True, locking=True, events=True))
+    s = new_session(WovenContract(m))
+    assert invoke(s, Invocation("go", "u")) == Outcome(executed=True)
+    assert (s.current_state, s.transition_counter, s.locked) == ("B", 0, False)
+
+    bigger = replace(m, transitions=m.transitions + (t("back", "B", "A"),))
+    woven = replace(weave(m), base=bigger)
+    assert "function back()\n    {" in generate(woven)
+    s = new_session(woven)
+    assert invoke(s, Invocation("go", "u", 0)) == Outcome(executed=True, events=("Eventgo",))
+    assert invoke(s, Invocation("back", "u")) == Outcome(executed=True)
+    assert (s.current_state, s.transition_counter) == ("A", 1)
+
+
+def test_overrides_are_checked_before_any_modifier_runs():
+    woven = build([t("go", "A", "B", guard="k > 0")], locking=True)
+    s = new_session(woven)
+    s.locked = True  # the lock check would revert the call first
+    probe = Invocation("go", "u", guard_overrides={1: True})
+    for call in (Invocation("go", "u", guard_overrides={1: True}),
+                 Invocation("go", "u", reentry_probe=probe)):
+        with pytest.raises(SimUsageError, match="overrides g1, but it has 1 guard"):
+            invoke(s, call)
+    s.locked = False
+    unknown = Invocation("nope", "u", guard_overrides={5: True})
+    s.env["k"] = 1
+    out = invoke(s, Invocation("go", "u", reentry_probe=unknown))
+    assert out.probe.revert_reason == RevertReason.UNKNOWN_TRANSITION
 
 
 # A guarded call may cost at most this share of one parse of its guard: with

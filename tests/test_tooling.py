@@ -145,6 +145,17 @@ def test_every_validator_code_has_a_criterion_7_fixture():
     assert set(re.findall(r'"([EW]_[A-Z_]+)"', source)) == set(DIAGNOSTIC_CODES)
 
 
+def test_the_readme_lists_every_validator_code():
+    # The code list in parentheses that opens the README's validator bullet.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"^- \*\*Validator\*\* with stable diagnostic codes \(([^)]*)\)",
+                       readme, re.M).group(1)
+    source = (ROOT / "src" / "fsmforge" / "validate.py").read_text(encoding="utf-8")
+    codes = re.findall(r"`([EW]_[A-Z_]+)`", listed)
+    assert len(codes) == len(set(codes))
+    assert set(codes) == set(re.findall(r'"([EW]_[A-Z_]+)"', source))
+
+
 def test_committed_bench_records_are_complete():
     # A BENCH_*.json record backs a performance claim with every run made: one
     # seed and one first side per pair, and no failed operation in any run.

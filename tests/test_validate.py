@@ -323,6 +323,14 @@ def test_a_number_or_string_in_a_type_must_be_inside_brackets():
         assert codes(model(variables=(VariableDecl("v", good, "public"),))) == [], good
 
 
+def test_an_unbalanced_type_gets_no_other_diagnostic():
+    # The part scan would read `8` and `uint7` as faults of their own.
+    for text, message in (("uint /* 8", "unterminated block comment"),
+                          ("uint7 (", "unclosed '('")):
+        assert diags(model(variables=(VariableDecl("v", text, "public"),))) == [
+            ("E_UNBALANCED", "variables[0]", message)]
+
+
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",
                "mapping(address => uint[4])[]", "R[1]"]
 

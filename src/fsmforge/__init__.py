@@ -4,7 +4,7 @@ Pipeline: parse (DSL or JSON) -> validate -> weave plugins -> generate
 Solidity. A transactional simulator executes the woven semantics for
 scenario scripts and property testing.
 """
-from .codegen import generate, token_diff, token_texts
+from .codegen import generate, token_texts
 from .diagnostics import Diagnostic, ParseError, SourceSpan, has_errors
 from .dsl import emit_dsl, parse_dsl
 from .guards import parse_guard_expr
@@ -44,7 +44,7 @@ __all__ = [
     "Diagnostic", "SourceSpan", "has_errors",
     "ParseError", "parse_dsl", "emit_dsl", "parse_json", "emit_json",
     "parse_guard_expr", "validate", "weave", "WovenContract",
-    "generate", "token_texts", "token_diff",
+    "generate", "token_texts",
     "SimConfig", "SimSession", "SimUsageError", "Invocation", "Outcome",
     "RevertReason", "new_session", "advance_time", "invoke", "admin_call",
     "eval_guard",

@@ -127,17 +127,3 @@ def token_texts(text: str) -> list[str]:
     changed = {tok: norm for tok in set(texts) if tok[0] in "/0123456789"
                for norm in (_normalized(tok),) if norm != tok}
     return list(map(changed.get, texts, texts)) if changed else texts
-
-
-def token_diff(a: str, b: str) -> list[tuple[int, str, str]]:
-    """First few positions where the two token streams differ."""
-    ta, tb = token_texts(a), token_texts(b)
-    diffs = []
-    for i in range(max(len(ta), len(tb))):
-        left = ta[i] if i < len(ta) else "<end>"
-        right = tb[i] if i < len(tb) else "<end>"
-        if left != right:
-            diffs.append((i, left, right))
-        if len(diffs) >= 10:
-            break
-    return diffs

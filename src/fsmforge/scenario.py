@@ -13,8 +13,11 @@ Each line parses to one immutable record of its kind: `Call`, `Time`, `Env`,
 `Admin` or `Assert`, a namedtuple that starts with `line_no` and `text` and
 names its kind in the class attribute `kind`. A `Call` holds its ready
 `Invocation`, so a step runs without building one; the simulator never assigns
-to it. A step's result is a `StepResult` NamedTuple, whose `outcome` is the
-simulator's shared, frozen `Outcome`; its `detail` text is made when read.
+to it, nor to an `Env`'s `bindings`. `parse_scenario` parses each distinct line
+of a script once: the records of identical lines differ only in `line_no` and
+share their `Invocation` or `bindings`. A step's result is a `StepResult`
+NamedTuple, whose `outcome` is the simulator's shared, frozen `Outcome`; its
+`detail` text is made when read.
 """
 from __future__ import annotations
 
@@ -214,9 +217,16 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
 
 
 def parse_scenario(text: str) -> list[Step]:
+    """Parse a script, each distinct line once; a repeat copies its record under its own line_no."""
     steps = []
+    parsed: dict[str, Optional[Step]] = {}  # line -> its record, or None for a blank or comment
     for line_no, line in enumerate(text.split("\n"), start=1):
-        step = parse_step(line_no, line)
+        if line in parsed:
+            step = parsed[line]
+            if step is not None:
+                step = type(step)(line_no, *step[1:])
+        else:
+            step = parsed[line] = parse_step(line_no, line)
         if step is not None:
             steps.append(step)
     return steps
@@ -235,7 +245,7 @@ def _run_step(session: SimSession, step: Step) -> StepResult:
     if kind is Call:  # the commonest step first
         timed = step.call.timed_guard_overrides
         unknown = timed and sorted(timed.keys() - {
-            tt.name for tt in session.woven.base.timed_transitions if tt.guard is not None})
+            tt.name for tt, ast in session.plan.timed if ast is not None})
         if unknown:
             raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
         outcome = invoke(session, step.call)

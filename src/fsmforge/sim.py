@@ -67,7 +67,6 @@ class SimConfig:
 
     creation_time: int = 0
     deployer: str = "deployer"
-    initial_time: Optional[int] = None  # defaults to creation_time
 
 
 @dataclass
@@ -142,7 +141,6 @@ class SimSession:
     transition_counter: int = 0
     is_admin: frozenset[str] = frozenset()
     env: dict[str, int] = field(default_factory=dict)
-    log: list[tuple[Invocation, Outcome]] = field(default_factory=list)
     plan: _Plan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,14 +159,11 @@ def new_session(woven: WovenContract, config: SimConfig = SimConfig()) -> SimSes
     model = woven.base
     if model.initial_state is None:
         raise SimUsageError("model has no initial state")
-    initial_time = config.creation_time if config.initial_time is None else config.initial_time
-    if initial_time < config.creation_time:
-        raise SimUsageError("initial_time must not precede creation_time")
     session = SimSession(
         woven=woven,
         current_state=model.initial_state,
         creation_time=config.creation_time,
-        now=initial_time,
+        now=config.creation_time,
     )
     if model.plugins.access_control:
         session.is_admin = frozenset({config.deployer})
@@ -367,9 +362,7 @@ def _transact(session: SimSession, call: Invocation, depth: int) -> Outcome:
 
 def invoke(session: SimSession, call: Invocation) -> Outcome:
     """Run one invocation; keeps its effects on success, rolls back fully on revert."""
-    outcome = _transact(session, call, depth=0)
-    session.log.append((call, outcome))
-    return outcome
+    return _transact(session, call, depth=0)
 
 
 def admin_call(session: SimSession, action: str, target: str, sender: str) -> Outcome:

@@ -22,7 +22,7 @@ import pytest
 
 from fsmforge import guards as g
 from fsmforge.cli import main
-from fsmforge.codegen import generate, token_diff
+from fsmforge.codegen import generate
 from fsmforge.dsl import emit_dsl, parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
@@ -46,6 +46,7 @@ from fsmforge.weave import weave
 from modelgen import ReferenceFsm, random_model
 from test_validate import FIXTURES as VALIDATION_FIXTURES
 from timing import Deadline
+from tokendiff import token_diff
 
 
 # --- 1. golden reproduction ------------------------------------------------
@@ -272,13 +273,13 @@ def test_criterion_4_simulator_properties():
         advance_time(session, rng.randint(0, 12) * 86400)
         if not model.transitions:
             continue
-        out = invoke(session, _random_call(rng, model, 0))
+        call = _random_call(rng, model, 0)
+        out = invoke(session, call)
         fired = out.fired_timed
         assert len(fired) == len(set(fired))
         assert all(offsets[a] <= offsets[b] for a, b in zip(fired, fired[1:]))
         if out.executed:
-            target = next(t for t in model.transitions
-                          if t.name == session.log[-1][0].transition)
+            target = next(t for t in model.transitions if t.name == call.transition)
             assert session.current_state == target.to_state
 
     # (f) the admin set never becomes empty

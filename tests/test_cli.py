@@ -210,6 +210,19 @@ def test_sim_bad_scenario_syntax(auction_path, tmp_path, capsys):
     assert "scenario error" in capsys.readouterr().err
 
 
+def test_sim_prints_each_repeated_line_with_its_own_number(auction_path, tmp_path, capsys):
+    close = "call close as alice n=0 expect revert:GuardFailed"
+    scn = tmp_path / "repeat.scn"
+    scn.write_text(f"{close}\nassert state=ABB\n\n{close}\n  assert state=ABB # again\n{close}\n")
+    assert main(["sim", auction_path, "--scenario", str(scn)]) == 0
+    assert capsys.readouterr().out == "".join(
+        f"{line_no:>4} ok: {text}\n" for line_no, text in [
+            (1, f"{close} -> Reverted(GuardFailed)"), (2, "assert state=ABB -> state=ABB"),
+            (4, f"{close} -> Reverted(GuardFailed)"), (5, "assert state=ABB -> state=ABB"),
+            (6, f"{close} -> Reverted(GuardFailed)")]
+    ) + "final: {'state': 'ABB', 'counter': 0, 'admins': [], 'now': 0}\n"
+
+
 HAPPY_STDOUT = """\
    3 ok: call bid as alice n=0 expect ok -> Executed
    4 ok: assert state=ABB -> state=ABB

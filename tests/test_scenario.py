@@ -82,7 +82,7 @@ def test_each_step_kind_parses_to_its_record(line, record, kind):
     assert parse_scenario(f"\n{line}")[0].line_no == 2
 
 
-@pytest.mark.parametrize("bad", [
+BAD_STEPS = [
     "call bid expect ok",
     "call bid as alice",                     # missing expect
     "call bid as alice expect maybe",
@@ -103,7 +103,10 @@ def test_each_step_kind_parses_to_its_record(line, record, kind):
     "assert mood=good",
     "assert state=9lives",
     "frobnicate",
-])
+]
+
+
+@pytest.mark.parametrize("bad", BAD_STEPS)
 def test_bad_steps_raise(bad):
     with pytest.raises(ScenarioSyntaxError):
         parse_step(7, bad)
@@ -127,6 +130,67 @@ def test_line_numbers_in_errors():
     with pytest.raises(ScenarioSyntaxError) as exc:
         parse_scenario("time 1\nbogus step\n")
     assert exc.value.line_no == 2
+
+
+# Valid lines of every kind, each with or without leading blanks and a comment.
+_GOOD_STEPS = [
+    "call bid as alice n=0 expect ok",
+    "call close as bob n=1 g0=true reenter=close reenter:g1=false expect revert:GuardFailed",
+    "call stay as alice timed:tick=false timed:tock=true expect revert",
+    "time 432000",
+    "env k=5 j=-1",
+    "admin add alice by deployer expect ok",
+    "admin remove bob by alice expect revert",
+    "assert state=ABB",
+    "assert counter=3",
+    "assert admin(bob)=false",
+]
+_SCRIPT_LINE = st.tuples(
+    st.sampled_from(["", " ", "\t  "]), st.sampled_from(_GOOD_STEPS + ["", "# a comment"]),
+    st.sampled_from(["", "  # note", "#"])).map("".join)
+# A script drawn from a few lines, so that most of its lines repeat one before them.
+_SCRIPT = st.lists(_SCRIPT_LINE, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+def _each_line_alone(text: str) -> list:
+    steps = (parse_step(line_no, line) for line_no, line in enumerate(text.split("\n"), 1))
+    return [(type(step), *step) for step in steps if step is not None]
+
+
+@given(lines=_SCRIPT)
+@settings(max_examples=150, deadline=None)
+def test_a_script_parses_as_its_lines_parse_alone(lines):
+    text = "\n".join(lines)
+    assert [(type(step), *step) for step in parse_scenario(text)] == _each_line_alone(text)
+
+
+@given(lines=_SCRIPT, bad=st.sampled_from(BAD_STEPS))
+@settings(max_examples=60, deadline=None)
+def test_a_bad_line_after_repeated_lines_names_its_own_number(lines, bad):
+    line_no = 2 * len(lines) + 1
+    with pytest.raises(ScenarioSyntaxError) as alone:
+        parse_step(line_no, bad)
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse_scenario("\n".join(lines + lines + [bad] + lines + [bad]))
+    assert (exc.value.line_no, str(exc.value)) == (line_no, str(alone.value))
+
+
+def test_each_distinct_line_is_parsed_once_per_script(monkeypatch):
+    from fsmforge import scenario
+
+    lines = ["call bid as alice n=0 expect ok", "", "# c", "time 5",
+             "call bid as alice n=0 expect ok", "time 5", "", "env k=1", "env k=1", "# c"]
+    seen = []
+    parse = scenario.parse_step
+    monkeypatch.setattr(scenario, "parse_step", lambda n, line: seen.append(line) or parse(n, line))
+    text = "\n".join(lines)
+    steps = scenario.parse_scenario(text)
+    assert sorted(seen) == sorted(set(lines))
+    assert [step.line_no for step in steps] == [1, 4, 5, 6, 8, 9]
+    assert steps[0].call is steps[2].call and steps[4].bindings is steps[5].bindings
+    assert scenario.parse_scenario(text) == steps
+    assert len(seen) == 2 * len(set(lines))  # no line is remembered from one script to the next
 
 
 def test_happy_path_scenario(auction, corpus_dir):
@@ -158,7 +222,7 @@ def test_a_parsed_script_runs_alike_in_fresh_sessions(auction):
     runs = []
     for _ in range(2):
         session = new_session(auction)
-        runs.append(([run_step(session, step) for step in steps], session.log, session.snapshot()))
+        runs.append(([run_step(session, step) for step in steps], session.snapshot()))
     assert runs[0] == runs[1]
     assert all(r.ok for r in runs[0][0]) and "probe=Reverted(Locked)" in runs[0][0][0].detail
     for step in steps:
@@ -309,9 +373,17 @@ def test_timed_option_overrides_a_timed_guard():
 @pytest.mark.parametrize("name", ["tock", "nothing", "stay"])
 def test_timed_option_must_name_a_guarded_timed_transition(name):
     woven = weave(parse_dsl(TICKING))
+    good = "call stay as alice timed:tick=false expect ok"
+    bad = f"call stay as alice timed:{name}=true expect ok"
+    message = f"timed:{name} names no timed transition with a guard"
     with pytest.raises(ScenarioSyntaxError) as exc:
-        run_scenario(woven, f"time 100000\ncall stay as alice timed:{name}=true expect ok\n")
-    assert str(exc.value) == f"line 2: timed:{name} names no timed transition with a guard"
+        run_scenario(woven, "\n".join(["time 100000", good, good, bad, good, bad]))
+    assert str(exc.value) == f"line 4: {message}"
+    session = new_session(woven)  # the REPL's path
+    assert run_step(session, parse_step(1, good)).ok
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_step(session, parse_step(7, bad))
+    assert str(exc.value) == f"line 7: {message}"
 
 
 WITHDRAW = """contract W {

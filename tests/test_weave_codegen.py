@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from fsmforge import plugins
-from fsmforge.codegen import generate, guard_conjunction, token_diff, token_texts
+from fsmforge.codegen import generate, guard_conjunction, token_texts
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
     ContractModel,
@@ -15,6 +15,7 @@ from fsmforge.model import (
 )
 from fsmforge.plugins import COUNTER, PLUGINS, timed_modifier
 from fsmforge.weave import weave
+from tokendiff import token_diff
 
 
 def small_model(**plugin_flags):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -78,7 +77,7 @@ def _check_model(path: str, plugins: PluginConfig | None = None) -> ContractMode
     printed, and an error among them raises CliError with exit code 1."""
     model = _load_model(path)
     if plugins is not None:
-        model = replace(model, plugins=plugins)
+        model = model._replace(plugins=plugins)
     diagnostics = validate(model)
     _print_diagnostics(diagnostics)
     if has_errors(diagnostics):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 _COLORS = {"error": "\033[31m", "warning": "\033[33m"}
 _RESET = "\033[0m"
@@ -23,8 +23,7 @@ class SourceSpan:
             raise ValueError("line and column are 1-based")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding of the parser, the validator or the CLI, with where it is."""
 
     code: str

@@ -332,8 +332,8 @@ class _Parser:
                 params[word], k = self.param_list(k + 1, _PARAM_SECTIONS[word])
             else:
                 self.fail("E_SYNTAX", "expected input/output/locals/guard/action or '}'", k)
-        # Positional arguments, in the fields' order: a frozen record sets each
-        # field through object.__setattr__, and keywords add to that.
+        # Positional arguments, in the fields' order: the NamedTuple's `__new__`
+        # binds keywords more slowly.
         return Transition(
             name, from_state, to_state, tuple(guards), params.get("input", ()),
             params.get("output", ()), params.get("locals", ()), tuple(statements), tuple(tags),

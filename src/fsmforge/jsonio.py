@@ -7,7 +7,6 @@ value. `parse_json` and `emit_json` both walk it.
 from __future__ import annotations
 
 import json
-from dataclasses import fields
 from typing import Any
 
 from .diagnostics import Diagnostic, ParseError, SourceSpan
@@ -122,8 +121,8 @@ FIELDS: dict[type, tuple[tuple[str, str, Any], ...]] = {
 _KEYS = {cls: frozenset(key for key, _, _ in table) for cls, table in FIELDS.items()}
 # Each record's (key, reader) pairs in the order of its fields, so that it is
 # built positionally.
-_READERS = {cls: tuple((key, read) for f in fields(cls) for key, name, read in table
-                       if name == f.name) for cls, table in FIELDS.items()}
+_READERS = {cls: tuple((key, read) for f in cls._fields for key, name, read in table
+                       if name == f) for cls, table in FIELDS.items()}
 
 
 def _read(cls: type, obj: Any, path: str):

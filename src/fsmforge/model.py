@@ -1,14 +1,13 @@
 """In-memory representation of a contract FSM.
 
-All model values are immutable dataclasses of plain data. A guard or an
+All model values are immutable NamedTuples of plain data. A guard or an
 action is its verbatim Solidity text, a `str`; every typed name (a
 parameter, a local, a struct member) is a `Param`. `canonicalize` returns a
 new model with the timed transitions stably sorted by their firing offset.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .plugins import BY_TAG, PluginConfig
 
@@ -29,16 +28,14 @@ INT_RANGES = {f"{kind}{bits}": (0, 2**bits - 1) if kind == "uint"
 INT_RANGES.update(int=INT_RANGES["int256"], uint=INT_RANGES["uint256"])
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A typed name: a transition input, output or local, or a struct member."""
 
     name: str
     type_text: str
 
 
-@dataclass(frozen=True)
-class VariableDecl:
+class VariableDecl(NamedTuple):
     """A contract state variable."""
 
     name: str
@@ -46,16 +43,14 @@ class VariableDecl:
     visibility: str  # "public" | "private"
 
 
-@dataclass(frozen=True)
-class StructDef:
+class StructDef(NamedTuple):
     """A struct declaration and its members."""
 
     name: str
     members: tuple[Param, ...] = ()
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     """A call that moves the contract from one state to another."""
 
     name: str
@@ -69,8 +64,7 @@ class Transition:
     tags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TimedTransition:
+class TimedTransition(NamedTuple):
     """A transition that fires on its own once its time offset has passed."""
 
     name: str
@@ -81,8 +75,7 @@ class TimedTransition:
     statements: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ContractModel:
+class ContractModel(NamedTuple):
     """A whole contract FSM: states, declarations, transitions and plugins."""
 
     name: str
@@ -92,7 +85,7 @@ class ContractModel:
     structs: tuple[StructDef, ...] = ()
     transitions: tuple[Transition, ...] = ()
     timed_transitions: tuple[TimedTransition, ...] = ()
-    plugins: PluginConfig = field(default_factory=PluginConfig)
+    plugins: PluginConfig = PluginConfig()  # immutable, so one default serves every model
 
 
 def canonicalize(model: ContractModel) -> ContractModel:
@@ -100,4 +93,4 @@ def canonicalize(model: ContractModel) -> ContractModel:
     ordered = tuple(sorted(model.timed_transitions, key=lambda tt: tt.time_offset_seconds))
     if ordered == model.timed_transitions:
         return model
-    return replace(model, timed_transitions=ordered)
+    return model._replace(timed_transitions=ordered)

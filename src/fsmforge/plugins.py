@@ -15,14 +15,13 @@ steps from the same tuple, so the two cannot disagree on the order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
     from .model import ContractModel, TimedTransition
 
 
-@dataclass(frozen=True)
-class PluginConfig:
+class PluginConfig(NamedTuple):
     """Which plugins are enabled."""
 
     locking: bool = False

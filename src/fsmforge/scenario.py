@@ -16,14 +16,13 @@ names its kind in the class attribute `kind`. A `Call` holds its ready
 to it, nor to an `Env`'s `bindings`. `parse_scenario` parses each distinct line
 of a script once: the records of identical lines differ only in `line_no` and
 share their `Invocation` or `bindings`. A step's result is a `StepResult`
-NamedTuple, whose `outcome` is the simulator's shared, frozen `Outcome`; its
+NamedTuple, whose `outcome` is the simulator's shared, immutable `Outcome`; its
 `detail` text is made when read.
 """
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .sim import (
@@ -74,12 +73,11 @@ class StepResult(NamedTuple):
         return self.note if self.outcome is None else _describe(self.outcome)
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """The results of a scenario's steps and the final session snapshot."""
 
-    results: list[StepResult] = field(default_factory=list)
-    final_snapshot: dict = field(default_factory=dict)
+    results: list[StepResult]
+    final_snapshot: dict
 
     @property
     def ok(self) -> bool:
@@ -243,11 +241,6 @@ def run_step(session: SimSession, step: Step) -> StepResult:
 def _run_step(session: SimSession, step: Step) -> StepResult:
     kind = type(step)
     if kind is Call:  # the commonest step first
-        timed = step.call.timed_guard_overrides
-        unknown = timed and sorted(timed.keys() - {
-            tt.name for tt, ast in session.plan.timed if ast is not None})
-        if unknown:
-            raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
         outcome = invoke(session, step.call)
         ok = outcome.executed if step.expect_ok else (
             not outcome.executed and step.expect_reason in (None, outcome.revert_reason))

@@ -11,13 +11,14 @@ effect of a transition is its state change.
 
 The woven contract's plan (`_plan`) is built once per contract, when the
 contract's first session starts: each transition's chain, parsed guards and
-plain executed outcome, the timed transitions with their parsed guards, and
-the integer ranges that `bind_env` checks.
+plain executed outcome, the timed transitions with their parsed guards, the
+names a `timed_guard_overrides` key may take, and the integer ranges that
+`bind_env` checks.
 
 An `Invocation` is a plain record that the simulator reads and never assigns
 to, so a scenario step can hand the same one to every run; a probe's missing
-transition number is filled in on a copy. An `Outcome` stays frozen, because
-calls share it.
+transition number is filled in on a copy. `SimConfig` and `Outcome` are
+NamedTuples, immutable, so calls share an `Outcome`.
 """
 from __future__ import annotations
 
@@ -61,8 +62,7 @@ class RevertReason(Enum):
     UNKNOWN_TRANSITION = "UnknownTransition"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """The deployment a simulated session starts from."""
 
     creation_time: int = 0
@@ -81,8 +81,7 @@ class Invocation:
     reentry_probe: Optional["Invocation"] = None
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     """What a call did: executed or reverted and why, timed firings and events."""
 
     executed: bool
@@ -96,7 +95,7 @@ class Outcome:
         return not self.executed
 
 
-# Outcomes are frozen, so calls share them: one per revert reason, and one for
+# Outcomes are immutable, so calls share them: one per revert reason, and one for
 # a call that fires nothing, emits nothing and runs no probe.
 _revert = {r: Outcome(executed=False, revert_reason=r) for r in RevertReason}.__getitem__
 _EXECUTED = Outcome(executed=True)
@@ -107,6 +106,7 @@ class _Plan(NamedTuple):
 
     entries: dict  # name -> (its first transition, chain, parsed guards, plain executed outcome)
     timed: tuple  # (timed transition, parsed guard or None), in firing order
+    guarded: frozenset  # the names of the timed transitions with a guard
     ranges: dict  # state variable -> (least, greatest, type)
 
 
@@ -120,10 +120,10 @@ def _plan(woven: WovenContract) -> _Plan:
                 entries[t.name] = (t, chain, tuple(g.parse_guard_expr(x) for x in t.guards),
                                    Outcome(executed=True, events=(f"Event{t.name}",))
                                    if EVENTS in chain else _EXECUTED)
+        timed = tuple((tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
+                      for tt in model.timed_transitions)
         woven.sim_plan.append(_Plan(
-            entries,
-            tuple((tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
-                  for tt in model.timed_transitions),
+            entries, timed, frozenset(tt.name for tt, ast in timed if ast is not None),
             {var.name: (*INT_RANGES[var.type_text], var.type_text)
              for var in model.variables if var.type_text in INT_RANGES}))
     return woven.sim_plan[0]
@@ -276,22 +276,26 @@ def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
 
 
 def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
-    entries = session.plan.entries
-    entry = entries.get(call.transition)
+    plan = session.plan
+    entry = plan.entries.get(call.transition)
     if entry is None:
         return _revert(RevertReason.UNKNOWN_TRANSITION)
     t, chain, asts, done = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
-    if depth == 0 and (call.guard_overrides or call.reentry_probe is not None):
+    if depth == 0 and (call.guard_overrides or call.timed_guard_overrides
+                       or call.reentry_probe is not None):
         # The call's and its probe's overrides, before any modifier runs; a
         # probe of an unknown name reverts when it runs.
         for c in (call, call.reentry_probe):
-            known = c is not None and c.guard_overrides and entries.get(c.transition)
+            known = c is not None and c.guard_overrides and plan.entries.get(c.transition)
             if known and max(c.guard_overrides) >= len(known[2]):
                 raise SimUsageError(f"call to '{c.transition}' overrides g{max(c.guard_overrides)}"
                                     f", but it has {len(known[2])} guard(s)")
+            unknown = c is not None and sorted(c.timed_guard_overrides.keys() - plan.guarded)
+            if unknown:
+                raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
 
     # The woven modifiers, outermost first; each entry runs its step.
     fired: tuple[str, ...] = ()

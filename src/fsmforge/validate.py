@@ -8,7 +8,6 @@ Every name the model declares goes through one check, `_Collector.declare`.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
@@ -57,8 +56,8 @@ def _generated_names(model: ContractModel) -> set[str]:
     """The contract-scope names the generator's own code declares or reads as
     builtins, except the contract's own name (which the access plugin's
     constructor takes). The texts read leave out the user's fragments."""
-    blank = replace(model, name="", timed_transitions=tuple(
-        replace(tt, guard=None, statements=()) for tt in model.timed_transitions))
+    blank = model._replace(name="", timed_transitions=tuple(
+        tt._replace(guard=None, statements=()) for tt in model.timed_transitions))
     plugins = [BY_FIELD[field] for field in model.plugins.enabled()]
     names = ["state", "States"] + [name for plugin in plugins for name, _ in plugin.params]
     for text in [CREATION_TIME, STATE_CHECK] + [plugin.decls(blank) for plugin in plugins]:

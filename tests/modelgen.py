@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import replace
 
 from fsmforge.model import (
     ContractModel,
@@ -157,9 +156,9 @@ SOLIDITY_GLOBALS = frozenset("abi assert block blockhash gasleft keccak256 msg n
 def without_fragments(m: ContractModel) -> ContractModel:
     """m with every guard and statement removed: what is left of its generated
     code is the generator's own."""
-    return replace(
-        m, transitions=tuple(replace(t, guards=(), statements=()) for t in m.transitions),
-        timed_transitions=tuple(replace(tt, guard=None, statements=())
+    return m._replace(
+        transitions=tuple(t._replace(guards=(), statements=()) for t in m.transitions),
+        timed_transitions=tuple(tt._replace(guard=None, statements=())
                                 for tt in m.timed_transitions))
 
 
@@ -183,41 +182,41 @@ def hostile_model(rng: random.Random) -> ContractModel:
         kind = rng.choice(["contract", "state", "variable", "struct", "member",
                            "transition", "param", "timed"])
         if kind == "contract":
-            m = replace(m, name=new)
+            m = m._replace(name=new)
         elif kind == "state":
             old = rng.choice(m.states)
             ren = {old: new}.get
-            m = replace(m, states=tuple(ren(s, s) for s in m.states),
+            m = m._replace(states=tuple(ren(s, s) for s in m.states),
                         initial_state=ren(m.initial_state, m.initial_state),
-                        transitions=tuple(replace(t, from_state=ren(t.from_state, t.from_state),
+                        transitions=tuple(t._replace(from_state=ren(t.from_state, t.from_state),
                                                   to_state=ren(t.to_state, t.to_state))
                                           for t in m.transitions),
                         timed_transitions=tuple(
-                            replace(tt, from_state=ren(tt.from_state, tt.from_state),
+                            tt._replace(from_state=ren(tt.from_state, tt.from_state),
                                     to_state=ren(tt.to_state, tt.to_state))
                             for tt in m.timed_transitions))
         elif kind == "variable":
-            m = replace(m, variables=_renamed(rng, m.variables, new))
+            m = m._replace(variables=_renamed(rng, m.variables, new))
         elif kind == "struct" and m.structs:
-            m = replace(m, structs=_renamed(rng, m.structs, new))
+            m = m._replace(structs=_renamed(rng, m.structs, new))
         elif kind == "member" and m.structs:
             i = rng.randrange(len(m.structs))
             members = m.structs[i].members
             j = rng.randrange(len(members))
-            struct = replace(m.structs[i], members=_at(members, j, replace(members[j], name=new)))
-            m = replace(m, structs=_at(m.structs, i, struct))
+            struct = m.structs[i]._replace(members=_at(members, j, members[j]._replace(name=new)))
+            m = m._replace(structs=_at(m.structs, i, struct))
         elif kind == "transition":
-            m = replace(m, transitions=_renamed(rng, m.transitions, new))
+            m = m._replace(transitions=_renamed(rng, m.transitions, new))
         elif kind == "param":
             i = rng.randrange(len(m.transitions))
             t = m.transitions[i]
             groups = [g for g in ("inputs", "outputs", "locals") if getattr(t, g)]
             if groups:
                 group = rng.choice(groups)
-                t = replace(t, **{group: _renamed(rng, getattr(t, group), new)})
-                m = replace(m, transitions=_at(m.transitions, i, t))
+                t = t._replace(**{group: _renamed(rng, getattr(t, group), new)})
+                m = m._replace(transitions=_at(m.transitions, i, t))
         elif kind == "timed" and m.timed_transitions:
-            m = replace(m, timed_transitions=_renamed(rng, m.timed_transitions, new))
+            m = m._replace(timed_transitions=_renamed(rng, m.timed_transitions, new))
     return m
 
 
@@ -227,7 +226,7 @@ def _at(items: tuple, i: int, item) -> tuple:
 
 def _renamed(rng: random.Random, items: tuple, new: str) -> tuple:
     i = rng.randrange(len(items))
-    return _at(items, i, replace(items[i], name=new))
+    return _at(items, i, items[i]._replace(name=new))
 
 
 _SOL_TOKEN = re.compile(r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\])*\"|=>|\w+|\S", re.S)

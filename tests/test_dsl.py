@@ -1,6 +1,5 @@
 import random
 import re
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -311,20 +310,20 @@ def _named(m, section, word):
     if section in ("initial state", "state"):
         old = m.initial_state if section == "initial state" else "B"
         ren = {old: word}.get
-        return replace(
-            m, states=tuple(ren(x, x) for x in m.states), initial_state=ren(m.initial_state, "A"),
-            transitions=(replace(t, from_state=ren("A", "A"), to_state=ren("B", "B")),),
-            timed_transitions=(replace(tt, from_state=ren("B", "B"), to_state=ren("A", "A")),))
+        return m._replace(
+            states=tuple(ren(x, x) for x in m.states), initial_state=ren(m.initial_state, "A"),
+            transitions=(t._replace(from_state=ren("A", "A"), to_state=ren("B", "B")),),
+            timed_transitions=(tt._replace(from_state=ren("B", "B"), to_state=ren("A", "A")),))
     return {
-        "contract": lambda: replace(m, name=word),
-        "struct": lambda: replace(m, structs=(replace(s, name=word),)),
-        "member": lambda: replace(m, structs=(replace(s, members=(Param(word, "uint"),)),)),
-        "variable": lambda: replace(m, variables=(replace(m.variables[0], name=word),)),
-        "transition": lambda: replace(m, transitions=(replace(t, name=word),)),
-        "input": lambda: replace(m, transitions=(replace(t, inputs=(Param(word, "uint"),)),)),
-        "output": lambda: replace(m, transitions=(replace(t, outputs=(Param(word, "uint"),)),)),
-        "local": lambda: replace(m, transitions=(replace(t, locals=(Param(word, "uint"),)),)),
-        "timed": lambda: replace(m, timed_transitions=(replace(tt, name=word),)),
+        "contract": lambda: m._replace(name=word),
+        "struct": lambda: m._replace(structs=(s._replace(name=word),)),
+        "member": lambda: m._replace(structs=(s._replace(members=(Param(word, "uint"),)),)),
+        "variable": lambda: m._replace(variables=(m.variables[0]._replace(name=word),)),
+        "transition": lambda: m._replace(transitions=(t._replace(name=word),)),
+        "input": lambda: m._replace(transitions=(t._replace(inputs=(Param(word, "uint"),)),)),
+        "output": lambda: m._replace(transitions=(t._replace(outputs=(Param(word, "uint"),)),)),
+        "local": lambda: m._replace(transitions=(t._replace(locals=(Param(word, "uint"),)),)),
+        "timed": lambda: m._replace(timed_transitions=(tt._replace(name=word),)),
     }[section]()
 
 
@@ -497,8 +496,8 @@ def _deepened(m):
         if t.statements:
             deep = "{ { { { { %s } } } } }" % t.statements[0].replace("\n", " ")
             if "//" not in deep:
-                t = replace(t, statements=(deep,) + t.statements[1:])
-                return replace(m, transitions=m.transitions[:i] + (t,) + m.transitions[i + 1:])
+                t = t._replace(statements=(deep,) + t.statements[1:])
+                return m._replace(transitions=m.transitions[:i] + (t,) + m.transitions[i + 1:])
     return m
 
 
@@ -509,7 +508,7 @@ def test_emitted_text_with_gaps_parses_back_and_mutations_raise_only_parse_error
         models += [random_model(rng), hostile_model(rng)]
     for m in models:
         if rng.random() < 0.3:
-            m = replace(m, name=rng.choice(["guard", "action"]))
+            m = m._replace(name=rng.choice(["guard", "action"]))
         if rng.random() < 0.3:
             m = _deepened(m)
         text = emit_dsl(m)

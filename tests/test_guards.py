@@ -16,6 +16,17 @@ def test_literals_and_builtins():
     assert parse_guard_expr("amount") == g.Var("amount")
 
 
+def test_distinct_node_kinds_never_compare_equal():
+    # The nodes stay dataclasses: as tuples, `Now() == CreationTime()` and
+    # `IntLit(5) == TimeLit(5)` would hold, and the parser tests above could
+    # no longer tell the kinds apart.
+    pairs = [(g.Now(), g.CreationTime()), (g.IntLit(5), g.TimeLit(5)),
+             (g.Var("x"), g.Opaque("x"))]
+    for a, b in pairs:
+        assert a != b and b != a, (a, b)
+        assert a == type(a)(*vars(a).values())
+
+
 def test_precedence_or_lowest():
     ast = parse_guard_expr("a || b && c")
     assert ast == g.Binary("||", g.Var("a"), g.Binary("&&", g.Var("b"), g.Var("c")))

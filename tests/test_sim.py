@@ -139,7 +139,7 @@ def test_a_call_changes_only_state_lock_and_counter():
     kept = ("current_state", "locked", "transition_counter")
     for _ in range(40):
         model = random_model(rng, evaluable_guards=rng.random() < 0.5)
-        model = replace(model, plugins=replace(model.plugins, locking=rng.random() < 0.5))
+        model = model._replace(plugins=model.plugins._replace(locking=rng.random() < 0.5))
         s = new_session(weave(model))
         s.env = {v.name: rng.randint(-1, 3) for v in model.variables}
         names = [t.name for t in model.transitions]
@@ -307,6 +307,22 @@ def test_timed_opaque_guard_needs_override():
     advance_time(s, 500)
     out = invoke(s, Invocation("bb", "u"))
     assert out.revert_reason == RevertReason.MISSING_OVERRIDE
+    out = invoke(s, Invocation("cc", "u", timed_guard_overrides={"bc": True}))
+    assert out.executed and out.fired_timed == ("ab", "bc")
+
+
+def test_invoke_refuses_a_timed_override_without_a_guarded_timed_transition():
+    # `ab` has no guard, `nope` does not exist; `bc`'s opaque guard takes one.
+    s = new_session(timed_chain(guard_bc="votes[msg.sender] > 0"))
+    advance_time(s, 500)
+    for name in ("ab", "nope"):
+        for call in (Invocation("aa", "u", timed_guard_overrides={name: True}),
+                     Invocation("aa", "u", reentry_probe=Invocation(
+                         "aa", "u", timed_guard_overrides={name: True}))):
+            with pytest.raises(SimUsageError,
+                               match=f"^timed:{name} names no timed transition with a guard$"):
+                invoke(s, call)
+            assert (s.current_state, s.now) == ("A", 500)  # refused before it ran
     out = invoke(s, Invocation("cc", "u", timed_guard_overrides={"bc": True}))
     assert out.executed and out.fired_timed == ("ab", "bc")
 
@@ -494,7 +510,7 @@ def test_a_transition_without_a_chain_runs_unwrapped():
     assert invoke(s, Invocation("go", "u")) == Outcome(executed=True)
     assert (s.current_state, s.transition_counter, s.locked) == ("B", 0, False)
 
-    bigger = replace(m, transitions=m.transitions + (t("back", "B", "A"),))
+    bigger = m._replace(transitions=m.transitions + (t("back", "B", "A"),))
     woven = replace(weave(m), base=bigger)
     assert "function back()\n    {" in generate(woven)
     s = new_session(woven)

@@ -15,6 +15,7 @@ from test_acceptance import DIAGNOSTIC_CODES
 ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
+COLDSTART = ROOT / "tools" / "coldstart.py"
 
 
 def _layertrace() -> dict:
@@ -115,11 +116,10 @@ def test_the_json_field_table_names_every_model_field_once():
     from fsmforge.plugins import PLUGINS
 
     records = {cls for cls in vars(model).values()
-               if dataclasses.is_dataclass(cls) and isinstance(cls, type)}
+               if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")}
     assert set(FIELDS) == records
     for cls, table in FIELDS.items():
-        assert sorted(name for _, name, _ in table) == sorted(
-            f.name for f in dataclasses.fields(cls)), cls.__name__
+        assert sorted(name for _, name, _ in table) == sorted(cls._fields), cls.__name__
     assert [key for key, _, _ in FIELDS[model.PluginConfig]] == [p.field for p in PLUGINS]
 
 
@@ -154,6 +154,20 @@ def test_the_readme_lists_every_validator_code():
     codes = re.findall(r"`([EW]_[A-Z_]+)`", listed)
     assert len(codes) == len(set(codes))
     assert set(codes) == set(re.findall(r'"([EW]_[A-Z_]+)"', source))
+
+
+def test_coldstart_times_one_round_of_fresh_processes():
+    # One round of `check` alone, so the smoke test stays near a second.
+    namespace = {"__name__": "coldstart", "__file__": str(COLDSTART)}
+    exec(compile(COLDSTART.read_text(encoding="utf-8"), str(COLDSTART), "exec"), namespace)
+    record = json.loads(json.dumps(namespace["measure"]({"here": ROOT}, 1, ("check",))))
+    assert {"command", "host", "rounds", "roots", "pycache_in_tree", "runs_ms", "median_ms",
+            "over_bare_ms"} <= record.keys()
+    for mode in ("no_cache", "cached"):
+        runs = record["runs_ms"][mode]
+        assert len(runs["bare"]) == 1 and len(runs["here"]["check"]) == 1
+        assert record["over_bare_ms"][mode]["here"]["check"] == (
+            record["median_ms"][mode]["here"]["check"] - record["median_ms"][mode]["bare"])
 
 
 def test_committed_bench_records_are_complete():

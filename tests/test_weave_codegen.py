@@ -1,5 +1,4 @@
 import itertools
-from dataclasses import replace
 
 import pytest
 
@@ -102,7 +101,7 @@ def test_generator_writes_the_chain_the_simulator_runs(corpus_dir):
     for text in texts:
         base = parse_dsl(text)
         for flags in itertools.product([False, True], repeat=5):
-            woven = weave(replace(base, plugins=PluginConfig(*flags)))
+            woven = weave(base._replace(plugins=PluginConfig(*flags)))
             source = generate(woven)
             for t in woven.base.transitions:
                 chain = woven.chains[t.name]
@@ -117,9 +116,9 @@ def test_generator_writes_the_chain_the_simulator_runs(corpus_dir):
 def test_guard_conjunction():
     t0 = Transition("t", "A", "A")
     assert guard_conjunction(t0) == ""
-    t1 = replace(t0, guards=("a > 0",))
+    t1 = t0._replace(guards=("a > 0",))
     assert guard_conjunction(t1) == "require(a > 0);"
-    t2 = replace(t0, guards=("a > 0", "b < 1"))
+    t2 = t0._replace(guards=("a > 0", "b < 1"))
     assert guard_conjunction(t2) == "require( (a > 0) && (b < 1) );"
 
 

@@ -277,17 +277,10 @@ def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
 
 def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     plan = session.plan
-    entry = plan.entries.get(call.transition)
-    if entry is None:
-        return _revert(RevertReason.UNKNOWN_TRANSITION)
-    t, chain, asts, done = entry
-    if COUNTER in chain and call.next_transition_number is None:
-        raise SimUsageError(
-            f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
     if depth == 0 and (call.guard_overrides or call.timed_guard_overrides
                        or call.reentry_probe is not None):
-        # The call's and its probe's overrides, before any modifier runs; a
-        # probe of an unknown name reverts when it runs.
+        # The call's and its probe's overrides, before anything else runs; a
+        # g<k> on an unknown name reverts when it runs.
         for c in (call, call.reentry_probe):
             known = c is not None and c.guard_overrides and plan.entries.get(c.transition)
             if known and max(c.guard_overrides) >= len(known[2]):
@@ -296,6 +289,13 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
             unknown = c is not None and sorted(c.timed_guard_overrides.keys() - plan.guarded)
             if unknown:
                 raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
+    entry = plan.entries.get(call.transition)
+    if entry is None:
+        return _revert(RevertReason.UNKNOWN_TRANSITION)
+    t, chain, asts, done = entry
+    if COUNTER in chain and call.next_transition_number is None:
+        raise SimUsageError(
+            f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
 
     # The woven modifiers, outermost first; each entry runs its step.
     fired: tuple[str, ...] = ()

@@ -313,10 +313,12 @@ def test_timed_opaque_guard_needs_override():
 
 def test_invoke_refuses_a_timed_override_without_a_guarded_timed_transition():
     # `ab` has no guard, `nope` does not exist; `bc`'s opaque guard takes one.
+    # `zz` is no transition: the override is refused before the call reverts.
     s = new_session(timed_chain(guard_bc="votes[msg.sender] > 0"))
     advance_time(s, 500)
     for name in ("ab", "nope"):
         for call in (Invocation("aa", "u", timed_guard_overrides={name: True}),
+                     Invocation("zz", "u", timed_guard_overrides={name: True}),
                      Invocation("aa", "u", reentry_probe=Invocation(
                          "aa", "u", timed_guard_overrides={name: True}))):
             with pytest.raises(SimUsageError,
@@ -325,6 +327,11 @@ def test_invoke_refuses_a_timed_override_without_a_guarded_timed_transition():
             assert (s.current_state, s.now) == ("A", 500)  # refused before it ran
     out = invoke(s, Invocation("cc", "u", timed_guard_overrides={"bc": True}))
     assert out.executed and out.fired_timed == ("ab", "bc")
+    # On a counter model, before the missing transition number too.
+    counted = new_session(build([t("aa", "A", "A")], [TimedTransition("ab", "A", "B", 100)],
+                                timed=True, counter=True))
+    with pytest.raises(SimUsageError, match="^timed:ab names no timed transition with a guard$"):
+        invoke(counted, Invocation("aa", "u", timed_guard_overrides={"ab": True}))
 
 
 def test_guard_division_by_zero_reverts():

@@ -1,24 +1,26 @@
 """Time fsmforge commands as fresh processes, the way a user runs them.
 
-    python3 tools/coldstart.py [--rounds 20] [--root DIR ...] [--out FILE]
+    python3 tools/coldstart.py [--rounds 20] [--root DIR ...] > coldstart.json
 
 Each run is a new `python3 -m fsmforge.cli check|gen|sim` on the bundled
 corpus, timed from spawn to exit, next to a bare `python3 -c pass`. It runs
 in two modes:
 
 - `no_cache`: `PYTHONDONTWRITEBYTECODE=1` and no `PYTHONPYCACHEPREFIX`, so
-  fsmforge is compiled from source on every run (if the tree holds no
-  `__pycache__`; `pycache_in_tree` says whether it does);
+  fsmforge is compiled from source on every run;
 - `cached`: `PYTHONDONTWRITEBYTECODE` unset and `PYTHONPYCACHEPREFIX` a
   temporary directory, filled by one untimed run before the first round.
 
-Both settings go into the children's environment only. Every round runs each
-command once per root in both modes; the order rotates from round to round, so
-that the commands and roots share the host's load. Given more than one
-`--root` (say, two checkouts), it alternates between them in each round.
+Both settings go into the children's environment only. A tree that holds
+`src/fsmforge/__pycache__` is refused, since its `no_cache` runs would read
+that cache; any run that wrote bytecode (a test run, say) leaves one, so
+remove it first. Every round runs each command once per root in both modes;
+the order rotates from round to round, so that the commands and roots share
+the host's load. Given more than one `--root` (say, two checkouts), it
+alternates between them in each round.
 
-The output, on stdout or in `--out`, is JSON: every run's milliseconds,
-their medians, and each median less the bare interpreter's median.
+The output, on stdout, is JSON: every run's milliseconds, their medians, and
+each median less the bare interpreter's median.
 """
 from __future__ import annotations
 
@@ -69,6 +71,10 @@ def _run(argv: list[str], root: Path, env: dict[str, str]) -> float:
 
 
 def measure(roots: dict[str, Path], rounds: int, commands=tuple(COMMANDS)) -> dict:
+    for root in roots.values():
+        if (root / "src" / "fsmforge" / "__pycache__").exists():
+            raise SystemExit(f"{root / 'src' / 'fsmforge' / '__pycache__'} would serve the "
+                             "no_cache runs bytecode; remove it first")
     python = sys.executable
     jobs = [("bare", None, [python, "-c", "pass"])] + [
         (label, name, [python, "-m", "fsmforge.cli", *COMMANDS[name]])
@@ -96,8 +102,6 @@ def measure(roots: dict[str, Path], rounds: int, commands=tuple(COMMANDS)) -> di
                 f"Python {platform.python_version()}",
         "rounds": rounds,
         "roots": {label: str(root) for label, root in roots.items()},
-        "pycache_in_tree": {label: (root / "src" / "fsmforge" / "__pycache__").exists()
-                            for label, root in roots.items()},
         "runs_ms": runs,
         "median_ms": median,
         "over_bare_ms": {mode: {label: {name: m - median[mode]["bare"] for name, m in by.items()}
@@ -111,7 +115,6 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=20)
     ap.add_argument("--root", action="append", default=[],
                     help="a checkout to time, as LABEL=DIR or DIR (default: this one)")
-    ap.add_argument("--out", default="-", help="output path, '-' for stdout")
     args = ap.parse_args(argv)
     roots = {}
     for spec in args.root or [str(ROOT)]:
@@ -119,11 +122,7 @@ def main(argv=None) -> int:
         roots[label if eq else Path(path).name] = Path(path).resolve()
     if args.rounds < 1:
         ap.error("--rounds must be at least 1")
-    text = json.dumps(measure(roots, args.rounds), indent=1) + "\n"
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    sys.stdout.write(json.dumps(measure(roots, args.rounds), indent=1) + "\n")
     return 0
 
 

@@ -23,6 +23,12 @@ class SourceSpan:
             raise ValueError("line and column are 1-based")
 
 
+def span_at(text: str, file: str, start: int, length: int) -> SourceSpan:
+    """The span of `length` characters at offset `start` of `text`."""
+    line_start = text.rfind("\n", 0, start) + 1
+    return SourceSpan(file, text.count("\n", 0, start) + 1, start - line_start + 1, length)
+
+
 class Diagnostic(NamedTuple):
     """One finding of the parser, the validator or the CLI, with where it is."""
 

@@ -8,23 +8,23 @@ indentation removed) so generated code reproduces them byte-for-byte.
 One regex split over a table of token kinds turns the text into a list of
 tokens and a list of the gaps (whitespace and `#` comments) after them, and
 the parser walks the two by index. A whole `guard { ... }` or `action { ... }`
-section is one token, its braces balanced up to `_DEPTH` levels, strings and
-comments inside it skipped whole. A section nested deeper, or never closed,
-gives a token that ends at its `{` and ends the scan: the section's end is
-found by a delimiter scan from that brace, and the lists are extended from
-there. Where `guard` or `action` is a name (`to action {`), its token is cut
-back to the word and the rest of the text is scanned again without whole
-sections, so at most once per parse. A type text is rebuilt from its tokens
-and gaps. Offsets, and so spans, are summed from the lengths of tokens and
-gaps only where the lists are extended or a diagnostic is raised.
+section is one token, a match of `fragments.BRACED`. A section nested deeper,
+or never closed, gives a token that ends at its `{` and ends the scan: the
+section's end is found by walking the fragment check scan `fragments.CHECK`
+from that brace, and the lists are extended from there. Where `guard` or
+`action` is a name (`to action {`), its token is cut back to the word and the
+rest of the text is scanned again without whole sections, so at most once per
+parse. A typed declaration's name is its last token, its type text the tokens
+and gaps before it. Offsets, and so spans, are summed from the lengths of
+tokens and gaps only where the lists are extended or a diagnostic is raised.
 """
 from __future__ import annotations
 
 import re
 from string import ascii_letters
 
-from .diagnostics import Diagnostic, ParseError
-from .fragments import STRING, SourceText
+from .diagnostics import Diagnostic, ParseError, span_at
+from .fragments import BRACED, CHECK
 from .model import (
     TIME_UNITS,
     ContractModel,
@@ -45,18 +45,6 @@ _COMMENT = r"#[^\n]*(?![^\n])"
 _GAP = rf"[ \t\r\n]*(?:{_COMMENT}(?:[ \t\r\n]*{_COMMENT})*[ \t\r\n]*|)"
 _SKIP = re.compile(_GAP)
 _LINE_COMMENT = re.compile(r"[ \t]*#[^\n]*")  # with the blanks before it
-# Inside a fragment only braces count. A plain character, or a string, a
-# comment or a lone "/" skipped whole: no text matches two of these parts,
-# so a match that fails backtracks in linear time.
-_PLAIN = r"[^\"'/{}]"
-_SKIPPED = rf"{STRING}|//[^\n]*(?![^\n])|/\*(?:[^*]|\*(?!/))*\*/|/(?![/*])"
-_FRAGMENT_PART = re.compile(
-    rf"(?P<skip>{_PLAIN}+|{_SKIPPED})|(?P<brace>[{{}}])"
-    r"|(?P<open_string>[\"'])|(?P<open_comment>/\*)", re.S)
-_DEPTH = 4  # brace levels a section token holds, its own braces included
-_BRACED = rf"\{{{_PLAIN}*(?:(?:{_SKIPPED}){_PLAIN}*)*\}}"
-for _ in range(_DEPTH - 1):
-    _BRACED = rf"\{{{_PLAIN}*(?:(?:{_SKIPPED}|{_BRACED}){_PLAIN}*)*\}}"
 
 
 def _token_table(section: str) -> re.Pattern:
@@ -67,7 +55,7 @@ def _token_table(section: str) -> re.Pattern:
                       rf"|{IDENT.pattern}|[0-9]+|.|\Z)(?(2).*|({_GAP}))", re.S)
 
 
-_TOKENS = _token_table(rf"(?:{_BRACED}|(\{{))")
+_TOKENS = _token_table(rf"(?:{BRACED}|(\{{))")
 _TOKENS_WITHOUT_SECTIONS = _token_table(r"(\{)")
 _IDENT_START = frozenset(ascii_letters + "_")
 _NESTING = {"(": 1, "[": 1, ")": -1, "]": -1}
@@ -93,8 +81,7 @@ class _Parser:
     """Walks the token list by index; a method takes the index it starts at."""
 
     def __init__(self, text: str, file: str):
-        self.text = text
-        self.source = SourceText(text, file)
+        self.text, self.file = text, file
         self.table = _TOKENS
         start = _SKIP.match(text).end()
         # One split makes no tuple per token: its parts are, per match, the
@@ -109,7 +96,7 @@ class _Parser:
                 return pos + sum(map(len, self.toks[index:k])) + sum(map(len, self.gaps[index:k]))
 
     def fail_at(self, code: str, message: str, pos: int):
-        span = self.source.span(min(pos, len(self.text)), 1)
+        span = span_at(self.text, self.file, min(pos, len(self.text)), 1)
         raise ParseError([Diagnostic(code, "error", message, span=span)])
 
     def fail(self, code: str, message: str, k: int, shift: int = 0):
@@ -157,19 +144,21 @@ class _Parser:
             if tok[-1] != "}":
                 self.fail("E_SYNTAX", "expected '{'", k + 1)
             return _clean_fragment(tok[_SKIP.match(tok, 5 if tok[0] == "g" else 6).end() + 1:-1])
-        start = self.offset(k) + len(tok)  # deeper than _DEPTH, or not closed
+        start = self.offset(k) + len(tok)  # deeper than BRACED reaches, or not closed
         depth = 1
-        for m in _FRAGMENT_PART.finditer(self.text, start):
-            kind = m.lastgroup
-            if kind == "brace":
-                depth += 1 if m.group() == "{" else -1
+        for m in CHECK.finditer(self.text, start):  # walks the tokens a check reads
+            read = m.group(1)
+            if read == "{":
+                depth += 1
+            elif read == "}":
+                depth -= 1
                 if depth == 0:
                     self.resume(k + 1, _SKIP.match(self.text, m.end()).end())
-                    return _clean_fragment(self.text[start:m.start()])
-            elif kind == "open_string":
-                self.fail_at("E_SYNTAX", "unterminated string in fragment", m.start())
-            elif kind == "open_comment":
-                self.fail_at("E_SYNTAX", "unterminated comment in fragment", m.start())
+                    return _clean_fragment(self.text[start:m.start(1)])
+            elif read == "/*":
+                self.fail_at("E_SYNTAX", "unterminated comment in fragment", m.start(1))
+            elif read in ('"', "'"):
+                self.fail_at("E_SYNTAX", "unterminated string in fragment", m.start(1))
         self.fail_at("E_SYNTAX", "unclosed fragment brace", start - 1)
 
     def typed_decl(self, k: int, terminators: str, what: str) -> tuple[str, str, int]:
@@ -195,20 +184,22 @@ class _Parser:
             type_text, name = toks[start:k]
             if type_text[0] in _IDENT_START and name[0] in _IDENT_START:
                 return type_text, name, k
-        slice_text = "".join([tok + gap for tok, gap in zip(toks[start:k], self.gaps[start:k])])
-        if "#" in slice_text:  # the comments are not part of the type
-            slice_text = _LINE_COMMENT.sub("", slice_text)
-        slice_text = slice_text.strip()
-        matches = list(IDENT.finditer(slice_text))
-        if not matches:
+        end = k  # past the name, the last token but for whitespace no gap takes ("\x0b")
+        while end > start and toks[end - 1].isspace():
+            end -= 1
+        name = toks[end - 1] if end > start else ""
+        if name[:1] not in _IDENT_START:
+            if any(tok[:1] in _IDENT_START for tok in toks[start:end]):
+                self.fail("E_SYNTAX", f"{what} must end in an identifier", start)
             self.fail("E_SYNTAX", f"expected {what}", start)
-        name_match = matches[-1]
-        if name_match.end() != len(slice_text):
-            self.fail("E_SYNTAX", f"{what} must end in an identifier", start)
-        type_text = slice_text[: name_match.start()].strip()
+        type_text = "".join([tok + gap for tok, gap in
+                             zip(toks[start:end - 1], self.gaps[start:end - 1])])
+        if "#" in type_text:  # the comments are not part of the type
+            type_text = _LINE_COMMENT.sub("", type_text)
+        type_text = type_text.strip()
         if not type_text:
-            self.fail("E_SYNTAX", f"missing type before '{name_match.group()}'", start)
-        return type_text, name_match.group(), k
+            self.fail("E_SYNTAX", f"missing type before '{name}'", start)
+        return type_text, name, k
 
     def param_list(self, k: int, what: str) -> tuple[tuple[Param, ...], int]:
         toks = self.toks

@@ -1,4 +1,5 @@
-"""Lexer for Solidity fragments.
+"""Lexer for Solidity fragments, and the one module that spells Solidity's
+strings and comments.
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
@@ -6,17 +7,18 @@ validator's cross-checks. `lex_fragment` makes one text scan, driven by one
 table of token patterns, and checks the token texts it returns, in which any
 fault shows; every reader (the validator, the golden compare's `token_texts`,
 the guard parser) tells a token's kind from its text. `check_fragment` finds
-the first fault and its span, keeping no tokens. Spans are computed only for
-errors.
+the first fault and its span with the check scan `CHECK`, keeping no tokens.
+Spans are computed only for errors. The DSL parser reads a `{ ... }` section
+as one `BRACED` match or, nested deeper, by walking `CHECK`; both skip
+strings and comments with `SKIP`, so the two cannot disagree on their ends.
 """
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from itertools import islice
 from string import ascii_letters, digits
 
-from .diagnostics import Diagnostic, SourceSpan
+from .diagnostics import Diagnostic, span_at
 from .model import TIME_UNITS
 
 
@@ -26,31 +28,20 @@ class LexError(Exception):
         self.diagnostic = diagnostic
 
 
-class SourceText:
-    """A text and its file name; maps offsets to 1-based spans.
-
-    The line-start table is built on the first span asked for, once per text.
-    """
-
-    __slots__ = ("text", "file", "_line_starts")
-
-    def __init__(self, text: str, file: str):
-        self.text = text
-        self.file = file
-        self._line_starts: list[int] | None = None
-
-    def span(self, start: int, length: int) -> SourceSpan:
-        starts = self._line_starts
-        if starts is None:
-            starts = self._line_starts = [0] + [m.end() for m in re.finditer("\n", self.text)]
-        line = bisect_right(starts, start)
-        return SourceSpan(self.file, line, start - starts[line - 1] + 1, length)
-
-
-# Shared with the DSL parser, which skips strings and comments in fragments.
-# Both are compiled with re.S, so a string or block comment spans lines.
+# Compiled with re.S, so a string or a block comment spans lines. Each matches
+# its text one way only (a block comment as runs of non-stars and of stars up
+# to its first "*/"), so a match that fails backtracks in linear time.
 STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"|' r"'[^'\\]*(?:\\.[^'\\]*)*'"
-COMMENT = r"//[^\n]*|/\*.*?\*/"
+COMMENT = r"//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/"
+# What a scan passes over whole: a string, a comment or a lone "/".
+SKIP = rf"{STRING}|{COMMENT}|/(?![/*])"
+# A `{ ... }` section whose braces balance up to four levels, its own included:
+# plain characters, skipped texts and nested sections. No text matches two of
+# these parts, so a section that fails to match costs linear time.
+_PLAIN = r"[^\"'/{}]"
+BRACED = rf"\{{{_PLAIN}*(?:(?:{SKIP}){_PLAIN}*)*\}}"
+for _ in range(3):
+    BRACED = rf"\{{{_PLAIN}*(?:(?:{SKIP}|{BRACED}){_PLAIN}*)*\}}"
 
 _IDENT = r"[A-Za-z_$][A-Za-z0-9_$]*"
 
@@ -98,11 +89,11 @@ IDENT_START = frozenset(ascii_letters + "_$")
 # ASCII, as Solidity's are, so a run of them ends where a token does.
 _OPERATOR_CHARS = "".join(sorted({c for op in _OPERATORS for c in op} - {"/"}))
 _RUN = rf"[A-Za-z0-9_$ \t\r\n{re.escape(_OPERATOR_CHARS)}]*"
-# A match skips such runs, comments and strings, and then takes the one
-# token a check reads: a delimiter, an unterminated string or block comment,
-# or a byte no token starts with. After the last such token it takes "".
-_CHECK = re.compile(
-    rf"{_RUN}(?:(?:/(?![/*])|{COMMENT}|{STRING}){_RUN})*([()[\]{{}}\"']|/\*|.)?", re.S)
+# The check scan. A match skips such runs and what SKIP passes over, and then
+# takes the one token a check reads: a delimiter, an unterminated string or
+# block comment, or a byte no token starts with. After the last such token
+# it takes "". The DSL parser walks it to find where a deep section ends.
+CHECK = re.compile(rf"{_RUN}(?:(?:{SKIP}){_RUN})*([()[\]{{}}\"']|/\*|.)?", re.S)
 _OPENERS = frozenset("([{")
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = _OPENERS.union(_CLOSERS)
@@ -133,11 +124,11 @@ def check_fragment(text: str, file: str = "<fragment>") -> None:
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
-    fault = _first_fault(_CHECK.findall(text))
+    fault = _first_fault(CHECK.findall(text))
     if fault:  # the index-th token the check reads, found by a rescan
         index, code, message, to_end = fault
-        start = next(islice(_CHECK.finditer(text), index, None)).start(1)
-        span = SourceText(text, file).span(start, len(text) - start if to_end else 1)
+        start = next(islice(CHECK.finditer(text), index, None)).start(1)
+        span = span_at(text, file, start, len(text) - start if to_end else 1)
         raise LexError(Diagnostic(code, "error", message, span=span))
 
 

@@ -83,10 +83,6 @@ class Report(NamedTuple):
     def ok(self) -> bool:
         return all(r.ok for r in self.results)
 
-    @property
-    def failures(self) -> list[StepResult]:
-        return [r for r in self.results if not r.ok]
-
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ADMIN = re.compile(r"admin\((\w+)\)")
@@ -233,37 +229,33 @@ def parse_scenario(text: str) -> list[Step]:
 def run_step(session: SimSession, step: Step) -> StepResult:
     """Execute one step; a call the simulator refuses raises ScenarioSyntaxError."""
     try:
-        return _run_step(session, step)
+        kind = type(step)
+        if kind is Call:  # the commonest step first
+            outcome = invoke(session, step.call)
+            ok = outcome.executed if step.expect_ok else (
+                not outcome.executed and step.expect_reason in (None, outcome.revert_reason))
+            return StepResult(step, ok, outcome)
+        if kind is Time:
+            if step.to < session.now:
+                return StepResult(step, False, None, f"time {step.to} is before now={session.now}")
+            advance_time(session, step.to)
+            return StepResult(step, True, None, f"now={session.now}")
+        if kind is Env:
+            bind_env(session, step.bindings)
+            return StepResult(step, True, None, "env updated")
+        if kind is Admin:
+            outcome = admin_call(session, step.action, step.target, step.sender)
+            return StepResult(step, outcome.executed == step.expect_ok, outcome)
+        if step.check == "state":
+            seen = session.current_state
+        elif step.check == "counter":
+            seen = session.transition_counter
+        else:  # `true`/`false` as a script writes them, so the note reads back as an assert
+            seen = step.actor in session.is_admin
+            return StepResult(step, seen == step.value, None, f"{step.check}={str(seen).lower()}")
+        return StepResult(step, seen == step.value, None, f"{step.check}={seen}")
     except SimUsageError as exc:
         raise ScenarioSyntaxError(step.line_no, str(exc)) from exc
-
-
-def _run_step(session: SimSession, step: Step) -> StepResult:
-    kind = type(step)
-    if kind is Call:  # the commonest step first
-        outcome = invoke(session, step.call)
-        ok = outcome.executed if step.expect_ok else (
-            not outcome.executed and step.expect_reason in (None, outcome.revert_reason))
-        return StepResult(step, ok, outcome)
-    if kind is Time:
-        if step.to < session.now:
-            return StepResult(step, False, None, f"time {step.to} is before now={session.now}")
-        advance_time(session, step.to)
-        return StepResult(step, True, None, f"now={session.now}")
-    if kind is Env:
-        bind_env(session, step.bindings)
-        return StepResult(step, True, None, "env updated")
-    if kind is Admin:
-        outcome = admin_call(session, step.action, step.target, step.sender)
-        return StepResult(step, outcome.executed == step.expect_ok, outcome)
-    if step.check == "state":
-        seen = session.current_state
-    elif step.check == "counter":
-        seen = session.transition_counter
-    else:  # `true`/`false` as a script writes them, so the note reads back as an assert
-        seen = step.actor in session.is_admin
-        return StepResult(step, seen == step.value, None, f"{step.check}={str(seen).lower()}")
-    return StepResult(step, seen == step.value, None, f"{step.check}={seen}")
 
 
 def _describe(outcome: Outcome) -> str:
@@ -287,10 +279,4 @@ def run_scenario(woven: WovenContract, text: str,
     """
     steps = parse_scenario(text)
     session = new_session(woven, config)
-    results = []
-    try:
-        for step in steps:
-            results.append(_run_step(session, step))
-    except SimUsageError as exc:
-        raise ScenarioSyntaxError(step.line_no, str(exc)) from exc
-    return Report(results, session.snapshot())
+    return Report([run_step(session, step) for step in steps], session.snapshot())

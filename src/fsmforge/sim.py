@@ -90,10 +90,6 @@ class Outcome(NamedTuple):
     events: tuple[str, ...] = ()
     probe: Optional["Outcome"] = None
 
-    @property
-    def reverted(self) -> bool:
-        return not self.executed
-
 
 # Outcomes are immutable, so calls share them: one per revert reason, and one for
 # a call that fires nothing, emits nothing and runs no probe.

@@ -108,13 +108,15 @@ class _Collector:
 def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
                     inline: bool = False) -> list[str]:
     """Check a fragment and, if `lex`, return its token texts; an error is
-    reported at path, and a lex error gives no tokens. The generator writes
-    code after an `inline` fragment (a guard or a type text) on the same
-    line, so a line comment in one is an error."""
+    reported at path, and a lex error gives no tokens. A lex error keeps the
+    lexer's code: "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an
+    unterminated string or comment or a byte no token starts with. The
+    generator writes code after an `inline` fragment (a guard or a type text)
+    on the same line, so a line comment in one is an error."""
     try:
         tokens = lex_fragment(text) if lex else check_fragment(text)
     except LexError as exc:
-        out.error("E_UNBALANCED", path, exc.diagnostic.message)
+        out.error(exc.diagnostic.code, path, exc.diagnostic.message)
         return []
     if inline and "//" in text and any(
             tok.startswith("//") for tok in (tokens if lex else lex_fragment(text))):

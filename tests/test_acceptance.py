@@ -212,7 +212,7 @@ def test_criterion_4_simulator_properties():
                 advance_time(session, session.now + rng.randint(0, 10) * 86400)
             before = session.snapshot()
             out = invoke(session, _random_call(rng, model, session.transition_counter))
-            if out.reverted:
+            if not out.executed:
                 assert session.snapshot() == before
             assert not session.locked  # lock always released
 
@@ -505,7 +505,7 @@ DIAGNOSTIC_CODES = (
     "E_NO_INITIAL", "E_UNKNOWN_STATE", "E_DUP_NAME", "E_BAD_TAG",
     "E_TAG_NEEDS_PLUGIN", "E_TIMED_NEEDS_PLUGIN", "E_TIMED_IO",
     "E_RESERVED", "E_UNBALANCED", "W_UNDECLARED_IDENT", "E_BAD_NAME",
-    "E_LINE_COMMENT", "E_BAD_OFFSET", "E_BAD_TYPE",
+    "E_LINE_COMMENT", "E_BAD_OFFSET", "E_BAD_TYPE", "E_BAD_TOKEN",
 )
 
 

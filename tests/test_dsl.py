@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsmforge import dsl
 from fsmforge.dsl import ParseError, _clean_fragment, emit_dsl, parse_dsl
 from fsmforge.model import Param, PluginConfig, StructDef, Transition
 from fsmforge.validate import validate
@@ -523,3 +524,58 @@ def test_emitted_text_with_gaps_parses_back_and_mutations_raise_only_parse_error
                 for d in exc.diagnostics:
                     assert 1 <= d.span.line <= len(lines), (d, mutated)
                     assert 1 <= d.span.column <= len(lines[d.span.line - 1]) + 1, (d, mutated)
+
+
+# Braces, quotes, `#`, `//` and `/*` inside strings and comments, and text between them.
+_NOISE = ['s = "}{#\\"//";', "c = '{/*\\'';", "/* } { \" ' # // */", "// } { \" /* #\n",
+          "x # y;", "a / b;", "\n"]
+
+
+def _nested(rng: random.Random, depth: int) -> str:
+    """A fragment body whose braces nest `depth` levels deep."""
+    noise = " ".join(rng.choice(_NOISE) for _ in range(rng.randrange(3)))
+    if depth == 0:
+        return noise
+    return f"{noise} {{ {_nested(rng, depth - 1)} }} {rng.choice(_NOISE)}"
+
+
+def _broken(body: str, rng: random.Random) -> str:
+    """body with a brace dropped or a lone quote or `/*` put in."""
+    i = rng.randrange(len(body) + 1)
+    if rng.random() < 0.3 and "}" in body:
+        i = body.rindex("}")
+        return body[:i] + body[i + 1:]
+    return body[:i] + rng.choice(['"', "'", "/*"]) + body[i:]
+
+
+def _parsed(text: str):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return [(d.code, d.message, d.span.line, d.span.column) for d in exc.diagnostics]
+
+
+def test_section_tokens_and_the_check_scan_read_fragments_alike(corpus_dir, monkeypatch):
+    # A section up to fragments.BRACED's depth is one token; a deeper or broken
+    # one is read by walking fragments.CHECK. Without section tokens, every
+    # fragment is read by the walk, which must give the same models, or the
+    # same diagnostics where a fragment is unclosed or unterminated.
+    rng = random.Random(2424)
+    texts = [p.read_text() for p in sorted(corpus_dir.glob("*.fsm"))]
+    for _ in range(20):
+        texts += [emit_dsl(random_model(rng)), emit_dsl(_deepened(hostile_model(rng)))]
+    for _ in range(150):
+        body = _nested(rng, rng.randint(0, 6))  # sections of 1 to 7 levels
+        if rng.random() < 0.3:
+            body = _broken(body, rng)
+        keyword = rng.choice(["guard", "action"])
+        texts.append(_HEAD + "    transition t from A to B {\n        %s { %s }\n"
+                     "        action { y; }\n    }\n}\n" % (keyword, body))
+    shipped = [_parsed(text) for text in texts]
+    monkeypatch.setattr(dsl, "_TOKENS", dsl._TOKENS_WITHOUT_SECTIONS)
+    assert [_parsed(text) for text in texts] == shipped
+    failed = [result for result in shipped if isinstance(result, list)]
+    assert len(failed) < len(texts) // 2  # most texts parse, so models are compared too
+    assert {message for [(_, message, _, _)] in failed} >= {
+        "unclosed fragment brace", "unterminated string in fragment",
+        "unterminated comment in fragment"}

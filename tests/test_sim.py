@@ -177,7 +177,7 @@ def test_counter_rolls_back_on_revert():
     woven = build([t("ab", "A", "B", guard="k > 0")], counter=True)
     s = new_session(woven)
     s.env["k"] = 0
-    assert invoke(s, Invocation("ab", "u", 0)).reverted
+    assert not invoke(s, Invocation("ab", "u", 0)).executed
     assert s.transition_counter == 0
 
 

@@ -159,6 +159,14 @@ def test_the_readme_lists_every_validator_code():
     assert set(codes) == set(re.findall(r'"([EW]_[A-Z_]+)"', source))
 
 
+def test_only_the_fragment_lexer_spells_a_solidity_comment():
+    # Solidity's lexical grammar lives in `fragments`; a second spelling of a
+    # block comment could end a comment where the lexer does not.
+    spellers = [path.name for path in sorted((ROOT / "src" / "fsmforge").glob("*.py"))
+                if r"/\*" in path.read_text(encoding="utf-8")]
+    assert spellers == ["fragments.py"]
+
+
 def test_coldstart_times_one_round_of_fresh_processes(tmp_path):
     # One round of `check` alone, so the smoke test stays near a second. It
     # times a copy of the package without the bytecode this test run wrote.

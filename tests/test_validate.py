@@ -56,6 +56,7 @@ FIXTURES = {
     "E_RESERVED": model(variables=(VariableDecl("state", "uint", "private"),)),
     "E_BAD_NAME": model(transitions=(t(name="return"),)),
     "E_UNBALANCED": model(transitions=(t(guards=("(x > 0",)),)),
+    "E_BAD_TOKEN": model(transitions=(t(guards=("x # 1 > 0",)),)),
     "W_UNDECLARED_IDENT": model(
         transitions=(t(guards=("mystery > 0",)),)),
     "E_LINE_COMMENT": model(transitions=(t(guards=("now > 5 // c",)),)),
@@ -325,10 +326,11 @@ def test_a_number_or_string_in_a_type_must_be_inside_brackets():
 
 def test_an_unbalanced_type_gets_no_other_diagnostic():
     # The part scan would read `8` and `uint7` as faults of their own.
-    for text, message in (("uint /* 8", "unterminated block comment"),
-                          ("uint7 (", "unclosed '('")):
+    for text, code, message in (("uint /* 8", "E_BAD_TOKEN", "unterminated block comment"),
+                                ('uint "abc', "E_BAD_TOKEN", "unterminated string literal"),
+                                ("uint7 (", "E_UNBALANCED", "unclosed '('")):
         assert diags(model(variables=(VariableDecl("v", text, "public"),))) == [
-            ("E_UNBALANCED", "variables[0]", message)]
+            (code, "variables[0]", message)]
 
 
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",

@@ -184,19 +184,19 @@ class _Parser:
             type_text, name = toks[start:k]
             if type_text[0] in _IDENT_START and name[0] in _IDENT_START:
                 return type_text, name, k
-        end = k  # past the name, the last token but for whitespace no gap takes ("\x0b")
-        while end > start and toks[end - 1].isspace():
-            end -= 1
-        name = toks[end - 1] if end > start else ""
+        # A byte no gap takes ("\x0b", U+00A0) is a token, refused at either end.
+        if toks[start].isspace():
+            self.fail("E_SYNTAX", f"expected {what}", start)
+        name = toks[k - 1] if k > start else ""
         if name[:1] not in _IDENT_START:
-            if any(tok[:1] in _IDENT_START for tok in toks[start:end]):
-                self.fail("E_SYNTAX", f"{what} must end in an identifier", start)
+            if any(tok[:1] in _IDENT_START for tok in toks[start:k]):
+                self.fail("E_SYNTAX", f"{what} must end in an identifier", k - 1)
             self.fail("E_SYNTAX", f"expected {what}", start)
         type_text = "".join([tok + gap for tok, gap in
-                             zip(toks[start:end - 1], self.gaps[start:end - 1])])
+                             zip(toks[start:k - 1], self.gaps[start:k - 1])])
         if "#" in type_text:  # the comments are not part of the type
             type_text = _LINE_COMMENT.sub("", type_text)
-        type_text = type_text.strip()
+        type_text = type_text.strip(" \t\r\n")
         if not type_text:
             self.fail("E_SYNTAX", f"missing type before '{name}'", start)
         return type_text, name, k

@@ -3,7 +3,9 @@
 Returns diagnostics in model declaration order; an empty list means the
 model is ready for weaving and code generation.
 
-Every name the model declares goes through one check, `_Collector.declare`.
+Every name the model declares goes through one check, `_Collector.declare`,
+and every fragment text through another, `_Collector.fragment`, which checks
+each distinct text once per role and call.
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ def _generated_names(model: ContractModel) -> set[str]:
     return set(names)
 
 
-def _free_identifiers(texts: list[str]) -> set[str]:
+def _free_identifiers(texts: list[str]) -> frozenset[str]:
     """Identifiers among a fragment's token texts, excluding member names after a dot."""
     names = set()
     prev = None
@@ -74,18 +76,71 @@ def _free_identifiers(texts: list[str]) -> set[str]:
             names.add(tok)
         if not tok.startswith(("//", "/*")):
             prev = tok
-    return names
+    return frozenset(names)
+
+
+def _check_fragment(text: str, lex: bool = False,
+                    inline: bool = False) -> tuple[list[tuple[str, str]], frozenset[str]]:
+    """The (code, message) errors of a fragment and, if `lex`, its free
+    identifiers; a lex error gives no identifiers. A lex error keeps the
+    lexer's code: "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an
+    unterminated string or comment or a byte no token starts with. The
+    generator writes code after an `inline` fragment (a guard or a type text)
+    on the same line, so a line comment in one is an error."""
+    try:
+        tokens = lex_fragment(text) if lex else check_fragment(text)
+    except LexError as exc:
+        return [(exc.diagnostic.code, exc.diagnostic.message)], frozenset()
+    names = _free_identifiers(tokens) if lex else frozenset()
+    if inline and "//" in text and any(
+            tok.startswith("//") for tok in (tokens if lex else lex_fragment(text))):
+        return [("E_LINE_COMMENT",
+                 "a '//' comment here would comment out the generated code after it")], names
+    return [], names
+
+
+def _check_type(type_text: str, structs: set[str]) -> list[tuple[str, str]]:
+    """The errors of a type text: as a fragment; that each integer or bytes
+    type it names has a width Solidity has, unless the name is a declared
+    struct's; and that each number or string in it is inside `[...]`, an
+    array length. A text the fragment check refuses gets no other error."""
+    errors, _ = _check_fragment(type_text, inline=True)
+    for part in () if errors else _TYPE_PART.findall(type_text):
+        if part[0] in IDENT_START:
+            if part not in _KEYWORDS and part not in structs:
+                return [("E_BAD_TYPE", f"Solidity has no type '{part}'")]
+        elif part[0] != "/":
+            return [("E_BAD_TYPE", f"a type has the literal {part} outside '[...]'")]
+    return errors
 
 
 class _Collector:
-    def __init__(self):
+    def __init__(self, structs: set[str]):
         self.diagnostics: list[Diagnostic] = []
+        self.structs = structs
+        self.checked: dict[tuple[str, str], tuple] = {}  # (text, role) -> (errors, names)
 
     def error(self, code: str, path: str, message: str):
         self.diagnostics.append(Diagnostic(code, "error", message, path=path))
 
     def warn(self, code: str, path: str, message: str):
         self.diagnostics.append(Diagnostic(code, "warning", message, path=path))
+
+    def fragment(self, path: str, text: str, role: str) -> frozenset[str]:
+        """Report at `path` the errors of `text` in `role` and return its free
+        identifiers. The roles: "type" (a type text), "guard" (a guard or a
+        timed guard: lexed, inline), "action" (checked only) and "timed
+        action" (lexed). Models repeat texts, so each text is checked once per
+        role; a later occurrence reports the same errors at its own path."""
+        found = self.checked.get((text, role))
+        if found is None:
+            found = self.checked[text, role] = (
+                (_check_type(text, self.structs), frozenset()) if role == "type"
+                else _check_fragment(text, lex=role != "action", inline=role == "guard"))
+        errors, names = found
+        for code, message in errors:
+            self.error(code, path, message)
+        return names
 
     def declare(self, scope: dict[str, str], path: str, what: str, name: str,
                 generated: set[str] = frozenset()):
@@ -105,43 +160,6 @@ class _Collector:
             scope[name] = path
 
 
-def _check_fragment(out: _Collector, path: str, text: str, lex: bool = False,
-                    inline: bool = False) -> list[str]:
-    """Check a fragment and, if `lex`, return its token texts; an error is
-    reported at path, and a lex error gives no tokens. A lex error keeps the
-    lexer's code: "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an
-    unterminated string or comment or a byte no token starts with. The
-    generator writes code after an `inline` fragment (a guard or a type text)
-    on the same line, so a line comment in one is an error."""
-    try:
-        tokens = lex_fragment(text) if lex else check_fragment(text)
-    except LexError as exc:
-        out.error(exc.diagnostic.code, path, exc.diagnostic.message)
-        return []
-    if inline and "//" in text and any(
-            tok.startswith("//") for tok in (tokens if lex else lex_fragment(text))):
-        out.error("E_LINE_COMMENT", path,
-                  "a '//' comment here would comment out the generated code after it")
-    return tokens or []
-
-
-def _check_type(out: _Collector, path: str, type_text: str, structs: set[str]):
-    """Check a type text as a fragment; that each integer or bytes type it
-    names has a width Solidity has, unless the name is a declared struct's;
-    and that each number or string in it is inside `[...]`, an array length.
-    A text the fragment check refuses gets no other diagnostic."""
-    reported = len(out.diagnostics)
-    _check_fragment(out, path, type_text, inline=True)
-    for part in _TYPE_PART.findall(type_text) if len(out.diagnostics) == reported else ():
-        if part[0] in IDENT_START:
-            if part not in _KEYWORDS and part not in structs:
-                out.error("E_BAD_TYPE", path, f"Solidity has no type '{part}'")
-                break
-        elif part[0] != "/":
-            out.error("E_BAD_TYPE", path, f"a type has the literal {part} outside '[...]'")
-            break
-
-
 def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, states: set[str]):
     for end, state in (("from", t.from_state), ("to", t.to_state)):
         if state not in states:
@@ -149,8 +167,7 @@ def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, sta
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      states: set[str], generated: set[str], declared_guard_names: set[str],
-                      structs: set[str]):
+                      states: set[str], generated: set[str], declared_guard_names: set[str]):
     path = f"transitions[{index}]"
     _check_ends(out, path, t, states)
     for tag in t.tags:
@@ -164,17 +181,16 @@ def _check_transition(out: _Collector, model: ContractModel, index: int, t: Tran
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
             out.declare(param_scope, ppath, "parameter", param.name, generated)
-            _check_type(out, ppath, param.type_text, structs)
+            out.fragment(ppath, param.type_text, "type")
     own_names = {p.name for p in t.inputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
-        tokens = _check_fragment(out, gpath, guard, lex=True, inline=True)
-        for name in sorted(_free_identifiers(tokens) - own_names - declared_guard_names
-                           - _GUARD_BUILTINS):
+        names = out.fragment(gpath, guard, "guard")
+        for name in sorted(names - own_names - declared_guard_names - _GUARD_BUILTINS):
             out.warn("W_UNDECLARED_IDENT", gpath,
                      f"guard references undeclared identifier '{name}'")
     for j, stmt in enumerate(t.statements):
-        _check_fragment(out, f"{path}.statements[{j}]", stmt)
+        out.fragment(f"{path}.statements[{j}]", stmt, "action")
 
 
 def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[str],
@@ -183,11 +199,11 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
     _check_ends(out, path, tt, states)
     if tt.time_offset_seconds >= 2**256:  # `creationTime + offset` is uint256 arithmetic
         out.error("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
-    fragments = [(f"{path}.guard", tt.guard, True)] if tt.guard is not None else []
-    fragments += [(f"{path}.statements[{j}]", s, False) for j, s in enumerate(tt.statements)]
-    for fpath, text, inline in fragments:
-        tokens = _check_fragment(out, fpath, text, lex=True, inline=inline)
-        for name in sorted(_free_identifiers(tokens) & io_names):
+    fragments = [(f"{path}.guard", tt.guard, "guard")] if tt.guard is not None else []
+    fragments += [(f"{path}.statements[{j}]", s, "timed action")
+                  for j, s in enumerate(tt.statements)]
+    for fpath, text, role in fragments:
+        for name in sorted(out.fragment(fpath, text, role) & io_names):
             out.error("E_TIMED_IO", fpath,
                       f"timed transitions may not reference transition input/output '{name}'")
 
@@ -195,7 +211,8 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
 def validate(model: ContractModel) -> list[Diagnostic]:
     """Check the model against the FSM rules, plugin prerequisites and
     generation safety; empty result iff the model is generation-ready."""
-    out = _Collector()
+    structs = {struct.name for struct in model.structs}
+    out = _Collector(structs)
     generated = _generated_names(model)
     out.declare({}, "name", "contract", model.name, generated)
     generated.add(model.name)  # a function of that name would be the constructor
@@ -212,23 +229,21 @@ def validate(model: ContractModel) -> list[Diagnostic]:
         out.declare(states, f"states[{i}]", "state", state)
     known_states = set(model.states)  # a bad name too: it is reported once, above
 
-    structs = {struct.name for struct in model.structs}
     for i, var in enumerate(model.variables):
         out.declare(contract, f"variables[{i}]", "variable", var.name, generated)
-        _check_type(out, f"variables[{i}]", var.type_text, structs)
+        out.fragment(f"variables[{i}]", var.type_text, "type")
 
     for i, struct in enumerate(model.structs):
         out.declare(contract, f"structs[{i}]", "struct", struct.name, generated)
         members: dict[str, str] = {}
         for j, member in enumerate(struct.members):
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member.name)
-            _check_type(out, f"structs[{i}].members[{j}]", member.type_text, structs)
+            out.fragment(f"structs[{i}].members[{j}]", member.type_text, "type")
 
     declared_guard_names = {v.name for v in model.variables} | structs
     for i, t in enumerate(model.transitions):
         out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
-        _check_transition(out, model, i, t, known_states, generated, declared_guard_names,
-                          structs)
+        _check_transition(out, model, i, t, known_states, generated, declared_guard_names)
 
     io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
     timed: dict[str, str] = {}

@@ -192,6 +192,33 @@ def test_error_spans_point_at_the_source():
         assert (d.code, d.span.line, d.span.column) == (code, line, column), text
 
 
+@pytest.mark.parametrize("declaration, message, column", [
+    ("var public\x0buint x;", "expected variable declaration", 11),
+    ("var public uint x\x0b;", "variable declaration must end in an identifier", 18),
+    ("struct S { \x0cuint a; }", "expected struct member", 12),
+    ("struct S { uint a\x0c; }", "struct member must end in an identifier", 18),
+    ("transition t from A to A { input (\u00a0uint a); }", "expected input parameter", 35),
+    ("transition t from A to A { input (uint a\u00a0); }",
+     "input parameter must end in an identifier", 41),
+])
+def test_a_byte_no_gap_takes_ends_no_typed_declaration(declaration, message, column):
+    # As anywhere else in the DSL, such a byte is no blank: it is refused at
+    # its own column at either end of the declaration.
+    with pytest.raises(ParseError) as exc:
+        parse("contract M { states { initial A; }\n" + declaration + "\n}")
+    [d] = exc.value.diagnostics
+    assert (d.code, d.message, d.span.line, d.span.column) == ("E_SYNTAX", message, 2, column)
+
+
+def test_a_byte_no_gap_takes_stays_in_a_type_text():
+    # Also at the type text's end: the validator refuses it there.
+    model = parse("contract M { states { initial A; }\n"
+                  "var public mapping(uint =>\x0b bool) m; var public uint\x0b n;\n}")
+    assert [v.type_text for v in model.variables] == ["mapping(uint =>\x0b bool)", "uint\x0b"]
+    assert [(d.code, d.path) for d in validate(model)] == [
+        ("E_BAD_TOKEN", "variables[0]"), ("E_BAD_TOKEN", "variables[1]")]
+
+
 def test_timed_sorted_on_parse():
     model = parse("""
     contract M {

@@ -79,6 +79,7 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
     # way (an alias, a default argument) would leave the lexing unattributed.
     from fsmforge import fragments
     from fsmforge.dsl import parse_dsl
+    from fsmforge.model import TimedTransition
     from fsmforge.weave import weave
 
     calls = {("validate", "lex_fragment"): 0, ("validate", "check_fragment"): 0,
@@ -91,9 +92,29 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
             calls[_key] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, key[1], counting)
+    # The transitions twice, and two timed ones alike whose action is an
+    # action's text too: every guard, action and type text is repeated.
     model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
-    assert sys.modules["fsmforge.validate"].validate(model) == []
-    assert calls["validate", "lex_fragment"] > 0 and calls["validate", "check_fragment"] > 0
+    action = model.transitions[-1].statements[0]
+    model = model._replace(
+        plugins=model.plugins._replace(timed=True),
+        transitions=model.transitions + tuple(
+            t._replace(name=f"{t.name}Again") for t in model.transitions),
+        timed_transitions=tuple(TimedTransition(
+            f"late{i}", "C", "C", i, guard="highestBid > 0", statements=(action,))
+            for i in (1, 2)))
+    # Each distinct text is checked (types, actions) or lexed (guards, timed
+    # guards and actions) once per role and validate call.
+    types = {p.type_text for t in model.transitions for p in t.inputs + t.outputs + t.locals}
+    types |= {v.type_text for v in model.variables}
+    types |= {m.type_text for s in model.structs for m in s.members}
+    checked = len(types) + len({s for t in model.transitions for s in t.statements})
+    lexed = len({g for t in model.transitions for g in t.guards}) + 2
+    validate = sys.modules["fsmforge.validate"].validate
+    for rounds in (1, 2):
+        assert validate(model) == []
+        assert calls["validate", "check_fragment"] == rounds * checked
+        assert calls["validate", "lex_fragment"] == rounds * lexed
     assert calls["codegen", "lex_fragment"] == 0
     codegen = sys.modules["fsmforge.codegen"]
     assert codegen.token_texts(codegen.generate(weave(model)))

@@ -333,6 +333,44 @@ def test_an_unbalanced_type_gets_no_other_diagnostic():
             (code, "variables[0]", message)]
 
 
+# The validator checks each distinct fragment text once per role and call;
+# each occurrence still gets its own diagnostics, at its own path.
+
+def test_a_text_is_checked_in_each_role_it_has():
+    # A line comment is refused in a guard only, also after the text was
+    # checked as an action.
+    text = "x > 1 // c"
+    m = model(variables=(VariableDecl("x", "uint", "public"),),
+              transitions=(t("a", statements=(text,)), t("b", guards=(text,), statements=(text,))))
+    assert [(d.code, d.path) for d in validate(m)] == [
+        ("E_LINE_COMMENT", "transitions[1].guards[0]")]
+
+
+def test_a_repeated_fault_is_reported_at_each_occurrence():
+    m = model(transitions=(t("a", guards=("(x > 0",)), t("b", guards=("(x > 0",))))
+    assert diags(m) == [("E_UNBALANCED", f"transitions[{i}].guards[0]", "unclosed '('")
+                        for i in (0, 1)]
+
+
+def test_an_undeclared_identifier_is_judged_at_each_guard():
+    y = (Param("y", "uint"),)
+    m = model(transitions=(t("a", guards=("y > 0",)), t("b", inputs=y, guards=("y > 0",)),
+                           t("c", guards=("y > 0",))))
+    assert [(d.code, d.path) for d in validate(m)] == [
+        ("W_UNDECLARED_IDENT", "transitions[0].guards[0]"),
+        ("W_UNDECLARED_IDENT", "transitions[2].guards[0]")]
+
+
+def test_a_timed_action_is_lexed_after_the_same_text_was_an_action():
+    text = "total = amount;"
+    m = model(plugins=PluginConfig(timed=True),
+              variables=(VariableDecl("total", "uint", "public"),),
+              transitions=(t(inputs=(Param("amount", "uint"),), statements=(text,)),),
+              timed_transitions=(TimedTransition("tt", "A", "B", 60, statements=(text,)),))
+    assert diags(m) == [("E_TIMED_IO", "timed_transitions[0].statements[0]",
+                         "timed transitions may not reference transition input/output 'amount'")]
+
+
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",
                "mapping(address => uint[4])[]", "R[1]"]
 

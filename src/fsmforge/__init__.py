@@ -24,7 +24,6 @@ from .sim import (
     Invocation,
     Outcome,
     RevertReason,
-    SimConfig,
     SimSession,
     SimUsageError,
     advance_time,
@@ -45,7 +44,7 @@ __all__ = [
     "ParseError", "parse_dsl", "emit_dsl", "parse_json", "emit_json",
     "parse_guard_expr", "validate", "weave", "WovenContract",
     "generate", "token_texts",
-    "SimConfig", "SimSession", "SimUsageError", "Invocation", "Outcome",
+    "SimSession", "SimUsageError", "Invocation", "Outcome",
     "RevertReason", "new_session", "advance_time", "invoke", "admin_call",
     "eval_guard",
     "Report", "ScenarioSyntaxError", "parse_scenario", "run_scenario",

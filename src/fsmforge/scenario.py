@@ -9,15 +9,16 @@ Grammar (one step per line, `#` starts a comment):
     admin <add|remove> <actor> by <actor> expect <ok|revert>
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
 
-Each line parses to one immutable record of its kind: `Call`, `Time`, `Env`,
-`Admin` or `Assert`, a namedtuple that starts with `line_no` and `text` and
-names its kind in the class attribute `kind`. A `Call` holds its ready
-`Invocation`, so a step runs without building one; the simulator never assigns
-to it, nor to an `Env`'s `bindings`. `parse_scenario` parses each distinct line
-of a script once: the records of identical lines differ only in `line_no` and
-share their `Invocation` or `bindings`. A step's result is a `StepResult`
-NamedTuple, whose `outcome` is the simulator's shared, immutable `Outcome`; its
-`detail` text is made when read.
+Each line parses to one immutable record of its kind, a namedtuple whose type
+is the kind (`Call`, `Time`, `Env`, `Admin` or `Assert`) and whose first
+fields are `line_no` and `text`. A `Call` holds its ready `Invocation`, so a
+step runs without building one; the simulator never assigns to it, nor to an
+`Env`'s `bindings`. `parse_scenario` parses each distinct line of a script
+once: the records of identical lines differ only in `line_no` and share their
+`Invocation` or `bindings`. A step's result is a `StepResult` NamedTuple,
+whose `outcome` is the simulator's shared, immutable `Outcome`; its `detail`
+text is made when read. An `env` name and an asserted state name are
+identifiers as the DSL reads them: ASCII Python identifiers.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .sim import (
     Invocation,
     Outcome,
     RevertReason,
-    SimConfig,
     SimSession,
     SimUsageError,
     advance_time,
@@ -47,18 +47,13 @@ class ScenarioSyntaxError(Exception):
         self.line_no = line_no
 
 
-def _record(kind: str, fields: str, defaults: tuple = ()) -> type:
-    """The record type of one step kind."""
-    record = namedtuple(kind.capitalize(), "line_no text " + fields, defaults=defaults)
-    record.kind = kind
-    return record
-
-
-Call = _record("call", "call expect_ok expect_reason")  # an expect_reason of None: any reason
-Time = _record("time", "to")
-Env = _record("env", "bindings")
-Admin = _record("admin", "action target sender expect_ok")
-Assert = _record("assert", "check value actor", (None,))  # check: state | counter | admin(actor)
+# A Call's expect_reason of None takes any reason; an Assert's check is
+# state, counter or admin(<actor>).
+Call = namedtuple("Call", "line_no text call expect_ok expect_reason")
+Time = namedtuple("Time", "line_no text to")
+Env = namedtuple("Env", "line_no text bindings")
+Admin = namedtuple("Admin", "line_no text action target sender expect_ok")
+Assert = namedtuple("Assert", "line_no text check value actor", defaults=(None,))
 Step = Call | Time | Env | Admin | Assert  # not typing.Union, whose cache keeps its types alive
 
 
@@ -84,7 +79,6 @@ class Report(NamedTuple):
         return all(r.ok for r in self.results)
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _ADMIN = re.compile(r"admin\((\w+)\)")
 # A call's expectation: (expect_ok, expect_reason).
 _EXPECTATIONS = {"ok": (True, None), "revert": (False, None),
@@ -167,7 +161,7 @@ def _parse_assert(line_no: int, text: str, parts: list[str]) -> Assert:
         raise ScenarioSyntaxError(line_no, "assert syntax: assert <key>=<value>")
     key, value = parts[0].split("=", 1)
     if key == "state":
-        if not _IDENT.match(value):
+        if not (value.isascii() and value.isidentifier()):
             raise ScenarioSyntaxError(line_no, f"bad state name '{value}'")
         return Assert(line_no, text, "state", value)
     if key == "counter":
@@ -199,7 +193,7 @@ def parse_step(line_no: int, line: str) -> Optional[Step]:
             if "=" not in word:
                 raise ScenarioSyntaxError(line_no, f"bad env binding '{word}'")
             name, value = word.split("=", 1)
-            if not _IDENT.match(name):
+            if not (name.isascii() and name.isidentifier()):
                 raise ScenarioSyntaxError(line_no, f"bad env name '{name}'")
             bindings[name] = _parse_int(line_no, value)
         return Env(line_no, text, bindings)
@@ -271,12 +265,11 @@ def _describe(outcome: Outcome) -> str:
     return f"Reverted({outcome.revert_reason.value})"
 
 
-def run_scenario(woven: WovenContract, text: str,
-                 config: SimConfig = SimConfig()) -> Report:
+def run_scenario(woven: WovenContract, text: str) -> Report:
     """Parse the whole script, then execute it.
 
     Raises ScenarioSyntaxError on a bad line or on a step the simulator refuses.
     """
     steps = parse_scenario(text)
-    session = new_session(woven, config)
+    session = new_session(woven)
     return Report([run_step(session, step) for step in steps], session.snapshot())

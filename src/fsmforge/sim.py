@@ -17,8 +17,8 @@ names a `timed_guard_overrides` key may take, and the integer ranges that
 
 An `Invocation` is a plain record that the simulator reads and never assigns
 to, so a scenario step can hand the same one to every run; a probe's missing
-transition number is filled in on a copy. `SimConfig` and `Outcome` are
-NamedTuples, immutable, so calls share an `Outcome`.
+transition number is filled in on a copy. An `Outcome` is an immutable
+NamedTuple, so calls share one.
 """
 from __future__ import annotations
 
@@ -60,13 +60,6 @@ class RevertReason(Enum):
     MISSING_OVERRIDE = "MissingOverride"
     DIVISION_BY_ZERO = "DivisionByZero"
     UNKNOWN_TRANSITION = "UnknownTransition"
-
-
-class SimConfig(NamedTuple):
-    """The deployment a simulated session starts from."""
-
-    creation_time: int = 0
-    deployer: str = "deployer"
 
 
 @dataclass
@@ -151,18 +144,14 @@ class SimSession:
         }
 
 
-def new_session(woven: WovenContract, config: SimConfig = SimConfig()) -> SimSession:
+def new_session(woven: WovenContract) -> SimSession:
+    """A session of the contract deployed by "deployer" at time 0."""
     model = woven.base
     if model.initial_state is None:
         raise SimUsageError("model has no initial state")
-    session = SimSession(
-        woven=woven,
-        current_state=model.initial_state,
-        creation_time=config.creation_time,
-        now=config.creation_time,
-    )
+    session = SimSession(woven=woven, current_state=model.initial_state, creation_time=0, now=0)
     if model.plugins.access_control:
-        session.is_admin = frozenset({config.deployer})
+        session.is_admin = frozenset({"deployer"})
     return session
 
 

@@ -5,7 +5,9 @@ model is ready for weaving and code generation.
 
 Every name the model declares goes through one check, `_Collector.declare`,
 and every fragment text through another, `_Collector.fragment`, which checks
-each distinct text once per role and call.
+each distinct text once per role and call. Guards, timed-transition texts and
+type texts are lexed with `lex_fragment`, and the type rules walk the tokens;
+an action is only checked, with `check_fragment`.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import re
 
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
-from .fragments import COMMENT, IDENT_START, STRING, LexError, check_fragment, lex_fragment
+from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
 from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -33,14 +35,8 @@ _KEYWORDS = frozenset("""
     relocatable sealed sizeof static supports switch typedef typeof var
 """.split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
-# In a type text: a name of an integer or bytes type with a width (Solidity
-# has only those in _KEYWORDS), a comment, or a number or string outside
-# `[...]`, that is, one after which the next bracket is no `]`. The lookahead
-# first skips every position that starts none of them.
-_OUTSIDE = r"(?![^\[\]]*\])"
-_TYPE_PART = re.compile(
-    rf"(?=[uib0-9\"'/])(?:(?<![A-Za-z0-9_$])(?:(?:u?int|bytes)[0-9]+(?![A-Za-z0-9_$])"
-    rf"|[0-9][A-Za-z0-9_$]*{_OUTSIDE})|(?:{STRING}){_OUTSIDE}|{COMMENT})", re.S)
+# An integer or bytes type name with a width; Solidity has those in _KEYWORDS.
+_WIDTH = re.compile(r"(?:u?int|bytes)[0-9]+")
 
 # A name declared at column 0 of a plugin's declaration block: the word after
 # `function` / `modifier`, or the last word before `=` or `;` (variables, events).
@@ -79,39 +75,39 @@ def _free_identifiers(texts: list[str]) -> frozenset[str]:
     return frozenset(names)
 
 
-def _check_fragment(text: str, lex: bool = False,
-                    inline: bool = False) -> tuple[list[tuple[str, str]], frozenset[str]]:
-    """The (code, message) errors of a fragment and, if `lex`, its free
-    identifiers; a lex error gives no identifiers. A lex error keeps the
-    lexer's code: "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an
-    unterminated string or comment or a byte no token starts with. The
-    generator writes code after an `inline` fragment (a guard or a type text)
-    on the same line, so a line comment in one is an error."""
+def _check_fragment(text: str, lex: bool, inline: bool) -> tuple[list[tuple[str, str]], list[str]]:
+    """The (code, message) errors of a fragment and, if `lex`, its token
+    texts; a lex error gives no tokens. A lex error keeps the lexer's code:
+    "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an unterminated string
+    or comment or a byte no token starts with. The generator writes code
+    after an `inline` fragment (a guard or a type text) on the same line, so
+    a line comment in one is an error."""
     try:
-        tokens = lex_fragment(text) if lex else check_fragment(text)
+        tokens = lex_fragment(text) if lex else check_fragment(text) or []
     except LexError as exc:
-        return [(exc.diagnostic.code, exc.diagnostic.message)], frozenset()
-    names = _free_identifiers(tokens) if lex else frozenset()
-    if inline and "//" in text and any(
-            tok.startswith("//") for tok in (tokens if lex else lex_fragment(text))):
+        return [(exc.diagnostic.code, exc.diagnostic.message)], []
+    if inline and "//" in text and any(tok.startswith("//") for tok in tokens):
         return [("E_LINE_COMMENT",
-                 "a '//' comment here would comment out the generated code after it")], names
-    return [], names
+                 "a '//' comment here would comment out the generated code after it")], tokens
+    return [], tokens
 
 
-def _check_type(type_text: str, structs: set[str]) -> list[tuple[str, str]]:
-    """The errors of a type text: as a fragment; that each integer or bytes
-    type it names has a width Solidity has, unless the name is a declared
-    struct's; and that each number or string in it is inside `[...]`, an
-    array length. A text the fragment check refuses gets no other error."""
-    errors, _ = _check_fragment(type_text, inline=True)
-    for part in () if errors else _TYPE_PART.findall(type_text):
-        if part[0] in IDENT_START:
-            if part not in _KEYWORDS and part not in structs:
-                return [("E_BAD_TYPE", f"Solidity has no type '{part}'")]
-        elif part[0] != "/":
-            return [("E_BAD_TYPE", f"a type has the literal {part} outside '[...]'")]
-    return errors
+def _check_type(tokens: list[str], structs: set[str]) -> list[tuple[str, str]]:
+    """The errors of a type text that lexed without one, over its tokens: that
+    each integer or bytes type it names has a width Solidity has, unless the
+    name is a declared struct's, and that each number or string is inside
+    `[...]` (an array length), at a bracket depth above 0. A comment is one
+    token, and neither."""
+    depth = 0
+    for tok in tokens:
+        if tok in "[]":
+            depth += 1 if tok == "[" else -1
+        elif tok[0] in IDENT_START:
+            if tok not in _KEYWORDS and _WIDTH.fullmatch(tok) and tok not in structs:
+                return [("E_BAD_TYPE", f"Solidity has no type '{tok}'")]
+        elif not depth and tok[0] in "0123456789\"'":
+            return [("E_BAD_TYPE", f"a type has the literal {tok} outside '[...]'")]
+    return []
 
 
 class _Collector:
@@ -128,15 +124,17 @@ class _Collector:
 
     def fragment(self, path: str, text: str, role: str) -> frozenset[str]:
         """Report at `path` the errors of `text` in `role` and return its free
-        identifiers. The roles: "type" (a type text), "guard" (a guard or a
-        timed guard: lexed, inline), "action" (checked only) and "timed
-        action" (lexed). Models repeat texts, so each text is checked once per
-        role; a later occurrence reports the same errors at its own path."""
+        identifiers. The roles: "type" (a type text: lexed, inline), "guard"
+        (a guard or a timed guard: lexed, inline), "action" (checked only) and
+        "timed action" (lexed). Models repeat texts, so each text is checked
+        once per role; a later occurrence reports the same errors at its own
+        path."""
         found = self.checked.get((text, role))
         if found is None:
+            errors, tokens = _check_fragment(text, role != "action", role in ("guard", "type"))
             found = self.checked[text, role] = (
-                (_check_type(text, self.structs), frozenset()) if role == "type"
-                else _check_fragment(text, lex=role != "action", inline=role == "guard"))
+                (errors or _check_type(tokens, self.structs), frozenset()) if role == "type"
+                else (errors, _free_identifiers(tokens)))
         errors, names = found
         for code, message in errors:
             self.error(code, path, message)

@@ -34,7 +34,6 @@ from fsmforge.model import (
 from fsmforge.sim import (
     Invocation,
     RevertReason,
-    SimConfig,
     admin_call,
     advance_time,
     eval_guard,
@@ -205,7 +204,7 @@ def test_criterion_4_simulator_properties():
         model = random_model(rng, evaluable_guards=True)
         if not model.transitions:
             continue
-        session = new_session(weave(model), SimConfig(deployer="deployer"))
+        session = new_session(weave(model))
         _bind_env(session, rng)
         for _ in range(6):
             if rng.random() < 0.3:
@@ -287,8 +286,8 @@ def test_criterion_4_simulator_properties():
     for _ in range(200):
         model = ContractModel(name="A", states=("S",), initial_state="S",
                               plugins=PluginConfig(access_control=True))
-        session = new_session(weave(model), SimConfig(deployer="root"))
-        people = ["root", "a", "b", "c"]
+        session = new_session(weave(model))  # deployed by "deployer"
+        people = ["deployer", "a", "b", "c"]
         for _ in range(12):
             admin_call(session, rng.choice(["add", "remove"]),
                        rng.choice(people), rng.choice(people))

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsmforge.cli import main
-from fsmforge.dsl import emit_dsl, parse_dsl
+from fsmforge.dsl import IDENT, emit_dsl, parse_dsl
 from fsmforge.scenario import (
     Admin,
     Assert,
@@ -23,7 +23,7 @@ from fsmforge.scenario import (
     run_scenario,
     run_step,
 )
-from fsmforge.sim import Invocation, RevertReason, SimConfig, SimUsageError, invoke, new_session
+from fsmforge.sim import Invocation, RevertReason, SimUsageError, invoke, new_session
 from fsmforge.weave import weave
 from modelgen import random_model
 
@@ -37,7 +37,7 @@ def test_parse_step_variants():
     assert parse_step(1, "") is None
     assert parse_step(1, "   # just a comment") is None
     step = parse_step(1, "call bid as alice n=0 g0=true reenter=bid expect ok")
-    assert step.kind == "call"
+    assert type(step) is Call
     assert step.call == Invocation("bid", "alice", 0, {0: True}, {}, Invocation("bid", "alice"))
     assert (step.expect_ok, step.expect_reason) == (True, None)
     step = parse_step(1, "call bid as alice reenter=bid reenter:g1=false reenter:g0=true expect ok")
@@ -76,7 +76,7 @@ def test_parse_step_variants():
 ])
 def test_each_step_kind_parses_to_its_record(line, record, kind):
     step = parse_step(9, "  " + line)
-    assert type(step) is record and record.kind == step.kind == kind
+    assert type(step) is record and record.__name__ == kind.capitalize()
     assert (step.line_no, step.text) == (9, line.split("#")[0].strip())
     assert [type(s) for s in parse_scenario(f"# head\n\n{line}\n")] == [record]
     assert parse_scenario(f"\n{line}")[0].line_no == 2
@@ -124,6 +124,17 @@ def test_scenario_integers_are_an_optional_minus_and_ascii_digits(line, number):
     with pytest.raises(ScenarioSyntaxError) as exc:
         parse_step(3, line)
     assert str(exc.value) == f"line 3: expected an integer, got '{number}'"
+
+
+# A script splits its lines into words at whitespace, so a name holds none.
+@given(st.text(alphabet="aZ_09$\u00e9\u0661\ufb01", max_size=5))
+def test_an_env_or_state_name_is_exactly_what_the_dsl_reads_as_an_identifier(name):
+    for line in (f"env {name}=1", f"assert state={name}"):
+        if IDENT.fullmatch(name):
+            assert parse_step(1, line).text == line
+        else:
+            with pytest.raises(ScenarioSyntaxError):
+                parse_step(1, line)
 
 
 def test_line_numbers_in_errors():
@@ -230,7 +241,7 @@ def test_a_parsed_script_runs_alike_in_fresh_sessions(auction):
     assert runs[0] == runs[1]
     assert all(r.ok for r in runs[0][0]) and "probe=Reverted(Locked)" in runs[0][0][0].detail
     for step in steps:
-        if step.kind == "call":
+        if type(step) is Call:
             assert step.call == parse_step(step.line_no, step.text).call
 
 
@@ -314,7 +325,7 @@ def test_admin_steps(corpus_dir):
         "assert admin(alice)=true",
         "admin remove deployer by alice expect ok",
         "admin remove alice by alice expect revert",
-    ]) + "\n", SimConfig())
+    ]) + "\n")
     assert report.ok, [r.detail for r in report.results if not r.ok]
 
 
@@ -322,7 +333,7 @@ def test_an_assert_note_reads_back_as_the_assert_it_reports(corpus_dir):
     # `sim` prints each assert's note; pasted after `assert `, it must parse
     # to the same check, and hold on the session it was read from.
     woven = weave(parse_dsl((corpus_dir / "voting.fsm").read_text()))
-    session = new_session(woven, SimConfig())
+    session = new_session(woven)
     asserts = 0
     for step in parse_scenario("\n".join([
         "assert admin(deployer)=true", "assert admin(bob)=true", "assert state=Closed",

@@ -18,7 +18,6 @@ from fsmforge.sim import (
     MissingOverride,
     Outcome,
     RevertReason,
-    SimConfig,
     SimSession,
     SimUsageError,
     TimeBackwardError,
@@ -209,20 +208,20 @@ def test_probe_depth_is_one():
 
 def test_admin_tag_enforced():
     woven = build([t("aa", "A", "A", tags=("admin",))], access_control=True)
-    s = new_session(woven, SimConfig(deployer="boss"))
+    s = new_session(woven)  # deployed by "deployer"
     assert invoke(s, Invocation("aa", "mallory")).revert_reason == RevertReason.NOT_ADMIN
-    assert invoke(s, Invocation("aa", "boss")).executed
+    assert invoke(s, Invocation("aa", "deployer")).executed
 
 
 def test_admin_management():
     woven = build([t("aa", "A", "A")], access_control=True)
-    s = new_session(woven, SimConfig(deployer="boss"))
+    s = new_session(woven)  # deployed by "deployer"
     assert admin_call(s, "add", "alice", "mallory").revert_reason == RevertReason.NOT_ADMIN
-    assert admin_call(s, "add", "boss", "boss").revert_reason == RevertReason.GUARD_FAILED
-    assert admin_call(s, "add", "alice", "boss").executed
+    assert admin_call(s, "add", "deployer", "deployer").revert_reason == RevertReason.GUARD_FAILED
+    assert admin_call(s, "add", "alice", "deployer").executed
     assert len(s.is_admin) == 2
-    assert admin_call(s, "remove", "mallory", "boss").revert_reason == RevertReason.GUARD_FAILED
-    assert admin_call(s, "remove", "boss", "alice").executed
+    assert admin_call(s, "remove", "mallory", "deployer").revert_reason == RevertReason.GUARD_FAILED
+    assert admin_call(s, "remove", "deployer", "alice").executed
     assert admin_call(s, "remove", "alice", "alice").revert_reason == RevertReason.GUARD_FAILED
     assert len(s.is_admin) == 1
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -58,7 +59,7 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
 
     woven = weave(parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8")))
     text = (corpus_dir / "blind_auction_happy.scn").read_text(encoding="utf-8")
-    calls = sum(step.kind == "call" for step in scenario.parse_scenario(text))
+    calls = sum(type(step) is scenario.Call for step in scenario.parse_scenario(text))
     run_scenario = scenario.run_scenario
     tracer = _layertrace()["Tracer"]()
     tracer.install()
@@ -103,13 +104,13 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
         timed_transitions=tuple(TimedTransition(
             f"late{i}", "C", "C", i, guard="highestBid > 0", statements=(action,))
             for i in (1, 2)))
-    # Each distinct text is checked (types, actions) or lexed (guards, timed
+    # Each distinct text is checked (actions) or lexed (types, guards, timed
     # guards and actions) once per role and validate call.
     types = {p.type_text for t in model.transitions for p in t.inputs + t.outputs + t.locals}
     types |= {v.type_text for v in model.variables}
     types |= {m.type_text for s in model.structs for m in s.members}
-    checked = len(types) + len({s for t in model.transitions for s in t.statements})
-    lexed = len({g for t in model.transitions for g in t.guards}) + 2
+    checked = len({s for t in model.transitions for s in t.statements})
+    lexed = len(types) + len({g for t in model.transitions for g in t.guards}) + 2
     validate = sys.modules["fsmforge.validate"].validate
     for rounds in (1, 2):
         assert validate(model) == []
@@ -182,10 +183,17 @@ def test_the_readme_lists_every_validator_code():
 
 def test_only_the_fragment_lexer_spells_a_solidity_comment():
     # Solidity's lexical grammar lives in `fragments`; a second spelling of a
-    # block comment could end a comment where the lexer does not.
-    spellers = [path.name for path in sorted((ROOT / "src" / "fsmforge").glob("*.py"))
-                if r"/\*" in path.read_text(encoding="utf-8")]
+    # block comment could end a comment where the lexer does not, and a module
+    # that imports its string or comment pattern scans text with a second lexer.
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "fsmforge").glob("*.py"))}
+    spellers = [name for name, source in sources.items() if r"/\*" in source]
     assert spellers == ["fragments.py"]
+    readers = sorted({name for name, source in sources.items() if name != "fragments.py"
+                      for node in ast.walk(ast.parse(source))
+                      if isinstance(node, ast.alias) and node.name in ("STRING", "COMMENT")
+                      or isinstance(node, ast.Attribute) and node.attr in ("STRING", "COMMENT")})
+    assert readers == []
 
 
 def test_coldstart_times_one_round_of_fresh_processes(tmp_path):

@@ -322,10 +322,14 @@ def test_a_number_or_string_in_a_type_must_be_inside_brackets():
         ("E_BAD_TYPE", "structs[0].members[0]", "a type has the literal 8 outside '[...]'")]
     for good in ("uint[8]", "mapping(uint => bool)", "bytes32[2][3]", "uint /* 8 */"):
         assert codes(model(variables=(VariableDecl("v", good, "public"),))) == [], good
+    # A literal is the lexer's token; a bracket in a comment is no bracket.
+    for text, literal in (("uint 8x", "8"), ("uint 5 days", "5 days"), ("uint 2 /* ] */", "2")):
+        assert diags(model(variables=(VariableDecl("v", text, "public"),))) == [
+            ("E_BAD_TYPE", "variables[0]", f"a type has the literal {literal} outside '[...]'")]
 
 
 def test_an_unbalanced_type_gets_no_other_diagnostic():
-    # The part scan would read `8` and `uint7` as faults of their own.
+    # A text that fails to lex gets the lexer's error alone, not `8` or `uint7` too.
     for text, code, message in (("uint /* 8", "E_BAD_TOKEN", "unterminated block comment"),
                                 ('uint "abc', "E_BAD_TOKEN", "unterminated string literal"),
                                 ("uint7 (", "E_UNBALANCED", "unclosed '('")):
@@ -372,7 +376,7 @@ def test_a_timed_action_is_lexed_after_the_same_text_was_an_action():
 
 
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",
-               "mapping(address => uint[4])[]", "R[1]"]
+               "mapping(address => uint[4])[]", "R[1]", "uint[x[1]][2]"]
 
 
 @given(st.sampled_from(VALID_TYPES), st.sampled_from(["8", "0x1f", "1e3", '"s"', "'x'"]),

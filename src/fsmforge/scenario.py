@@ -79,7 +79,7 @@ class Report(NamedTuple):
         return all(r.ok for r in self.results)
 
 
-_ADMIN = re.compile(r"admin\((\w+)\)")
+_ADMIN = re.compile(r"admin\((.+)\)")  # any actor a call or admin step takes that has no "="
 # A call's expectation: (expect_ok, expect_reason).
 _EXPECTATIONS = {"ok": (True, None), "revert": (False, None),
                  **{f"revert:{r.value}": (False, r) for r in RevertReason}}

@@ -3,11 +3,12 @@
 Runs each transition's woven chain (`WovenContract.chains`, the tuple the
 generator writes its modifiers from) and the transition body semantics
 (state requires, guard conjunction, lock, counter, admin set, timed firing)
-on the session itself. The fields a call can change (state, lock, counter)
-are saved before each call and restored when the call reverts or raises, so
-a reverted call leaves the session untouched, mirroring transactional
-rollback. Statement fragments are opaque and never executed; the modeled
-effect of a transition is its state change.
+on the session itself. A failed check raises to the call's boundary,
+`_transact`, which restores the fields a call can change (state, lock,
+counter), so a reverted call leaves the session untouched, as a failed
+`require` aborts a Solidity transaction. Statement fragments are opaque and
+never executed; the modeled effect of a transition is its state change. A
+session is deployed at time 0, so a guard's `creationTime` reads 0.
 
 The woven contract's plan (`_plan`) is built once per contract, when the
 contract's first session starts: each transition's chain, parsed guards and
@@ -90,6 +91,10 @@ _revert = {r: Outcome(executed=False, revert_reason=r) for r in RevertReason}.__
 _EXECUTED = Outcome(executed=True)
 
 
+class _Revert(Exception):
+    """A failed check, carrying its RevertReason: `_transact` reverts the call."""
+
+
 class _Plan(NamedTuple):
     """What the simulator reads of a woven contract, built once per contract."""
 
@@ -124,7 +129,6 @@ class SimSession:
 
     woven: WovenContract
     current_state: str
-    creation_time: int
     now: int
     locked: bool = False
     transition_counter: int = 0
@@ -149,7 +153,7 @@ def new_session(woven: WovenContract) -> SimSession:
     model = woven.base
     if model.initial_state is None:
         raise SimUsageError("model has no initial state")
-    session = SimSession(woven=woven, current_state=model.initial_state, creation_time=0, now=0)
+    session = SimSession(woven=woven, current_state=model.initial_state, now=0)
     if model.plugins.access_control:
         session.is_admin = frozenset({"deployer"})
     return session
@@ -236,27 +240,16 @@ def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int
     raise SimUsageError(f"unknown guard node {ast!r}")
 
 
-def _run_timed(session: SimSession, call: Invocation) -> list[str] | Outcome:
+def _run_timed(session: SimSession, call: Invocation) -> tuple[str, ...]:
     """Fire due timed transitions, in declaration order; each re-reads the state."""
-    fired: list[str] = []
+    fired: tuple[str, ...] = ()
     for tt, ast in session.plan.timed:
-        if session.current_state != tt.from_state:
+        if session.current_state != tt.from_state or session.now < tt.time_offset_seconds:
             continue
-        if session.now < session.creation_time + tt.time_offset_seconds:
-            continue
-        if ast is not None:
-            override = call.timed_guard_overrides.get(tt.name)
-            try:
-                holds = bool(eval_guard(ast, session.now, session.creation_time,
-                                        session.env, override))
-            except MissingOverride:
-                return _revert(RevertReason.MISSING_OVERRIDE)
-            except ZeroDivisionError:
-                return _revert(RevertReason.DIVISION_BY_ZERO)
-            if not holds:
-                continue
-        session.current_state = tt.to_state
-        fired.append(tt.name)
+        if ast is None or eval_guard(ast, session.now, 0, session.env,
+                                     call.timed_guard_overrides.get(tt.name)):
+            session.current_state = tt.to_state
+            fired += (tt.name,)
     return fired
 
 
@@ -276,7 +269,7 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
                 raise SimUsageError(f"timed:{unknown[0]} names no timed transition with a guard")
     entry = plan.entries.get(call.transition)
     if entry is None:
-        return _revert(RevertReason.UNKNOWN_TRANSITION)
+        raise _Revert(RevertReason.UNKNOWN_TRANSITION)
     t, chain, asts, done = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
@@ -287,32 +280,22 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     for plugin in chain:
         if plugin is LOCKING:
             if session.locked:
-                return _revert(RevertReason.LOCKED)
+                raise _Revert(RevertReason.LOCKED)
             session.locked = True
         elif plugin is TIMED:
-            result = _run_timed(session, call)
-            if isinstance(result, Outcome):
-                return result
-            fired = tuple(result)
+            fired = _run_timed(session, call)
         elif plugin is COUNTER:
             if call.next_transition_number != session.transition_counter:
-                return _revert(RevertReason.COUNTER_MISMATCH)
+                raise _Revert(RevertReason.COUNTER_MISMATCH)
             session.transition_counter += 1
         elif plugin is ACCESS_CONTROL and call.sender not in session.is_admin:
-            return _revert(RevertReason.NOT_ADMIN)
+            raise _Revert(RevertReason.NOT_ADMIN)
 
     if session.current_state != t.from_state:
-        return _revert(RevertReason.WRONG_STATE)
+        raise _Revert(RevertReason.WRONG_STATE)
     for i, ast in enumerate(asts):
-        try:
-            holds = bool(eval_guard(ast, session.now, session.creation_time,
-                                    session.env, call.guard_overrides.get(i)))
-        except MissingOverride:
-            return _revert(RevertReason.MISSING_OVERRIDE)
-        except ZeroDivisionError:  # Solidity aborts the transaction
-            return _revert(RevertReason.DIVISION_BY_ZERO)
-        if not holds:
-            return _revert(RevertReason.GUARD_FAILED)
+        if not eval_guard(ast, session.now, 0, session.env, call.guard_overrides.get(i)):
+            raise _Revert(RevertReason.GUARD_FAILED)
 
     probe_outcome: Optional[Outcome] = None
     if call.reentry_probe is not None and depth == 0:
@@ -335,18 +318,23 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
 
 
 def _transact(session: SimSession, call: Invocation, depth: int) -> Outcome:
-    """Execute a call; the fields it can change are restored if it reverts or raises.
-
-    _execute and _run_timed assign no other SimSession field.
+    """Run a call as one transaction: on any exception, restore the fields a
+    call can change. A failed check, a missing override or a division by zero
+    (which aborts a Solidity transaction) becomes the call's revert; anything
+    else is raised again. _execute and _run_timed assign no other SimSession field.
     """
     saved = session.current_state, session.locked, session.transition_counter
-    outcome = None
     try:
-        outcome = _execute(session, call, depth)
-    finally:
-        if outcome is None or not outcome.executed:
-            session.current_state, session.locked, session.transition_counter = saved
-    return outcome
+        return _execute(session, call, depth)
+    except BaseException as exc:
+        session.current_state, session.locked, session.transition_counter = saved
+        if isinstance(exc, _Revert):
+            return _revert(exc.args[0])
+        if isinstance(exc, MissingOverride):
+            return _revert(RevertReason.MISSING_OVERRIDE)
+        if isinstance(exc, ZeroDivisionError):
+            return _revert(RevertReason.DIVISION_BY_ZERO)
+        raise
 
 
 def invoke(session: SimSession, call: Invocation) -> Outcome:

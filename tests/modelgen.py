@@ -135,6 +135,52 @@ def random_model(rng: random.Random, evaluable_guards: bool = False) -> Contract
     ))
 
 
+# Texts that each hold one fault of a type, a fragment or both.
+FAULTY_TEXTS = ("uint7", "uint 8x", "(x > 0", "x > 1 // c", "x # 1 > 0", '"abc', "/* open")
+
+
+def faulty_model(rng: random.Random) -> tuple[ContractModel, dict[str, tuple[str, str]]]:
+    """random_model with one to three of FAULTY_TEXTS spliced into about half
+    of its type, guard, action and timed texts, so that a text repeats across
+    transitions and roles. Also returns, for each splice, its validator path
+    and (text, role), with the roles of `validate._Collector.fragment`."""
+    m = random_model(rng)
+    texts = rng.sample(FAULTY_TEXTS, rng.randint(1, 3))
+    spliced: dict[str, tuple[str, str]] = {}
+
+    def splice(path: str, text: str, role: str) -> str:
+        if rng.random() < 0.5:
+            return text
+        spliced[path] = (rng.choice(texts), role)
+        return spliced[path][0]
+
+    def params(path: str, items: tuple) -> tuple:
+        return tuple(p._replace(type_text=splice(f"{path}[{j}]", p.type_text, "type"))
+                     for j, p in enumerate(items))
+
+    def texts_at(path: str, items: tuple, role: str) -> tuple:
+        return tuple(splice(f"{path}[{j}]", text, role) for j, text in enumerate(items))
+
+    return m._replace(
+        variables=tuple(v._replace(type_text=splice(f"variables[{i}]", v.type_text, "type"))
+                        for i, v in enumerate(m.variables)),
+        structs=tuple(st._replace(members=params(f"structs[{i}].members", st.members))
+                      for i, st in enumerate(m.structs)),
+        transitions=tuple(t._replace(
+            inputs=params(f"transitions[{i}].inputs", t.inputs),
+            outputs=params(f"transitions[{i}].outputs", t.outputs),
+            locals=params(f"transitions[{i}].locals", t.locals),
+            guards=texts_at(f"transitions[{i}].guards", t.guards, "guard"),
+            statements=texts_at(f"transitions[{i}].statements", t.statements, "action"))
+            for i, t in enumerate(m.transitions)),
+        timed_transitions=tuple(tt._replace(
+            guard=None if tt.guard is None
+            else splice(f"timed_transitions[{i}].guard", tt.guard, "guard"),
+            statements=texts_at(f"timed_transitions[{i}].statements", tt.statements,
+                                "timed action"))
+            for i, tt in enumerate(m.timed_transitions))), spliced
+
+
 # Names that must not reach the generated contract unchecked: Solidity
 # keywords and type names, names the generator emits (some only with a plugin
 # on; `eventt0` is the events modifier of a transition `t0`), builtins the

@@ -315,39 +315,45 @@ def test_guard_division_by_zero_is_an_expected_revert():
     assert "Reverted(DivisionByZero)" in _failed(report)[0].detail
 
 
+# Actors: a call or admin step takes any word, so an assert takes any without "=".
+ACTORS = ["alice", "carol-1", "alice.eth"]
+
+
 def test_admin_steps(corpus_dir):
     woven = weave(parse_dsl((corpus_dir / "voting.fsm").read_text()))
-    report = run_scenario(woven, "\n".join([
-        "assert admin(deployer)=true",
-        "call addParticipant as mallory n=0 expect revert:NotAdmin",
-        "call addParticipant as deployer expect ok",
-        "admin add alice by deployer expect ok",
-        "assert admin(alice)=true",
-        "admin remove deployer by alice expect ok",
-        "admin remove alice by alice expect revert",
-    ]) + "\n")
-    assert report.ok, [r.detail for r in report.results if not r.ok]
+    for actor in ACTORS:
+        report = run_scenario(woven, "\n".join([
+            "assert admin(deployer)=true",
+            "call addParticipant as mallory n=0 expect revert:NotAdmin",
+            "call addParticipant as deployer expect ok",
+            f"admin add {actor} by deployer expect ok",
+            f"assert admin({actor})=true",
+            f"admin remove deployer by {actor} expect ok",
+            f"admin remove {actor} by {actor} expect revert",
+        ]) + "\n")
+        assert report.ok, (actor, [r.detail for r in report.results if not r.ok])
 
 
 def test_an_assert_note_reads_back_as_the_assert_it_reports(corpus_dir):
     # `sim` prints each assert's note; pasted after `assert `, it must parse
     # to the same check, and hold on the session it was read from.
     woven = weave(parse_dsl((corpus_dir / "voting.fsm").read_text()))
-    session = new_session(woven)
-    asserts = 0
-    for step in parse_scenario("\n".join([
-        "assert admin(deployer)=true", "assert admin(bob)=true", "assert state=Closed",
-        "admin add alice by deployer expect ok", "assert admin(alice)=false",
-        "assert counter=3", "admin remove deployer by alice expect ok",
-        "assert admin(deployer)=false", "assert state=Setup", "assert counter=0",
-    ])):
-        result = run_step(session, step)
-        if isinstance(step, Assert):
-            asserts += 1
-            echo = parse_step(step.line_no, "assert " + result.note)
-            assert echo.check == step.check, result.note
-            assert run_step(session, echo).ok, result.note
-    assert asserts == 8
+    for actor in ACTORS:
+        session = new_session(woven)
+        asserts = 0
+        for step in parse_scenario("\n".join([
+            "assert admin(deployer)=true", "assert admin(bob)=true", "assert state=Closed",
+            f"admin add {actor} by deployer expect ok", f"assert admin({actor})=false",
+            "assert counter=3", f"admin remove deployer by {actor} expect ok",
+            "assert admin(deployer)=false", "assert state=Setup", "assert counter=0",
+        ])):
+            result = run_step(session, step)
+            if isinstance(step, Assert):
+                asserts += 1
+                echo = parse_step(step.line_no, "assert " + result.note)
+                assert echo.check == step.check, result.note
+                assert run_step(session, echo).ok, result.note
+        assert asserts == 8
 
 
 def test_step_the_simulator_refuses_raises_with_its_line(auction):

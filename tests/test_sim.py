@@ -197,6 +197,44 @@ def test_reentry_executes_without_locking():
     assert s.transition_counter == 2  # probe effect merged into the caller
 
 
+# A model, its env, a call and the probe it carries, for each reason a probe can
+# revert with. The counter plugin makes the probe's own counter bump visible.
+PROBE_REVERTS = {
+    RevertReason.LOCKED: (dict(locking=True, counter=True), {}, Invocation("aa", "u", 0),
+                          Invocation("aa", "u")),
+    RevertReason.WRONG_STATE: (dict(counter=True), {}, Invocation("ab", "u", 0),
+                               Invocation("bc", "u")),
+    RevertReason.GUARD_FAILED: (dict(counter=True), {"k": 0}, Invocation("aa", "u", 0),
+                                Invocation("ak", "u")),
+    RevertReason.COUNTER_MISMATCH: (dict(counter=True), {}, Invocation("aa", "u", 0),
+                                    Invocation("aa", "u", 0)),
+    RevertReason.NOT_ADMIN: (dict(counter=True, access_control=True), {},
+                             Invocation("ad", "deployer", 0), Invocation("ad", "mallory")),
+    RevertReason.MISSING_OVERRIDE: (dict(counter=True), {}, Invocation("aa", "u", 0),
+                                    Invocation("ao", "u")),
+    RevertReason.DIVISION_BY_ZERO: (dict(counter=True), {"k": 0}, Invocation("aa", "u", 0),
+                                    Invocation("az", "u")),
+    RevertReason.UNKNOWN_TRANSITION: (dict(counter=True), {}, Invocation("aa", "u", 0),
+                                      Invocation("nope", "u")),
+}
+
+
+@pytest.mark.parametrize("reason", list(RevertReason))
+def test_a_probe_revert_never_reverts_its_caller(reason):
+    plugins, env, call, probe = PROBE_REVERTS[reason]
+    woven = build([t("aa", "A", "A"), t("ab", "A", "B"), t("bc", "B", "C"),
+                   t("ak", "A", "B", guard="k > 3"), t("ao", "A", "B", guard="bal[msg.sender] > 0"),
+                   t("az", "A", "B", guard="10 / k > 1"), t("ad", "A", "A", tags=("admin",))],
+                  **plugins)
+    s, plain = new_session(woven), new_session(woven)
+    s.env.update(env)
+    plain.env.update(env)
+    out = invoke(s, replace(call, reentry_probe=probe))
+    assert out.executed and out.probe == Outcome(executed=False, revert_reason=reason)
+    assert out._replace(probe=None) == invoke(plain, call)
+    assert s == plain  # what the same call without a probe leaves
+
+
 def test_probe_depth_is_one():
     woven = build([t("aa", "A", "A")])
     s = new_session(woven)

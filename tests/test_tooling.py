@@ -196,6 +196,32 @@ def test_only_the_fragment_lexer_spells_a_solidity_comment():
     assert readers == []
 
 
+def test_only_the_call_boundary_turns_an_exception_into_a_revert():
+    # A failed check raises to `sim._transact`, the one place that restores the
+    # fields a call can change and maps a missing override or a division by
+    # zero to a revert; a second handler would be a second rollback path.
+    tree = ast.parse((ROOT / "src" / "fsmforge" / "sim.py").read_text(encoding="utf-8"))
+    fields = {"current_state", "locked", "transition_counter"}
+    catchers, restorers = set(), set()
+    for func in tree.body:
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+                caught = node.args[1]
+            else:
+                caught = None
+            if caught is not None and {"MissingOverride", "ZeroDivisionError"} & {
+                    n.id for n in ast.walk(caught) if isinstance(n, ast.Name)}:
+                catchers.add(func.name)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name) and fields & {
+                    n.attr for n in ast.walk(node.targets[0]) if isinstance(n, ast.Attribute)}:
+                restorers.add(func.name)  # a field assigned a saved value
+    assert catchers == restorers == {"_transact"}
+
+
 def test_coldstart_times_one_round_of_fresh_processes(tmp_path):
     # One round of `check` alone, so the smoke test stays near a second. It
     # times a copy of the package without the bytecode this test run wrote.

@@ -20,8 +20,10 @@ from fsmforge.model import (
 from fsmforge.validate import validate
 from fsmforge.weave import weave
 from modelgen import (
+    FAULTY_TEXTS,
     HOSTILE_KEYWORDS,
     declared_names,
+    faulty_model,
     globals_read,
     hostile_model,
     without_fragments,
@@ -440,6 +442,44 @@ def test_valid_hostile_models_generate_distinct_non_keyword_names():
         shadowed = {name for scope, name in names if scope == "contract"} & read
         assert shadowed == set(), f"{m.name}: declares builtins its code reads: {shadowed}"
     assert clean > 300 and rejected > 300, (clean, rejected)
+
+
+# The fault code of each of FAULTY_TEXTS as a type, a guard, an action and a
+# timed action; None: no diagnostic. An action is only checked, so a line
+# comment ends it harmlessly; a type fault is no fragment fault.
+FAULT_CODES = {
+    "uint7": ("E_BAD_TYPE", None, None, None),
+    "uint 8x": ("E_BAD_TYPE", None, None, None),
+    "(x > 0": ("E_UNBALANCED",) * 4,
+    "x > 1 // c": ("E_LINE_COMMENT", "E_LINE_COMMENT", None, None),
+    "x # 1 > 0": ("E_BAD_TOKEN",) * 4,
+    '"abc': ("E_BAD_TOKEN",) * 4,
+    "/* open": ("E_BAD_TOKEN",) * 4,
+}
+FAULT_ROLES = ("type", "guard", "action", "timed action")
+
+
+def test_each_spliced_fault_is_reported_at_exactly_its_paths():
+    """validate reports each spliced text's fault code at every path where the
+    text sits, however often the text repeats, and no fault code elsewhere."""
+    assert set(FAULT_CODES) == set(FAULTY_TEXTS)
+    faults = {code for codes in FAULT_CODES.values() for code in codes if code}
+    rng = random.Random(2701)
+    seen = set()
+    for _ in range(300):
+        m, spliced = faulty_model(rng)
+        want = {}
+        for path, (text, role) in spliced.items():
+            code = FAULT_CODES[text][FAULT_ROLES.index(role)]
+            if code:
+                want[path] = [code]
+            seen.add((text, role))
+        got = {}
+        for d in validate(m):
+            if d.code in faults:
+                got.setdefault(d.path, []).append(d.code)
+        assert got == want, (m, spliced)
+    assert len(seen) == len(FAULT_CODES) * len(FAULT_ROLES)
 
 
 def test_parse_and_validate_time_grows_linearly_in_the_states():

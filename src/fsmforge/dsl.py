@@ -10,7 +10,7 @@ tokens and a list of the gaps (whitespace and `#` comments) after them, and
 the parser walks the two by index. A whole `guard { ... }` or `action { ... }`
 section is one token, a match of `fragments.BRACED`. A section nested deeper,
 or never closed, gives a token that ends at its `{` and ends the scan: the
-section's end is found by walking the fragment check scan `fragments.CHECK`
+section's end is found by walking the fragment lexer's scan `fragments.TOKENS`
 from that brace, and the lists are extended from there. Where `guard` or
 `action` is a name (`to action {`), its token is cut back to the word and the
 rest of the text is scanned again without whole sections, so at most once per
@@ -24,7 +24,7 @@ import re
 from string import ascii_letters
 
 from .diagnostics import Diagnostic, ParseError, span_at
-from .fragments import BRACED, CHECK
+from .fragments import BRACED, TOKENS
 from .model import (
     TIME_UNITS,
     ContractModel,
@@ -146,7 +146,7 @@ class _Parser:
             return _clean_fragment(tok[_SKIP.match(tok, 5 if tok[0] == "g" else 6).end() + 1:-1])
         start = self.offset(k) + len(tok)  # deeper than BRACED reaches, or not closed
         depth = 1
-        for m in CHECK.finditer(self.text, start):  # walks the tokens a check reads
+        for m in TOKENS.finditer(self.text, start):  # walks the fragment's tokens
             read = m.group(1)
             if read == "{":
                 depth += 1

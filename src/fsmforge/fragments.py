@@ -3,14 +3,14 @@ strings and comments.
 
 Fragments are opaque to the compiler except for tokenization: we check
 delimiter balance and string termination, and extract identifiers for the
-validator's cross-checks. `lex_fragment` makes one text scan, driven by one
-table of token patterns, and checks the token texts it returns, in which any
-fault shows; every reader (the validator, the golden compare's `token_texts`,
-the guard parser) tells a token's kind from its text. `check_fragment` finds
-the first fault and its span with the check scan `CHECK`, keeping no tokens.
-Spans are computed only for errors. The DSL parser reads a `{ ... }` section
-as one `BRACED` match or, nested deeper, by walking `CHECK`; both skip
-strings and comments with `SKIP`, so the two cannot disagree on their ends.
+validator's cross-checks. `lex_fragment` makes one text scan, `TOKENS`, driven
+by one table of token patterns, and checks the token texts it returns, in
+which any fault shows; every reader (the validator, the golden compare's
+`token_texts`, the guard parser) tells a token's kind from its text. Only a
+faulty text is scanned again, to find the first fault's span. The DSL parser
+reads a `{ ... }` section as one `BRACED` match or, nested deeper, by walking
+`TOKENS`; both read strings and comments with `STRING` and `COMMENT`, so the
+two cannot disagree on their ends.
 """
 from __future__ import annotations
 
@@ -80,20 +80,11 @@ _KINDS = (
     rf"(?:[ \t]*(?:{'|'.join(TIME_UNITS)})(?![A-Za-z0-9_$]))?",
     r"[^ \t\r\n]",  # a byte no token starts with
 )
-# A match is one token and the whitespace after it.
-_TEXTS = re.compile(f"({'|'.join(_KINDS)})[ \t\r\n]*", re.S)
+# A match is one token and the whitespace after it. The DSL parser walks it to
+# find where a deep section ends.
+TOKENS = re.compile(f"({'|'.join(_KINDS)})[ \t\r\n]*", re.S)
 
 IDENT_START = frozenset(ascii_letters + "_$")
-# The characters of the tokens no check can fail: identifiers, numbers,
-# whitespace and operators, "/" only where it opens no comment. They are
-# ASCII, as Solidity's are, so a run of them ends where a token does.
-_OPERATOR_CHARS = "".join(sorted({c for op in _OPERATORS for c in op} - {"/"}))
-_RUN = rf"[A-Za-z0-9_$ \t\r\n{re.escape(_OPERATOR_CHARS)}]*"
-# The check scan. A match skips such runs and what SKIP passes over, and then
-# takes the one token a check reads: a delimiter, an unterminated string or
-# block comment, or a byte no token starts with. After the last such token
-# it takes "". The DSL parser walks it to find where a deep section ends.
-CHECK = re.compile(rf"{_RUN}(?:(?:{SKIP}){_RUN})*([()[\]{{}}\"']|/\*|.)?", re.S)
 _OPENERS = frozenset("([{")
 _CLOSERS = {")": "(", "]": "[", "}": "{"}
 _DELIMITERS = _OPENERS.union(_CLOSERS)
@@ -102,41 +93,34 @@ _UNTERMINATED = {'"': "string literal", "'": "string literal", "/*": "block comm
 _SINGLES = _DELIMITERS.union(ascii_letters, digits, "_$", (op for op in _OPERATORS if len(op) == 1))
 
 
-def _first_fault(read: list[str]) -> tuple[int, str, str, bool] | None:
-    """(index, code, message, span to the end?) of the first fault among a check's tokens."""
+def _first_fault(texts: list[str]) -> tuple[int, str, str, bool] | None:
+    """(index, code, message, span to the end?) of the first fault among token texts."""
     opened: list[int] = []  # indices of the open delimiters
-    for i, tok in enumerate(read):
+    for i, tok in enumerate(texts):
         if tok in _OPENERS:
             opened.append(i)
         elif tok in _CLOSERS:
-            if not opened or read[opened.pop()] != _CLOSERS[tok]:
+            if not opened or texts[opened.pop()] != _CLOSERS[tok]:
                 return i, "E_UNBALANCED", f"unmatched '{tok}'", False
         elif tok in _UNTERMINATED:
             return i, "E_BAD_TOKEN", f"unterminated {_UNTERMINATED[tok]}", True
-        elif tok:
+        elif len(tok) == 1 and tok not in _SINGLES:
             return i, "E_BAD_TOKEN", f"byte {tok!r} cannot start a token", False
-    return (opened[-1], "E_UNBALANCED", f"unclosed '{read[opened[-1]]}'", False) if opened else None
+    return (opened[-1], "E_UNBALANCED", f"unclosed '{texts[opened[-1]]}'", False) if opened else None
 
 
-def check_fragment(text: str, file: str = "<fragment>") -> None:
-    """Check a Solidity fragment's tokens without keeping them.
+def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
+    """The texts of a Solidity fragment's tokens, in order.
 
     Raises LexError (E_UNBALANCED / E_BAD_TOKEN) on unbalanced delimiters,
     unterminated strings or comments, or bytes no token can start with.
     """
-    fault = _first_fault(CHECK.findall(text))
-    if fault:  # the index-th token the check reads, found by a rescan
-        index, code, message, to_end = fault
-        start = next(islice(CHECK.finditer(text), index, None)).start(1)
-        span = span_at(text, file, start, len(text) - start if to_end else 1)
-        raise LexError(Diagnostic(code, "error", message, span=span))
-
-
-def lex_fragment(text: str, file: str = "<fragment>") -> list[str]:
-    """The texts of a Solidity fragment's tokens, in order; raises as `check_fragment` does."""
-    texts = _TEXTS.findall(text)
+    texts = TOKENS.findall(text)
     # A fault shows in the texts; a string or a comment is one text, never read inside.
     odd = set(texts) - _SINGLES
     if "/*" in odd or 1 in map(len, odd) or _first_fault([t for t in texts if t in _DELIMITERS]):
-        check_fragment(text, file)  # raises the first fault, with its span
+        index, code, message, to_end = _first_fault(texts)
+        start = next(islice(TOKENS.finditer(text), index, None)).start(1)  # the fault's token
+        span = span_at(text, file, start, len(text) - start if to_end else 1)
+        raise LexError(Diagnostic(code, "error", message, span=span))
     return texts

@@ -5,7 +5,8 @@ Grammar (one step per line, `#` starts a comment):
     time <seconds>
     env <ident>=<int> [...]
     call <transition> as <actor> [n=<int>] [g<k>=<true|false> ...] [timed:<name>=<true|false> ...]
-        [reenter=<transition> [reenter:g<k>=<true|false> ...]] expect <ok|revert:<Reason>>
+        [reenter=<transition> [reenter:g<k>=<true|false> ...] [reenter:timed:<name>=<true|false> ...]]
+        expect <ok|revert:<Reason>>
     admin <add|remove> <actor> by <actor> expect <ok|revert>
     assert state=<StateId> | counter=<int> | admin(<actor>)=<true|false>
 
@@ -110,6 +111,7 @@ def _parse_call(line_no: int, text: str, parts: list[str]) -> Call:
     overrides: dict[int, bool] = {}
     timed: dict[str, bool] = {}
     probe_overrides: dict[int, bool] = {}
+    probe_timed: dict[str, bool] = {}
     for i in range(3, len(parts)):
         word = parts[i]
         if word == "expect":
@@ -136,14 +138,17 @@ def _parse_call(line_no: int, text: str, parts: list[str]) -> Call:
             probe_overrides[_parse_int(line_no, key[9:])] = _parse_bool(line_no, value)
         elif key.startswith("timed:"):
             timed[key[len("timed:"):]] = _parse_bool(line_no, value)
+        elif key.startswith("reenter:timed:"):
+            probe_timed[key[len("reenter:timed:"):]] = _parse_bool(line_no, value)
         else:
             raise ScenarioSyntaxError(line_no, f"unknown call option '{key}'")
     if expect_ok is None:
         raise ScenarioSyntaxError(line_no, "call step needs an 'expect' clause")
-    if probe_overrides and reenter is None:
-        raise ScenarioSyntaxError(line_no, "reenter:g<k> needs reenter=<transition>")
-    call = Invocation(parts[0], parts[2], n, overrides, timed,
-                      None if reenter is None else Invocation(reenter, parts[2], None, probe_overrides))
+    if reenter is None and (probe_overrides or probe_timed):
+        option = "reenter:g<k>" if probe_overrides else "reenter:timed:<name>"
+        raise ScenarioSyntaxError(line_no, f"{option} needs reenter=<transition>")
+    call = Invocation(parts[0], parts[2], n, overrides, timed, None if reenter is None
+                      else Invocation(reenter, parts[2], None, probe_overrides, probe_timed))
     return Call(line_no, text, call, expect_ok, expect_reason)
 
 

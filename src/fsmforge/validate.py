@@ -5,9 +5,9 @@ model is ready for weaving and code generation.
 
 Every name the model declares goes through one check, `_Collector.declare`,
 and every fragment text through another, `_Collector.fragment`, which checks
-each distinct text once per role and call. Guards, timed-transition texts and
-type texts are lexed with `lex_fragment`, and the type rules walk the tokens;
-an action is only checked, with `check_fragment`.
+each distinct text once per role and call. Every fragment text (a guard, an
+action or a type text) is lexed with `lex_fragment`, and the type and guard
+rules walk the tokens.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import re
 
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
-from .fragments import IDENT_START, LexError, check_fragment, lex_fragment
+from .fragments import IDENT_START, LexError, lex_fragment
 from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
@@ -75,20 +75,26 @@ def _free_identifiers(texts: list[str]) -> frozenset[str]:
     return frozenset(names)
 
 
-def _check_fragment(text: str, lex: bool, inline: bool) -> tuple[list[tuple[str, str]], list[str]]:
-    """The (code, message) errors of a fragment and, if `lex`, its token
-    texts; a lex error gives no tokens. A lex error keeps the lexer's code:
+def _check_fragment(text: str, role: str) -> tuple[list[tuple[str, str]], list[str]]:
+    """The (code, message) errors of a fragment in `role` and its token texts;
+    a lex error gives no tokens. A lex error keeps the lexer's code:
     "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an unterminated string
     or comment or a byte no token starts with. The generator writes code
-    after an `inline` fragment (a guard or a type text) on the same line, so
-    a line comment in one is an error."""
+    after a guard or a type text on the same line, so a line comment in one
+    is an error, and so is one with no token outside comments ("E_BAD_GUARD",
+    "E_BAD_TYPE")."""
     try:
-        tokens = lex_fragment(text) if lex else check_fragment(text) or []
+        tokens = lex_fragment(text)
     except LexError as exc:
         return [(exc.diagnostic.code, exc.diagnostic.message)], []
-    if inline and "//" in text and any(tok.startswith("//") for tok in tokens):
+    if role == "action":
+        return [], tokens
+    if "//" in text and any(tok.startswith("//") for tok in tokens):
         return [("E_LINE_COMMENT",
                  "a '//' comment here would comment out the generated code after it")], tokens
+    if all(tok.startswith("/*") for tok in tokens):
+        return [("E_BAD_GUARD" if role == "guard" else "E_BAD_TYPE",
+                 f"a {role} has no token outside comments")], tokens
     return [], tokens
 
 
@@ -124,14 +130,13 @@ class _Collector:
 
     def fragment(self, path: str, text: str, role: str) -> frozenset[str]:
         """Report at `path` the errors of `text` in `role` and return its free
-        identifiers. The roles: "type" (a type text: lexed, inline), "guard"
-        (a guard or a timed guard: lexed, inline), "action" (checked only) and
-        "timed action" (lexed). Models repeat texts, so each text is checked
-        once per role; a later occurrence reports the same errors at its own
-        path."""
+        identifiers. The roles: "type" (a type text), "guard" (a guard or a
+        timed guard) and "action" (a transition's or a timed transition's).
+        Models repeat texts, so each text is checked once per role; a later
+        occurrence reports the same errors at its own path."""
         found = self.checked.get((text, role))
         if found is None:
-            errors, tokens = _check_fragment(text, role != "action", role in ("guard", "type"))
+            errors, tokens = _check_fragment(text, role)
             found = self.checked[text, role] = (
                 (errors or _check_type(tokens, self.structs), frozenset()) if role == "type"
                 else (errors, _free_identifiers(tokens)))
@@ -198,7 +203,7 @@ def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[s
     if tt.time_offset_seconds >= 2**256:  # `creationTime + offset` is uint256 arithmetic
         out.error("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
     fragments = [(f"{path}.guard", tt.guard, "guard")] if tt.guard is not None else []
-    fragments += [(f"{path}.statements[{j}]", s, "timed action")
+    fragments += [(f"{path}.statements[{j}]", s, "action")
                   for j, s in enumerate(tt.statements)]
     for fpath, text, role in fragments:
         for name in sorted(out.fragment(fpath, text, role) & io_names):

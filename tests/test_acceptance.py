@@ -504,7 +504,7 @@ DIAGNOSTIC_CODES = (
     "E_NO_INITIAL", "E_UNKNOWN_STATE", "E_DUP_NAME", "E_BAD_TAG",
     "E_TAG_NEEDS_PLUGIN", "E_TIMED_NEEDS_PLUGIN", "E_TIMED_IO",
     "E_RESERVED", "E_UNBALANCED", "W_UNDECLARED_IDENT", "E_BAD_NAME",
-    "E_LINE_COMMENT", "E_BAD_OFFSET", "E_BAD_TYPE", "E_BAD_TOKEN",
+    "E_LINE_COMMENT", "E_BAD_OFFSET", "E_BAD_TYPE", "E_BAD_TOKEN", "E_BAD_GUARD",
 )
 
 

@@ -584,9 +584,11 @@ def _parsed(text: str):
 
 def test_section_tokens_and_the_check_scan_read_fragments_alike(corpus_dir, monkeypatch):
     # A section up to fragments.BRACED's depth is one token; a deeper or broken
-    # one is read by walking fragments.CHECK. Without section tokens, every
-    # fragment is read by the walk, which must give the same models, or the
-    # same diagnostics where a fragment is unclosed or unterminated.
+    # one is read by walking fragments.TOKENS, the lexer's one scan (the test's
+    # name keeps the check scan that this walk once used). Without section
+    # tokens, every fragment is read by the walk, which must give the same
+    # models, or the same diagnostics where a fragment is unclosed or
+    # unterminated.
     rng = random.Random(2424)
     texts = [p.read_text() for p in sorted(corpus_dir.glob("*.fsm"))]
     for _ in range(20):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fsmforge import fragments
 from fsmforge.codegen import token_texts
-from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, check_fragment, lex_fragment
+from fsmforge.fragments import COMMENT, STRING, LexError, _OPERATORS, lex_fragment
 from fsmforge.model import TIME_UNITS
 from timing import sample
 
@@ -194,7 +194,7 @@ def assert_raises_as_the_oracle(text, exc):
     code, message, start, length = exc.args
     line = text.count("\n", 0, start) + 1
     column = start - (text.rfind("\n", 0, start) + 1) + 1
-    for lex in (lex_fragment, token_texts, check_fragment):
+    for lex in (lex_fragment, token_texts):
         with pytest.raises(LexError) as got:
             lex(text)
         d = got.value.diagnostic
@@ -231,7 +231,6 @@ def test_scan_matches_the_loop_oracle(text):
         return
     assert lex_fragment(text) == [tok for _, tok, _ in want]
     assert token_texts(text) == oracle_token_texts(text)
-    check_fragment(text)
 
 
 def longest_match(text):
@@ -278,26 +277,34 @@ def test_token_texts_time_against_the_oracle_and_its_growth(corpus_dir):
     assert scan / small < 24, f"token_texts on 8x the text took {scan / small:.1f}x as long"
 
 
-@pytest.fixture
-def check_calls(monkeypatch):
-    """The calls to `fragments.check_fragment` made from here on."""
-    calls = []
+class _CountedScan:
+    """`fragments.TOKENS`, counting the texts each scan method reads."""
 
-    def counted(text, file="<fragment>"):
-        calls.append(text)
-        return check_fragment(text, file)
-    monkeypatch.setattr(fragments, "check_fragment", counted)
-    return calls
+    def __init__(self, scan):
+        self.scan, self.calls = scan, []
+
+    def findall(self, text, *args):
+        self.calls.append(("findall", text))
+        return self.scan.findall(text, *args)
+
+    def finditer(self, text, *args):
+        self.calls.append(("finditer", text))
+        return self.scan.finditer(text, *args)
 
 
-def test_a_well_formed_text_is_scanned_once(corpus_dir, check_calls):
+def test_a_well_formed_text_is_scanned_once(corpus_dir, monkeypatch):
     listing = (corpus_dir / "golden_blind_auction_locking_counter.sol").read_text()
+    scan = _CountedScan(fragments.TOKENS)
+    monkeypatch.setattr(fragments, "TOKENS", scan)
     assert lex_fragment(listing) and token_texts(listing)
-    assert check_calls == []  # the token list is checked, the text is not read again
+    # the token list is checked, the text is not read again
+    assert scan.calls == [("findall", listing)] * 2
     for lex in (lex_fragment, token_texts):
+        scan.calls.clear()
         with pytest.raises(LexError):
             lex(listing + ")")
-    assert check_calls == [listing + ")"] * 2  # only a fault is looked for in the text
+        # only a fault is looked for in the text, by one more scan
+        assert scan.calls == [("findall", listing + ")"), ("finditer", listing + ")")]
 
 
 # Each fault is spliced into a long well-formed text at a token boundary.

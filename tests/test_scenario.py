@@ -91,6 +91,8 @@ BAD_STEPS = [
     "call bid as alice q=1 expect ok",
     "call bid as alice timed:tick=maybe expect ok",
     "call bid as alice reenter:g0=true expect ok",   # no reenter=
+    "call bid as alice reenter:timed:tick=true expect ok",   # no reenter=
+    "call bid as alice reenter=bid reenter:timed:tick=1 expect ok",
     "call bid as alice reenter=bid reenter:g0=1 expect ok",
     "call bid as alice reenter=bid reenter:gx=true expect ok",
     "call bid as alice g²=true expect ok",          # a digit, but not a decimal one
@@ -428,6 +430,43 @@ def test_reentry_probe_takes_guard_overrides(plugins, option, probe):
     assert report.results[0].detail == f"Executed probe={probe}"
 
 
+TICK = """contract T {
+    states { initial A; B; }
+    plugins { timed; }
+    timed tick from A to B at 1 days { guard { votes[msg.sender] > 0 } }
+    transition stay from A to A { }
+}
+"""
+
+
+@pytest.mark.parametrize("option, probe", [
+    ("", "Reverted(MissingOverride)"),
+    (" reenter:timed:tick=false", "Executed"),
+    (" reenter:timed:tick=true", "Reverted(WrongState)"),  # the probe fires tick: A -> B
+])
+def test_reentry_probe_takes_timed_overrides(option, probe):
+    # The reentrant call runs the timed modifier again, so its due timed
+    # transitions need overrides of their own.
+    woven = weave(parse_dsl(TICK))
+    report = run_scenario(woven, "time 100000\ncall stay as alice timed:tick=false "
+                                 f"reenter=stay{option} expect ok\nassert state=A\n")
+    assert [r.detail for r in report.results[1:]] == [f"Executed probe={probe}", "state=A"]
+    call = parse_step(1, f"call stay as alice reenter=stay{option} expect ok").call
+    assert call.timed_guard_overrides == {}
+    assert call.reentry_probe.timed_guard_overrides == (
+        {"tick": option.endswith("true")} if option else {})
+
+
+def test_reentry_timed_override_needs_a_probe_and_a_guarded_timed_transition():
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse_step(3, "call stay as alice reenter:timed:tick=false expect ok")
+    assert str(exc.value) == "line 3: reenter:timed:<name> needs reenter=<transition>"
+    woven = weave(parse_dsl(TICK))
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        run_scenario(woven, "call stay as alice reenter=stay reenter:timed:tock=false expect ok\n")
+    assert str(exc.value) == "line 1: timed:tock names no timed transition with a guard"
+
+
 def test_reentry_override_past_the_probe_guards_is_refused():
     woven = weave(parse_dsl(WITHDRAW % ""))
     with pytest.raises(ScenarioSyntaxError) as exc:
@@ -454,7 +493,8 @@ _HUGE = ("9" * 5000, "-" + "9" * 4000, "9" * 40)
 _OPTIONS = st.sampled_from([
     "n=0", "n=1", "g0=true", "g1=false", "g2=true", "g١=true", "timed:tt0=true",
     "timed:tt1=false", "reenter=t0", "reenter=t1", "reenter=nope", "reenter:g0=true",
-    "reenter:g1=false", *(f"{key}{n}=true" for n in _HUGE for key in ("g", "reenter:g")),
+    "reenter:g1=false", "reenter:timed:tt0=true", "reenter:timed:tt1=false",
+    *(f"{key}{n}=true" for n in _HUGE for key in ("g", "reenter:g")),
     *(f"n={n}" for n in _HUGE)])
 _WORDS = _OPTIONS | st.sampled_from([
     "call", "time", "env", "admin", "assert", "as", "by", "add", "remove", "expect", "ok",

@@ -75,16 +75,15 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
 
 
 def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, monkeypatch):
-    # `install` finds `lex_fragment` and `check_fragment` by identity in the
-    # namespaces of `validate` and `codegen`; a reference captured some other
+    # `install` finds `lex_fragment` by identity in the namespaces of
+    # `validate` and `codegen`; a reference captured some other
     # way (an alias, a default argument) would leave the lexing unattributed.
     from fsmforge import fragments
     from fsmforge.dsl import parse_dsl
     from fsmforge.model import TimedTransition
     from fsmforge.weave import weave
 
-    calls = {("validate", "lex_fragment"): 0, ("validate", "check_fragment"): 0,
-             ("codegen", "lex_fragment"): 0}
+    calls = {("validate", "lex_fragment"): 0, ("codegen", "lex_fragment"): 0}
     for key in calls:
         module, original = sys.modules[f"fsmforge.{key[0]}"], getattr(fragments, key[1])
         assert getattr(module, key[1]) is original, key
@@ -104,17 +103,18 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
         timed_transitions=tuple(TimedTransition(
             f"late{i}", "C", "C", i, guard="highestBid > 0", statements=(action,))
             for i in (1, 2)))
-    # Each distinct text is checked (actions) or lexed (types, guards, timed
-    # guards and actions) once per role and validate call.
+    # Each distinct text is lexed once per role (type, guard or action) and
+    # validate call: the timed guard is a new guard text, and the timed
+    # action repeats an action's.
     types = {p.type_text for t in model.transitions for p in t.inputs + t.outputs + t.locals}
     types |= {v.type_text for v in model.variables}
     types |= {m.type_text for s in model.structs for m in s.members}
-    checked = len({s for t in model.transitions for s in t.statements})
-    lexed = len(types) + len({g for t in model.transitions for g in t.guards}) + 2
+    guards = {g for t in model.transitions for g in t.guards} | {"highestBid > 0"}
+    actions = {s for t in model.transitions for s in t.statements}
+    lexed = len(types) + len(guards) + len(actions)
     validate = sys.modules["fsmforge.validate"].validate
     for rounds in (1, 2):
         assert validate(model) == []
-        assert calls["validate", "check_fragment"] == rounds * checked
         assert calls["validate", "lex_fragment"] == rounds * lexed
     assert calls["codegen", "lex_fragment"] == 0
     codegen = sys.modules["fsmforge.codegen"]
@@ -194,6 +194,22 @@ def test_only_the_fragment_lexer_spells_a_solidity_comment():
                       if isinstance(node, ast.alias) and node.name in ("STRING", "COMMENT")
                       or isinstance(node, ast.Attribute) and node.attr in ("STRING", "COMMENT")})
     assert readers == []
+
+
+def test_fragments_compiles_the_one_solidity_scan():
+    # `fragments.TOKENS` is the one scan of Solidity's tokens: the lexer reads
+    # tokens and finds faults with it, and the DSL parser walks it past a deep
+    # section. A second compiled scan could end a token or a section where the
+    # lexer does not, and `dsl` reads the lexer through these two names only.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "fsmforge").glob("*.py"))}
+    compiled = [node for node in ast.walk(trees["fragments.py"]) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "compile"]
+    assert len(compiled) == 1
+    imported = {alias.name for node in ast.walk(trees["dsl.py"]) if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+                if (node.module or "").endswith("fragments") or alias.name == "fragments"}
+    assert imported == {"BRACED", "TOKENS"}
 
 
 def test_only_the_call_boundary_turns_an_exception_into_a_revert():

@@ -66,6 +66,7 @@ FIXTURES = {
         plugins=PluginConfig(timed=True),
         timed_transitions=(TimedTransition("tt", "A", "B", 2**256),)),
     "E_BAD_TYPE": model(variables=(VariableDecl("v", "uint7", "public"),)),
+    "E_BAD_GUARD": model(transitions=(t(guards=("/* only a comment */",)),)),
 }
 
 
@@ -214,6 +215,34 @@ def test_line_comments_in_guards_and_types_are_refused():
                 diagnostics = validate(frontend)
                 assert [d.code for d in diagnostics] == want, (slot, comment)
                 assert [d.path for d in diagnostics] == [path] * len(want)
+
+
+def test_a_guard_or_type_with_no_token_outside_comments_is_refused():
+    # These validated, and the generator wrote `require( () && (...) );` for
+    # an empty guard and `<visibility> <name>;` for an empty type.
+    for text in ("", " ", "/* only a comment */", "/* a */\n/* b */"):
+        m = model(plugins=PluginConfig(timed=True),
+                  variables=(VariableDecl("v", text, "public"),),
+                  transitions=(t(guards=("now > 5", text), inputs=(Param("x", text),),
+                                 statements=(text,)),),
+                  timed_transitions=(TimedTransition("u", "A", "B", 60, guard=text,
+                                                     statements=(text,)),))
+        for frontend in (m, parse_json(emit_json(m))):
+            assert diags(frontend) == [
+                ("E_BAD_TYPE", "variables[0]", "a type has no token outside comments"),
+                ("E_BAD_TYPE", "transitions[0].inputs[0]", "a type has no token outside comments"),
+                ("E_BAD_GUARD", "transitions[0].guards[1]", "a guard has no token outside comments"),
+                ("E_BAD_GUARD", "timed_transitions[0].guard",
+                 "a guard has no token outside comments")], repr(text)  # an action may be empty
+    for guard in ("{ }", "{ /* only a comment */ }"):
+        m = parse_dsl(f"contract C {{ states {{ initial A; }} transition go from A to A "
+                      f"{{ guard {guard} }} }}")
+        assert diags(m) == [("E_BAD_GUARD", "transitions[0].guards[0]",
+                             "a guard has no token outside comments")]
+    data = json.loads(emit_json(model(variables=(VariableDecl("v", "uint", "public"),))))
+    data["variables"][0]["type"] = ""
+    assert diags(parse_json(json.dumps(data))) == [
+        ("E_BAD_TYPE", "variables[0]", "a type has no token outside comments")]
 
 
 def test_timed_offsets_must_fit_in_a_uint256():
@@ -445,7 +474,7 @@ def test_valid_hostile_models_generate_distinct_non_keyword_names():
 
 
 # The fault code of each of FAULTY_TEXTS as a type, a guard, an action and a
-# timed action; None: no diagnostic. An action is only checked, so a line
+# timed action; None: no diagnostic. An action is no inline text, so a line
 # comment ends it harmlessly; a type fault is no fragment fault.
 FAULT_CODES = {
     "uint7": ("E_BAD_TYPE", None, None, None),

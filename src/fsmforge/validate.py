@@ -5,9 +5,9 @@ model is ready for weaving and code generation.
 
 Every name the model declares goes through one check, `_Collector.declare`,
 and every fragment text through another, `_Collector.fragment`, which checks
-each distinct text once per role and call. Every fragment text (a guard, an
-action or a type text) is lexed with `lex_fragment`, and the type and guard
-rules walk the tokens.
+each distinct text once per role and call. `_check_fragment` alone knows a
+role's rules: it lexes the text with `lex_fragment`, walks the tokens for the
+type and guard rules, and keeps free identifiers for guards and timed actions.
 """
 from __future__ import annotations
 
@@ -54,8 +54,7 @@ def _generated_names(model: ContractModel) -> set[str]:
     """The contract-scope names the generator's own code declares or reads as
     builtins, except the contract's own name (which the access plugin's
     constructor takes). The texts read leave out the user's fragments."""
-    blank = model._replace(name="", timed_transitions=tuple(
-        tt._replace(guard=None, statements=()) for tt in model.timed_transitions))
+    blank = model._replace(name="", timed_transitions=())
     plugins = [BY_FIELD[field] for field in model.plugins.enabled()]
     names = ["state", "States"] + [name for plugin in plugins for name, _ in plugin.params]
     for text in [CREATION_TIME, STATE_CHECK] + [plugin.decls(blank) for plugin in plugins]:
@@ -75,45 +74,42 @@ def _free_identifiers(texts: list[str]) -> frozenset[str]:
     return frozenset(names)
 
 
-def _check_fragment(text: str, role: str) -> tuple[list[tuple[str, str]], list[str]]:
-    """The (code, message) errors of a fragment in `role` and its token texts;
-    a lex error gives no tokens. A lex error keeps the lexer's code:
+def _check_fragment(text: str, role: str,
+                    structs: set[str]) -> tuple[list[tuple[str, str]], frozenset[str]]:
+    """The (code, message) errors of a fragment in `role` and the free
+    identifiers its callers read. The roles: "type" (a type text), "guard" (a
+    guard or a timed guard), "action" and "timed action"; only a guard's and a
+    timed action's names are kept. A lex error keeps the lexer's code:
     "E_UNBALANCED" for a delimiter, "E_BAD_TOKEN" for an unterminated string
-    or comment or a byte no token starts with. The generator writes code
-    after a guard or a type text on the same line, so a line comment in one
-    is an error, and so is one with no token outside comments ("E_BAD_GUARD",
-    "E_BAD_TYPE")."""
+    or comment or a byte no token starts with. The generator writes code after
+    a guard or a type text on the same line, so a line comment in one is an
+    error, and so is one with no token outside comments ("E_BAD_GUARD",
+    "E_BAD_TYPE"). Each integer or bytes type a type text names must have a
+    width Solidity has, unless it is a declared struct's name, and each number
+    or string in it must stand inside `[...]` (an array length)."""
     try:
         tokens = lex_fragment(text)
     except LexError as exc:
-        return [(exc.diagnostic.code, exc.diagnostic.message)], []
-    if role == "action":
-        return [], tokens
+        return [(exc.diagnostic.code, exc.diagnostic.message)], frozenset()
+    names = _free_identifiers(tokens) if role in ("guard", "timed action") else frozenset()
+    if role in ("action", "timed action"):
+        return [], names
     if "//" in text and any(tok.startswith("//") for tok in tokens):
         return [("E_LINE_COMMENT",
-                 "a '//' comment here would comment out the generated code after it")], tokens
+                 "a '//' comment here would comment out the generated code after it")], names
     if all(tok.startswith("/*") for tok in tokens):
         return [("E_BAD_GUARD" if role == "guard" else "E_BAD_TYPE",
-                 f"a {role} has no token outside comments")], tokens
-    return [], tokens
-
-
-def _check_type(tokens: list[str], structs: set[str]) -> list[tuple[str, str]]:
-    """The errors of a type text that lexed without one, over its tokens: that
-    each integer or bytes type it names has a width Solidity has, unless the
-    name is a declared struct's, and that each number or string is inside
-    `[...]` (an array length), at a bracket depth above 0. A comment is one
-    token, and neither."""
-    depth = 0
-    for tok in tokens:
+                 f"a {role} has no token outside comments")], names
+    depth = 0  # `[` less `]` tokens so far; a comment is one token, and neither
+    for tok in tokens if role == "type" else ():  # the width and literal rules
         if tok in "[]":
             depth += 1 if tok == "[" else -1
         elif tok[0] in IDENT_START:
             if tok not in _KEYWORDS and _WIDTH.fullmatch(tok) and tok not in structs:
-                return [("E_BAD_TYPE", f"Solidity has no type '{tok}'")]
+                return [("E_BAD_TYPE", f"Solidity has no type '{tok}'")], names
         elif not depth and tok[0] in "0123456789\"'":
-            return [("E_BAD_TYPE", f"a type has the literal {tok} outside '[...]'")]
-    return []
+            return [("E_BAD_TYPE", f"a type has the literal {tok} outside '[...]'")], names
+    return [], names
 
 
 class _Collector:
@@ -122,27 +118,20 @@ class _Collector:
         self.structs = structs
         self.checked: dict[tuple[str, str], tuple] = {}  # (text, role) -> (errors, names)
 
-    def error(self, code: str, path: str, message: str):
-        self.diagnostics.append(Diagnostic(code, "error", message, path=path))
-
-    def warn(self, code: str, path: str, message: str):
-        self.diagnostics.append(Diagnostic(code, "warning", message, path=path))
+    def report(self, code: str, path: str, message: str, severity: str = "error"):
+        self.diagnostics.append(Diagnostic(code, severity, message, path=path))
 
     def fragment(self, path: str, text: str, role: str) -> frozenset[str]:
-        """Report at `path` the errors of `text` in `role` and return its free
-        identifiers. The roles: "type" (a type text), "guard" (a guard or a
-        timed guard) and "action" (a transition's or a timed transition's).
+        """Report at `path` the errors of `text` in `role` (see
+        `_check_fragment`) and return the free identifiers kept for it.
         Models repeat texts, so each text is checked once per role; a later
         occurrence reports the same errors at its own path."""
         found = self.checked.get((text, role))
         if found is None:
-            errors, tokens = _check_fragment(text, role)
-            found = self.checked[text, role] = (
-                (errors or _check_type(tokens, self.structs), frozenset()) if role == "type"
-                else (errors, _free_identifiers(tokens)))
+            found = self.checked[text, role] = _check_fragment(text, role, self.structs)
         errors, names = found
         for code, message in errors:
-            self.error(code, path, message)
+            self.report(code, path, message)
         return names
 
     def declare(self, scope: dict[str, str], path: str, what: str, name: str,
@@ -154,11 +143,11 @@ class _Collector:
         # An ASCII Python identifier is exactly what dsl.IDENT matches.
         if keyword or not (name.isascii() and name.isidentifier()):
             why = "a Solidity keyword" if keyword else "not an identifier"
-            self.error("E_BAD_NAME", path, f"{what} '{name}' is {why}")
+            self.report("E_BAD_NAME", path, f"{what} '{name}' is {why}")
         elif name in generated:
-            self.error("E_RESERVED", path, f"{what} '{name}' collides with a generated name")
+            self.report("E_RESERVED", path, f"{what} '{name}' collides with a generated name")
         elif name in scope:
-            self.error("E_DUP_NAME", path, f"{what} '{name}' is already declared at {scope[name]}")
+            self.report("E_DUP_NAME", path, f"{what} '{name}' is already declared at {scope[name]}")
         else:
             scope[name] = path
 
@@ -166,49 +155,57 @@ class _Collector:
 def _check_ends(out: _Collector, path: str, t: Transition | TimedTransition, states: set[str]):
     for end, state in (("from", t.from_state), ("to", t.to_state)):
         if state not in states:
-            out.error("E_UNKNOWN_STATE", f"{path}.{end}", f"unknown state '{state}'")
+            out.report("E_UNKNOWN_STATE", f"{path}.{end}", f"unknown state '{state}'")
 
 
 def _check_transition(out: _Collector, model: ContractModel, index: int, t: Transition,
-                      states: set[str], generated: set[str], declared_guard_names: set[str]):
+                      states: set[str], generated: set[str], guard_names: set[str]):
     path = f"transitions[{index}]"
     _check_ends(out, path, t, states)
-    for tag in t.tags:
-        if tag not in KNOWN_TAGS:
-            out.error("E_BAD_TAG", f"{path}.tags", f"unknown tag '{tag}'")
+    for k, tag in enumerate(t.tags):
+        if tag in t.tags[:k]:  # `parse_dsl` refuses the tags `emit_dsl` would write
+            out.report("E_BAD_TAG", f"{path}.tags", f"duplicate tag '{tag}'")
+        elif tag not in KNOWN_TAGS:
+            out.report("E_BAD_TAG", f"{path}.tags", f"unknown tag '{tag}'")
         elif tag in BY_TAG and not getattr(model.plugins, BY_TAG[tag].field):
-            out.error("E_TAG_NEEDS_PLUGIN", f"{path}.tags",
-                      f"tag '{tag}' requires the {BY_TAG[tag].field} plugin")
+            out.report("E_TAG_NEEDS_PLUGIN", f"{path}.tags",
+                       f"tag '{tag}' requires the {BY_TAG[tag].field} plugin")
     param_scope: dict[str, str] = {}
     for group, params in (("inputs", t.inputs), ("outputs", t.outputs), ("locals", t.locals)):
         for j, param in enumerate(params):
             ppath = f"{path}.{group}[{j}]"
             out.declare(param_scope, ppath, "parameter", param.name, generated)
             out.fragment(ppath, param.type_text, "type")
-    own_names = {p.name for p in t.inputs + t.locals}
+    # Solidity 0.4 declares named outputs in the body, where the `require` is.
+    own_names = {p.name for p in t.inputs + t.outputs + t.locals}
     for j, guard in enumerate(t.guards):
         gpath = f"{path}.guards[{j}]"
         names = out.fragment(gpath, guard, "guard")
-        for name in sorted(names - own_names - declared_guard_names - _GUARD_BUILTINS):
-            out.warn("W_UNDECLARED_IDENT", gpath,
-                     f"guard references undeclared identifier '{name}'")
+        for name in sorted(names - own_names - guard_names):
+            out.report("W_UNDECLARED_IDENT", gpath,
+                       f"guard references undeclared identifier '{name}'", "warning")
     for j, stmt in enumerate(t.statements):
         out.fragment(f"{path}.statements[{j}]", stmt, "action")
 
 
 def _check_timed(out: _Collector, index: int, tt: TimedTransition, states: set[str],
-                 io_names: set[str]):
+                 io_names: set[str], guard_names: set[str]):
     path = f"timed_transitions[{index}]"
     _check_ends(out, path, tt, states)
     if tt.time_offset_seconds >= 2**256:  # `creationTime + offset` is uint256 arithmetic
-        out.error("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
-    fragments = [(f"{path}.guard", tt.guard, "guard")] if tt.guard is not None else []
-    fragments += [(f"{path}.statements[{j}]", s, "action")
+        out.report("E_BAD_OFFSET", path, "time offset does not fit in a uint256")
+    # A timed guard reads only contract-scope names; an action may declare its own.
+    fragments = [(f"{path}.guard", tt.guard, "guard", guard_names)] if tt.guard is not None else []
+    fragments += [(f"{path}.statements[{j}]", s, "timed action", None)
                   for j, s in enumerate(tt.statements)]
-    for fpath, text, role in fragments:
-        for name in sorted(out.fragment(fpath, text, role) & io_names):
-            out.error("E_TIMED_IO", fpath,
-                      f"timed transitions may not reference transition input/output '{name}'")
+    for fpath, text, role, known in fragments:
+        for name in sorted(out.fragment(fpath, text, role)):
+            if name in io_names:
+                out.report("E_TIMED_IO", fpath,
+                           f"timed transitions may not reference transition input/output '{name}'")
+            elif known is not None and name not in known:
+                out.report("W_UNDECLARED_IDENT", fpath,
+                           f"guard references undeclared identifier '{name}'", "warning")
 
 
 def validate(model: ContractModel) -> list[Diagnostic]:
@@ -222,10 +219,10 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     contract: dict[str, str] = {}
 
     if model.initial_state is None:
-        out.error("E_NO_INITIAL", "initial", "no initial state is declared")
+        out.report("E_NO_INITIAL", "initial", "no initial state is declared")
     elif model.initial_state not in model.states:
-        out.error("E_NO_INITIAL", "initial",
-                  f"initial state '{model.initial_state}' is not a declared state")
+        out.report("E_NO_INITIAL", "initial",
+                   f"initial state '{model.initial_state}' is not a declared state")
 
     states: dict[str, str] = {}
     for i, state in enumerate(model.states):
@@ -243,20 +240,20 @@ def validate(model: ContractModel) -> list[Diagnostic]:
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member.name)
             out.fragment(f"structs[{i}].members[{j}]", member.type_text, "type")
 
-    declared_guard_names = {v.name for v in model.variables} | structs
+    guard_names = {v.name for v in model.variables} | structs | _GUARD_BUILTINS
     for i, t in enumerate(model.transitions):
         out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
-        _check_transition(out, model, i, t, known_states, generated, declared_guard_names)
+        _check_transition(out, model, i, t, known_states, generated, guard_names)
 
     io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
     timed: dict[str, str] = {}
     for i, tt in enumerate(model.timed_transitions):
         out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name,
                     generated)
-        _check_timed(out, i, tt, known_states, io_names)
+        _check_timed(out, i, tt, known_states, io_names, guard_names)
 
     if model.timed_transitions and not model.plugins.timed:
-        out.error("E_TIMED_NEEDS_PLUGIN", "plugins.timed",
-                  "timed transitions are declared but the timed plugin is off")
+        out.report("E_TIMED_NEEDS_PLUGIN", "plugins.timed",
+                   "timed transitions are declared but the timed plugin is off")
 
     return out.diagnostics

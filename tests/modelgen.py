@@ -143,7 +143,7 @@ def faulty_model(rng: random.Random) -> tuple[ContractModel, dict[str, tuple[str
     """random_model with one to three of FAULTY_TEXTS spliced into about half
     of its type, guard, action and timed texts, so that a text repeats across
     transitions and roles. Also returns, for each splice, its validator path
-    and (text, role), with the roles of `validate._Collector.fragment`."""
+    and (text, role), with the roles of `validate._check_fragment`."""
     m = random_model(rng)
     texts = rng.sample(FAULTY_TEXTS, rng.randint(1, 3))
     spliced: dict[str, tuple[str, str]] = {}

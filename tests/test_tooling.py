@@ -74,13 +74,37 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
     assert scenario.run_scenario is run_scenario  # uninstalled
 
 
+def _doubled_blind_auction(corpus_dir):
+    """The blind auction's transitions twice, and two timed ones alike whose
+    action is an action's text too: every guard, action and type text is
+    repeated. Also returns its distinct texts in each fragment role."""
+    from fsmforge.dsl import parse_dsl
+    from fsmforge.model import TimedTransition
+
+    model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
+    action = model.transitions[-1].statements[0]
+    model = model._replace(
+        plugins=model.plugins._replace(timed=True),
+        transitions=model.transitions + tuple(
+            t._replace(name=f"{t.name}Again") for t in model.transitions),
+        timed_transitions=tuple(TimedTransition(
+            f"late{i}", "C", "C", i, guard="highestBid > 0", statements=(action,))
+            for i in (1, 2)))
+    types = {p.type_text for t in model.transitions for p in t.inputs + t.outputs + t.locals}
+    types |= {v.type_text for v in model.variables}
+    types |= {m.type_text for s in model.structs for m in s.members}
+    roles = {"type": types,
+             "guard": {g for t in model.transitions for g in t.guards} | {"highestBid > 0"},
+             "action": {s for t in model.transitions for s in t.statements},
+             "timed action": {action}}
+    return model, roles
+
+
 def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, monkeypatch):
     # `install` finds `lex_fragment` by identity in the namespaces of
     # `validate` and `codegen`; a reference captured some other
     # way (an alias, a default argument) would leave the lexing unattributed.
     from fsmforge import fragments
-    from fsmforge.dsl import parse_dsl
-    from fsmforge.model import TimedTransition
     from fsmforge.weave import weave
 
     calls = {("validate", "lex_fragment"): 0, ("codegen", "lex_fragment"): 0}
@@ -92,26 +116,12 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
             calls[_key] += 1
             return _original(*args, **kwargs)
         monkeypatch.setattr(module, key[1], counting)
-    # The transitions twice, and two timed ones alike whose action is an
-    # action's text too: every guard, action and type text is repeated.
-    model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
-    action = model.transitions[-1].statements[0]
-    model = model._replace(
-        plugins=model.plugins._replace(timed=True),
-        transitions=model.transitions + tuple(
-            t._replace(name=f"{t.name}Again") for t in model.transitions),
-        timed_transitions=tuple(TimedTransition(
-            f"late{i}", "C", "C", i, guard="highestBid > 0", statements=(action,))
-            for i in (1, 2)))
-    # Each distinct text is lexed once per role (type, guard or action) and
-    # validate call: the timed guard is a new guard text, and the timed
-    # action repeats an action's.
-    types = {p.type_text for t in model.transitions for p in t.inputs + t.outputs + t.locals}
-    types |= {v.type_text for v in model.variables}
-    types |= {m.type_text for s in model.structs for m in s.members}
-    guards = {g for t in model.transitions for g in t.guards} | {"highestBid > 0"}
-    actions = {s for t in model.transitions for s in t.statements}
-    lexed = len(types) + len(guards) + len(actions)
+    # Each distinct text is lexed once per role (type, guard, action or timed
+    # action) and validate call: the timed guard is a new guard text, and the
+    # timed action, an action's text too, is lexed again in its own role.
+    model, roles = _doubled_blind_auction(corpus_dir)
+    lexed = sum(len(texts) for texts in roles.values())
+    assert lexed == 16
     validate = sys.modules["fsmforge.validate"].validate
     for rounds in (1, 2):
         assert validate(model) == []
@@ -120,6 +130,23 @@ def test_validate_and_token_texts_lex_through_their_module_globals(corpus_dir, m
     codegen = sys.modules["fsmforge.codegen"]
     assert codegen.token_texts(codegen.generate(weave(model)))
     assert calls["codegen", "lex_fragment"] == 1
+
+
+def test_validate_keeps_free_identifiers_only_for_guards_and_timed_actions(corpus_dir,
+                                                                           monkeypatch):
+    # Only a guard's names (undeclared identifiers, E_TIMED_IO) and a timed
+    # action's (E_TIMED_IO) are read, so no other text pays for computing them.
+    module = sys.modules["fsmforge.validate"]
+    original, calls = module._free_identifiers, []
+
+    def counting(tokens):
+        calls.append(tokens)
+        return original(tokens)
+    monkeypatch.setattr(module, "_free_identifiers", counting)
+    model, roles = _doubled_blind_auction(corpus_dir)
+    for rounds in (1, 2):
+        assert module.validate(model) == []
+        assert len(calls) == rounds * (len(roles["guard"]) + len(roles["timed action"]))
 
 
 def test_star_import_binds_every_exported_name():
@@ -236,6 +263,23 @@ def test_only_the_call_boundary_turns_an_exception_into_a_revert():
                     n.attr for n in ast.walk(node.targets[0]) if isinstance(n, ast.Attribute)}:
                 restorers.add(func.name)  # a field assigned a saved value
     assert catchers == restorers == {"_transact"}
+
+
+def test_only_check_fragment_knows_a_fragment_roles_rules():
+    # `validate._check_fragment` alone says what each fragment role checks and
+    # which names it keeps; a comparison of `role` anywhere else, a separate
+    # type checker or a second reporting method would split that again.
+    tree = ast.parse((ROOT / "src" / "fsmforge" / "validate.py").read_text(encoding="utf-8"))
+    comparers = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func) if isinstance(node, ast.Compare)
+                 and "role" in {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    assert comparers == {"_check_fragment"}
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_check_fragment" in functions and "_check_type" not in functions
+    collector = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "_Collector")
+    methods = {node.name for node in collector.body if isinstance(node, ast.FunctionDef)}
+    assert "fragment" in methods and "warn" not in methods
 
 
 def test_coldstart_times_one_round_of_fresh_processes(tmp_path):

@@ -2,11 +2,13 @@ import json
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from fsmforge.codegen import generate
-from fsmforge.dsl import IDENT, parse_dsl
+from fsmforge.diagnostics import ParseError
+from fsmforge.dsl import IDENT, emit_dsl, parse_dsl
 from fsmforge.jsonio import emit_json, parse_json
 from fsmforge.model import (
     ContractModel,
@@ -26,6 +28,7 @@ from modelgen import (
     faulty_model,
     globals_read,
     hostile_model,
+    random_model,
     without_fragments,
 )
 from timing import sample
@@ -404,6 +407,71 @@ def test_a_timed_action_is_lexed_after_the_same_text_was_an_action():
               timed_transitions=(TimedTransition("tt", "A", "B", 60, statements=(text,)),))
     assert diags(m) == [("E_TIMED_IO", "timed_transitions[0].statements[0]",
                          "timed transitions may not reference transition input/output 'amount'")]
+
+
+def test_a_timed_guard_warns_of_an_undeclared_identifier():
+    # `generate` writes a timed guard into the contract-scope `timedTransitions`
+    # modifier, so only state variables, structs and the guard builtins are in
+    # scope there; a transition's input is an E_TIMED_IO error and no warning.
+    m = parse_dsl("""contract M {
+        states { initial A; B; }
+        plugins { timed; }
+        transition go from A to B { guard { foo > 0 } }
+        timed tt from A to B at 60 seconds { guard { foo > 0 } }
+    }""")
+    assert [(d.code, d.severity, d.path, d.message) for d in validate(m)] == [
+        ("W_UNDECLARED_IDENT", "warning", path, "guard references undeclared identifier 'foo'")
+        for path in ("transitions[0].guards[0]", "timed_transitions[0].guard")]
+    m = model(plugins=PluginConfig(timed=True),
+              variables=(VariableDecl("total", "uint", "public"),),
+              structs=(StructDef("Rec", (Param("x", "uint"),)),),
+              transitions=(t(inputs=(Param("amount", "uint"),), locals=(Param("tmp", "uint"),)),),
+              timed_transitions=(TimedTransition(
+                  "tt", "A", "B", 60, guard="amount + tmp + total + Rec > now && msg.value > 0",
+                  statements=("uint fresh = total;",)),))
+    assert diags(m) == [
+        ("E_TIMED_IO", "timed_transitions[0].guard",
+         "timed transitions may not reference transition input/output 'amount'"),
+        ("W_UNDECLARED_IDENT", "timed_transitions[0].guard",
+         "guard references undeclared identifier 'tmp'")]
+
+
+def test_a_guard_reads_its_own_named_outputs():
+    # Solidity 0.4 declares named return variables in the function body,
+    # where the guard's `require` is written; another transition's are not.
+    r = (Param("r", "uint"),)
+    m = model(transitions=(t("a", outputs=r, guards=("r == 0",)), t("b", guards=("r == 0",))))
+    assert diags(m) == [("W_UNDECLARED_IDENT", "transitions[1].guards[0]",
+                         "guard references undeclared identifier 'r'")]
+
+
+def test_a_repeated_tag_is_refused():
+    # The DSL refuses a repeated tag, so `emit_dsl` would write a model that
+    # does not parse back.
+    data = json.loads(emit_json(model(transitions=(t(),))))
+    data["transitions"][0]["tags"] = ["payable", "payable", "payable"]
+    m = parse_json(json.dumps(data))
+    assert diags(m) == [("E_BAD_TAG", "transitions[0].tags", "duplicate tag 'payable'")] * 2
+    with pytest.raises(ParseError) as exc:
+        parse_dsl(emit_dsl(m))
+    assert exc.value.diagnostics[0].code == "E_DUP_DECL"
+
+
+def test_a_model_with_no_error_emits_tags_the_dsl_reads_back():
+    rng = random.Random(3003)
+    clean = rejected = 0
+    for _ in range(300):
+        m = random_model(rng)
+        m = m._replace(transitions=tuple(
+            tr._replace(tags=tuple(rng.choice(("payable", "admin", "event"))
+                                   for _ in range(rng.randint(0, 3))))
+            for tr in m.transitions))
+        if any(d.severity == "error" for d in validate(m)):
+            rejected += 1
+            continue
+        clean += 1
+        assert parse_dsl(emit_dsl(m)) == m
+    assert clean > 50 and rejected > 50, (clean, rejected)
 
 
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",

@@ -1,7 +1,8 @@
 """Guard-expression parser.
 
-Parses the evaluable subset of guard fragments: integer and time-unit
-literals, `now`, `creationTime`, bare identifiers, and the usual
+Parses the evaluable subset of guard fragments: decimal integer literals,
+with or without a time unit (as in Solidity 0.4, `5 days` is the `IntLit`
+432000), `now`, `creationTime`, bare identifiers, and the usual
 arithmetic/comparison/boolean operators with standard precedence.
 The parser reads the lexer's token texts and tells a token's kind from its
 text. Anything outside the subset (member access, calls, indexing, ...),
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from string import digits
 from typing import Union
 
 from .fragments import IDENT_START, LexError, lex_fragment
@@ -21,16 +21,9 @@ from .model import TIME_UNITS
 
 @dataclass(frozen=True)
 class IntLit:
-    """An integer literal."""
+    """An integer literal; a time literal's value is in seconds."""
 
     value: int
-
-
-@dataclass(frozen=True)
-class TimeLit:
-    """A number with a time unit, in seconds."""
-
-    seconds: int
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ class Opaque:
     text: str
 
 
-GuardAst = Union[IntLit, TimeLit, Var, Now, CreationTime, Unary, Binary, Opaque]
+GuardAst = Union[IntLit, Var, Now, CreationTime, Unary, Binary, Opaque]
 
 # The binary operators' precedence levels, loosest first; each is left-associative.
 _LEVELS = (("||",), ("&&",), ("<", "<=", ">", ">=", "==", "!="), ("+", "-"), ("*", "/", "%"))
@@ -85,8 +78,9 @@ _LEVEL = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 # then stay far below Python's recursion limit.
 MAX_DEPTH = 200
 
-# An evaluable time literal: decimal digits, then a time unit.
-_TIME_LIT = re.compile(rf"(\d+)[ \t]*({'|'.join(TIME_UNITS)})")
+# An evaluable number: ASCII decimal digits, then an optional time unit. A hex,
+# decimal or exponent literal, with or without a unit, does not match: Opaque.
+_NUMBER = re.compile(rf"([0-9]+)(?:[ \t]*({'|'.join(TIME_UNITS)}))?")
 
 
 class _Unsupported(Exception):
@@ -138,13 +132,8 @@ class _Parser:
             if self.take() != ")":
                 raise _Unsupported()
             return node, height + 1
-        if tok[0] in digits:
-            if tok.isdigit():
-                return IntLit(int(tok)), 0
-            m = _TIME_LIT.fullmatch(tok)
-            if m is None:
-                raise _Unsupported()  # hex, decimal and exponent literals stay opaque
-            return TimeLit(int(m[1]) * TIME_UNITS[m[2]]), 0
+        if m := _NUMBER.fullmatch(tok):
+            return IntLit(int(m[1]) * TIME_UNITS.get(m[2], 1)), 0
         if tok[0] in IDENT_START:
             if tok == "now":
                 return Now(), 0

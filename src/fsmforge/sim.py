@@ -231,8 +231,6 @@ def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int
         return now
     elif kind is g.CreationTime:
         return creation_time
-    elif kind is g.TimeLit:
-        return ast.seconds
     elif kind is g.Opaque:
         if override is None:
             raise MissingOverride(ast.text)

@@ -16,11 +16,12 @@ import re
 from .codegen import CREATION_TIME, STATE_CHECK
 from .diagnostics import Diagnostic
 from .fragments import IDENT_START, LexError, lex_fragment
-from .model import INT_RANGES, KNOWN_TAGS, ContractModel, TimedTransition, Transition
+from .model import INT_RANGES, KNOWN_TAGS, TIME_UNITS, ContractModel, TimedTransition, Transition
 from .plugins import BY_FIELD, BY_TAG
 
 # Solidity's keywords, reserved words and elementary type names (see
-# https://docs.soliditylang.org/en/latest/cheatsheet.html, "Reserved Keywords").
+# https://docs.soliditylang.org/en/latest/cheatsheet.html, "Reserved Keywords"),
+# and the ether units `szabo` and `finney`, which Solidity 0.4 also scans as keywords.
 # Builtins such as `now`, `msg` or `super` may be shadowed, with a warning,
 # except those the generator's own code reads (`_BUILTINS_READ`).
 _KEYWORDS = frozenset("""
@@ -32,42 +33,51 @@ _KEYWORDS = frozenset("""
     unicode using view virtual while int uint wei gwei ether seconds minutes hours
     days weeks years after alias apply auto byte case copyof default define final
     implements in inline let macro match mutable null of partial promise reference
-    relocatable sealed sizeof static supports switch typedef typeof var
+    relocatable sealed sizeof static supports switch typedef typeof var szabo finney
 """.split()).union(INT_RANGES, (f"bytes{n}" for n in range(1, 33)))
 _FIXED = re.compile(r"u?fixed[0-9]+x[0-9]+")  # the fixedMxN type names
 # An integer or bytes type name with a width; Solidity has those in _KEYWORDS.
 _WIDTH = re.compile(r"(?:u?int|bytes)[0-9]+")
 
 # A name declared at column 0 of a plugin's declaration block: the word after
-# `function` / `modifier`, or the last word before `=` or `;` (variables, events).
-_DECLARED = re.compile(r"^(?:(?:function|modifier) (\w+)|[^\s}].*?(\w+) ?[=;](?!>))", re.M)
+# `function`, `modifier` or `event`, or a variable's, the last word before `=` or `;`.
+_DECLARED = re.compile(r"^(?:(?:function|modifier|event) (\w+)|[^\s}].*?(\w+) ?[=;](?!>))", re.M)
 
 # Builtins the generator's own code reads, outside member names after a dot: a
 # user declaration of one would change what that code means.
 _BUILTINS_READ = re.compile(r"(?<![\w.$])(?:msg|now|require)(?![\w$])")
 
+# The units Solidity 0.4 reads as part of the number before them. The lexer folds
+# a time unit into the number's token only when spaces or tabs alone part them.
+_UNITS = frozenset(["wei", "szabo", "finney", "ether", "years", *TIME_UNITS])
+
 # Identifiers guards may always use without declaring them.
-_GUARD_BUILTINS = {"now", "msg", "creationTime", "true", "false", "this", "block", "tx"}
+_GUARD_BUILTINS = {"now", "msg", "true", "false", "this", "block", "tx"}
 
 
-def _generated_names(model: ContractModel) -> set[str]:
+def _generated_names(model: ContractModel) -> tuple[set[str], set[str]]:
     """The contract-scope names the generator's own code declares or reads as
     builtins, except the contract's own name (which the access plugin's
-    constructor takes). The texts read leave out the user's fragments."""
+    constructor takes), and the subset a guard may read: `States` and the
+    variables. The texts read leave out the user's fragments."""
     blank = model._replace(name="", timed_transitions=())
     plugins = [BY_FIELD[field] for field in model.plugins.enabled()]
-    names = ["state", "States"] + [name for plugin in plugins for name, _ in plugin.params]
+    names = [name for plugin in plugins for name, _ in plugin.params]
+    variables = {"state", "States"}
     for text in [CREATION_TIME, STATE_CHECK] + [plugin.decls(blank) for plugin in plugins]:
-        names += [a or b for a, b in _DECLARED.findall(text)] + _BUILTINS_READ.findall(text)
-    return set(names)
+        declared = _DECLARED.findall(text)
+        names += [a for a, _ in declared if a] + _BUILTINS_READ.findall(text)
+        variables.update(b for _, b in declared if b)
+    return variables.union(names), variables
 
 
 def _free_identifiers(texts: list[str]) -> frozenset[str]:
-    """Identifiers among a fragment's token texts, excluding member names after a dot."""
+    """Identifiers among a fragment's token texts, excluding member names after
+    a dot and the units after a number that the lexer leaves out of its token."""
     names = set()
-    prev = None
+    prev = ""
     for tok in texts:
-        if tok[0] in IDENT_START and prev != ".":
+        if tok[0] in IDENT_START and prev != "." and not (tok in _UNITS and prev[:1].isdigit()):
             names.add(tok)
         if not tok.startswith(("//", "/*")):
             prev = tok
@@ -213,7 +223,7 @@ def validate(model: ContractModel) -> list[Diagnostic]:
     generation safety; empty result iff the model is generation-ready."""
     structs = {struct.name for struct in model.structs}
     out = _Collector(structs)
-    generated = _generated_names(model)
+    generated, generated_vars = _generated_names(model)
     out.declare({}, "name", "contract", model.name, generated)
     generated.add(model.name)  # a function of that name would be the constructor
     contract: dict[str, str] = {}
@@ -240,7 +250,7 @@ def validate(model: ContractModel) -> list[Diagnostic]:
             out.declare(members, f"structs[{i}].members[{j}]", "struct member", member.name)
             out.fragment(f"structs[{i}].members[{j}]", member.type_text, "type")
 
-    guard_names = {v.name for v in model.variables} | structs | _GUARD_BUILTINS
+    guard_names = {v.name for v in model.variables} | structs | generated_vars | _GUARD_BUILTINS
     for i, t in enumerate(model.transitions):
         out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
         _check_transition(out, model, i, t, known_states, generated, guard_names)

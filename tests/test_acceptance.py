@@ -338,8 +338,6 @@ def _oracle_eval(node, env, now, creation):
     """Independent reference evaluator (exact rationals for division)."""
     if isinstance(node, g.IntLit):
         return node.value
-    if isinstance(node, g.TimeLit):
-        return node.seconds
     if isinstance(node, g.Now):
         return now
     if isinstance(node, g.CreationTime):

@@ -4,24 +4,35 @@ from hypothesis import strategies as st
 from fsmforge import guards as g
 from fsmforge.fragments import LexError, lex_fragment
 from fsmforge.guards import parse_guard_expr
+from fsmforge.model import TIME_UNITS
 
 
 def test_literals_and_builtins():
     assert parse_guard_expr("42") == g.IntLit(42)
-    assert parse_guard_expr("5 days") == g.TimeLit(5 * 86400)
-    assert parse_guard_expr("now > 5days") == g.Binary(">", g.Now(), g.TimeLit(5 * 86400))
-    assert parse_guard_expr("2 minutes") == g.TimeLit(120)
+    assert parse_guard_expr("5 days") == g.IntLit(5 * 86400)
+    assert parse_guard_expr("now > 5days") == g.Binary(">", g.Now(), g.IntLit(5 * 86400))
+    assert parse_guard_expr("2 minutes") == g.IntLit(120)
     assert parse_guard_expr("now") == g.Now()
     assert parse_guard_expr("creationTime") == g.CreationTime()
     assert parse_guard_expr("amount") == g.Var("amount")
 
 
+@given(st.from_regex(r"[0-9]{1,40}", fullmatch=True), st.sampled_from(["", " ", "\t", " \t "]),
+       st.sampled_from(sorted(TIME_UNITS)))
+def test_a_time_literal_is_an_int_literal_in_seconds(digits, space, unit):
+    # In Solidity 0.4 a time unit only multiplies its number.
+    assert parse_guard_expr(digits) == g.IntLit(int(digits))
+    assert parse_guard_expr(f"{digits}{space}{unit}") == g.IntLit(int(digits) * TIME_UNITS[unit])
+    for literal in (hex(int(digits)), f"{digits}.5", f"{digits}e3"):
+        for text in (literal, f"{literal}{space}{unit}", f"now > {literal}{space}{unit}"):
+            assert parse_guard_expr(text) == g.Opaque(text)
+
+
 def test_distinct_node_kinds_never_compare_equal():
     # The nodes stay dataclasses: as tuples, `Now() == CreationTime()` and
-    # `IntLit(5) == TimeLit(5)` would hold, and the parser tests above could
+    # `Var("x") == Opaque("x")` would hold, and the parser tests above could
     # no longer tell the kinds apart.
-    pairs = [(g.Now(), g.CreationTime()), (g.IntLit(5), g.TimeLit(5)),
-             (g.Var("x"), g.Opaque("x"))]
+    pairs = [(g.Now(), g.CreationTime()), (g.Var("x"), g.Opaque("x"))]
     for a, b in pairs:
         assert a != b and b != a, (a, b)
         assert a == type(a)(*vars(a).values())
@@ -55,7 +66,7 @@ def test_unary_and_parens():
 def test_paper_guard_shape():
     ast = parse_guard_expr("now >= creationTime + 5 days")
     assert ast == g.Binary(
-        ">=", g.Now(), g.Binary("+", g.CreationTime(), g.TimeLit(5 * 86400)))
+        ">=", g.Now(), g.Binary("+", g.CreationTime(), g.IntLit(5 * 86400)))
 
 
 def test_unsupported_constructs_become_opaque():
@@ -68,6 +79,8 @@ def test_unsupported_constructs_become_opaque():
         "now > 0x1f days",  # a unit after a hex, decimal or exponent literal
         "now > 1.5 days",
         "now > 1e3 days",
+        "now < 1 years",  # units the lexer leaves out of the number token
+        "a > 1 ether",
         "a ? b : c",
         "a +",          # trailing operator
         "a b",          # trailing tokens

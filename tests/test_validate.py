@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from collections import Counter
@@ -472,6 +473,107 @@ def test_a_model_with_no_error_emits_tags_the_dsl_reads_back():
         clean += 1
         assert parse_dsl(emit_dsl(m)) == m
     assert clean > 50 and rejected > 50, (clean, rejected)
+
+
+def _read_both_ways(dsl_text):
+    """The model of a DSL text, and the same model read back from its JSON."""
+    m = parse_dsl(dsl_text)
+    return m, parse_json(emit_json(m))
+
+
+def test_a_unit_after_a_number_is_part_of_the_literal():
+    # Solidity 0.4 reads `1 ether` and `1 years` as one literal, but the lexer
+    # folds only the time units of TIME_UNITS into the number token, and only
+    # across spaces and tabs. A unit word with no number before it is a name.
+    text = """contract M {
+        states { initial A; B; }
+        plugins { timed; }
+        transition go from A to B {
+            guard { msg.value >= 1 ether && now > creationTime + 5
+                    days }
+            guard { msg.value > 2 finney + 3 szabo + 4 wei }
+            guard { ether > 0 }
+        }
+        timed tt from A to B at 60 seconds { guard { now < creationTime + 1 years } }
+    }"""
+    for m in _read_both_ways(text):
+        assert diags(m) == [("W_UNDECLARED_IDENT", "transitions[0].guards[2]",
+                             "guard references undeclared identifier 'ether'")]
+
+
+def test_the_ether_units_szabo_and_finney_are_keywords():
+    # solc 0.4 scans both as ether subdenominations; they left the language in 0.7.
+    for name in ("szabo", "finney"):
+        text = f"""contract M {{
+            states {{ initial A; B; }}
+            var public uint {name};
+            transition go from A to B {{ input (uint {name}); }}
+        }}"""
+        for m in _read_both_ways(text):
+            assert diags(m) == [
+                ("E_BAD_NAME", "variables[0]", f"variable '{name}' is a Solidity keyword"),
+                ("E_BAD_NAME", "transitions[0].inputs[0]",
+                 f"parameter '{name}' is a Solidity keyword")]
+
+
+def test_a_guard_reads_the_variables_the_generator_declares():
+    # The generator declares `state`, `States`, `creationTime` and the plugins'
+    # variables at contract scope. Its modifiers, events, functions (the
+    # constructor `M` too), `require` and the injected parameter are no values.
+    text = """contract M {
+        states { initial A; B; }
+        plugins { locking; counter; timed; access; events; }
+        transition go from A to B tags (event) {
+            guard { state == States.A && !locked && transitionCounter > 0 }
+            guard { isAdmin[msg.sender] && numAdmins > 1 && creationTime < now }
+            guard { locking || transitionCounting || timedTransitions || onlyAdmin }
+            guard { eventgo || Eventgo || addAdmin || removeAdmin || M || require }
+            guard { nextTransitionNumber > 0 }
+        }
+        timed tt from A to B at 60 seconds { guard { state == States.A && numAdmins > 1 } }
+    }"""
+    unread = {2: ["locking", "onlyAdmin", "timedTransitions", "transitionCounting"],
+              3: ["Eventgo", "M", "addAdmin", "eventgo", "removeAdmin", "require"],
+              4: ["nextTransitionNumber"]}
+    for m in _read_both_ways(text):
+        assert diags(m) == [
+            ("W_UNDECLARED_IDENT", f"transitions[0].guards[{j}]",
+             f"guard references undeclared identifier '{name}'")
+            for j, names in unread.items() for name in names]
+    # A plugin's variables are declared only while the plugin is on.
+    m = model(transitions=(t(guards=("!locked && state == States.A",)),))
+    assert diags(m) == [("W_UNDECLARED_IDENT", "transitions[0].guards[0]",
+                         "guard references undeclared identifier 'locked'")]
+
+
+# The contract-scope variables each plugin's declarations hold.
+PLUGIN_VARIABLES = {"locking": ("locked",), "counter": ("transitionCounter",), "timed": (),
+                    "access_control": ("isAdmin", "numAdmins"), "events": ()}
+
+
+def test_guards_read_generated_variables_and_unit_literals_in_every_configuration():
+    rng = random.Random(3104)
+    for _ in range(25):
+        m = random_model(rng)
+        for bits in itertools.product((False, True), repeat=5):
+            plugins = PluginConfig(*bits)
+            off = sorted(name for field, names in PLUGIN_VARIABLES.items()
+                         if not getattr(plugins, field) for name in names)
+            guard = " && ".join(
+                [f"state == States.{m.states[0]}", "now < creationTime + 1 years",
+                 "msg.value >= 1 ether + 2 finney + 3 szabo + 4 wei"]
+                + [f"{name} != 0" for names in PLUGIN_VARIABLES.values() for name in names])
+            found = validate(m._replace(
+                plugins=plugins,
+                transitions=tuple(tr._replace(guards=(guard,)) for tr in m.transitions),
+                timed_transitions=tuple(tt._replace(guard=guard)
+                                        for tt in m.timed_transitions)))
+            paths = ([f"transitions[{i}].guards[0]" for i in range(len(m.transitions))]
+                     + [f"timed_transitions[{i}].guard"
+                        for i in range(len(m.timed_transitions))])
+            assert [(d.path, d.message) for d in found if d.code == "W_UNDECLARED_IDENT"] == [
+                (path, f"guard references undeclared identifier '{name}'")
+                for path in paths for name in off], (plugins, guard)
 
 
 VALID_TYPES = ["uint", "uint8[]", "uint[8]", "bytes32[2][3]", "mapping(uint => bool)",

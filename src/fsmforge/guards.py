@@ -74,8 +74,9 @@ _LEVELS = (("||",), ("&&",), ("<", "<=", ">", ">=", "==", "!="), ("+", "-"), ("*
 _LEVEL = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
 # A guard whose AST is deeper than this, counting each pair of parentheses as
-# a level, is Opaque: the parser and the recursive evaluator (`sim.eval_guard`)
-# then stay far below Python's recursion limit.
+# a level, is Opaque: the parser, the recursive evaluator (`sim.eval_guard`),
+# the simulator's guard compiler (`sim._compile`) and the nesting of the
+# closures it builds then stay far below Python's recursion limit.
 MAX_DEPTH = 200
 
 # An evaluable number: ASCII decimal digits, then an optional time unit. A hex,
@@ -132,8 +133,9 @@ class _Parser:
             if self.take() != ")":
                 raise _Unsupported()
             return node, height + 1
-        if m := _NUMBER.fullmatch(tok):
-            return IntLit(int(m[1]) * TIME_UNITS.get(m[2], 1)), 0
+        if m := _NUMBER.fullmatch(tok):  # a unit after a newline or comment is a token of its own
+            unit = m[2] or (self.take() if self.peek() in TIME_UNITS else None)
+            return IntLit(int(m[1]) * TIME_UNITS.get(unit, 1)), 0
         if tok[0] in IDENT_START:
             if tok == "now":
                 return Now(), 0

@@ -11,10 +11,10 @@ never executed; the modeled effect of a transition is its state change. A
 session is deployed at time 0, so a guard's `creationTime` reads 0.
 
 The woven contract's plan (`_plan`) is built once per contract, when the
-contract's first session starts: each transition's chain, parsed guards and
-plain executed outcome, the timed transitions with their parsed guards, the
-names a `timed_guard_overrides` key may take, and the integer ranges that
-`bind_env` checks.
+contract's first session starts: each transition's chain, guards (parsed and
+compiled, `_compile`) and plain executed outcome, the timed transitions with
+theirs, the names a `timed_guard_overrides` key may take, and the integer
+ranges that `bind_env` checks. A call hands each guard to `eval_guard` once.
 
 An `Invocation` is a plain record that the simulator reads and never assigns
 to, so a scenario step can hand the same one to every run; a probe's missing
@@ -26,6 +26,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from types import FunctionType
 from typing import NamedTuple, Optional
 
 from . import guards as g
@@ -98,8 +99,8 @@ class _Revert(Exception):
 class _Plan(NamedTuple):
     """What the simulator reads of a woven contract, built once per contract."""
 
-    entries: dict  # name -> (its first transition, chain, parsed guards, plain executed outcome)
-    timed: tuple  # (timed transition, parsed guard or None), in firing order
+    entries: dict  # name -> (its first transition, chain, compiled guards, plain executed outcome)
+    timed: tuple  # (timed transition, compiled guard or None), in firing order
     guarded: frozenset  # the names of the timed transitions with a guard
     ranges: dict  # state variable -> (least, greatest, type)
 
@@ -111,13 +112,14 @@ def _plan(woven: WovenContract) -> _Plan:
         for t in model.transitions:
             if t.name not in entries:
                 chain = woven.chains.get(t.name, ())  # no chain: run it unwrapped
-                entries[t.name] = (t, chain, tuple(g.parse_guard_expr(x) for x in t.guards),
+                entries[t.name] = (t, chain,
+                                   tuple(_compile(g.parse_guard_expr(x)) for x in t.guards),
                                    Outcome(executed=True, events=(f"Event{t.name}",))
                                    if EVENTS in chain else _EXECUTED)
-        timed = tuple((tt, None if tt.guard is None else g.parse_guard_expr(tt.guard))
+        timed = tuple((tt, None if tt.guard is None else _compile(g.parse_guard_expr(tt.guard)))
                       for tt in model.timed_transitions)
         woven.sim_plan.append(_Plan(
-            entries, timed, frozenset(tt.name for tt, ast in timed if ast is not None),
+            entries, timed, frozenset(tt.name for tt, guard in timed if guard is not None),
             {var.name: (*INT_RANGES[var.type_text], var.type_text)
              for var in model.variables if var.type_text in INT_RANGES}))
     return woven.sim_plan[0]
@@ -190,7 +192,7 @@ def _mod_trunc(a: int, b: int) -> int:
     return a - _div_trunc(a, b) * b
 
 
-# Binary operators over ints; `&&` and `||` short-circuit in eval_guard.
+# Binary operators over ints; `&&` and `||` short-circuit in eval_guard and _compile.
 _INT_OPS = {
     "+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div_trunc, "%": _mod_trunc,
     "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
@@ -198,13 +200,65 @@ _INT_OPS = {
 }
 
 
-def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int],
-               override: Optional[bool] = None):
-    """Evaluate a guard AST; ints and bools, division truncating toward zero.
+def _compile(ast: g.GuardAst):
+    """The parsed guard as one closure `(now, creation_time, env, override=None)`
+    that keeps eval_guard's rules; `_plan` builds it once per contract. A parent
+    calls its children without the override, so only a whole Opaque guard reads
+    it, and an integer-literal right operand is bound into its parent."""
+    kind = type(ast)
+    if kind is g.Binary:
+        op, left = ast.op, _compile(ast.left)
+        if type(ast.right) is g.IntLit and op in _INT_OPS:
+            fn, value = _INT_OPS[op], ast.right.value
+            return lambda now, ct, env, _=None: fn(int(left(now, ct, env)), value)
+        right = _compile(ast.right)
+        if op == "&&":
+            return lambda now, ct, env, _=None: (
+                bool(left(now, ct, env)) and bool(right(now, ct, env)))
+        if op == "||":
+            return lambda now, ct, env, _=None: (
+                bool(left(now, ct, env)) or bool(right(now, ct, env)))
+        fn = _INT_OPS[op]
+        return lambda now, ct, env, _=None: fn(int(left(now, ct, env)), int(right(now, ct, env)))
+    if kind is g.Var:
+        name = ast.name
 
-    Opaque nodes return the override, or raise MissingOverride without one.
+        def var(now, ct, env, _=None):
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        return var
+    if kind is g.IntLit:
+        value = ast.value
+        return lambda now, ct, env, _=None: value
+    if kind is g.Unary:
+        child = _compile(ast.child)
+        if ast.op == "!":
+            return lambda now, ct, env, _=None: not child(now, ct, env)
+        return lambda now, ct, env, _=None: -int(child(now, ct, env))
+    if kind is g.Now:
+        return lambda now, ct, env, _=None: now
+    if kind is g.CreationTime:
+        return lambda now, ct, env, _=None: ct
+    text = ast.text  # Opaque
+
+    def opaque(now, ct, env, override=None):
+        if override is None:
+            raise MissingOverride(text)
+        return override
+    return opaque
+
+
+def eval_guard(ast, now: int, creation_time: int, env: dict[str, int],
+               override: Optional[bool] = None):
+    """Call a compiled guard (`_compile`) once, or walk a guard AST node by node;
+    ints and bools, division truncating toward zero. An Opaque guard returns the
+    override, or raises MissingOverride without one; other guards ignore it.
     """
     kind = type(ast)
+    if kind is FunctionType:
+        return ast(now, creation_time, env, override)
     if kind is g.Binary:  # the commonest node first
         op = ast.op
         fn = _INT_OPS.get(op)
@@ -241,10 +295,10 @@ def eval_guard(ast: g.GuardAst, now: int, creation_time: int, env: dict[str, int
 def _run_timed(session: SimSession, call: Invocation) -> tuple[str, ...]:
     """Fire due timed transitions, in declaration order; each re-reads the state."""
     fired: tuple[str, ...] = ()
-    for tt, ast in session.plan.timed:
+    for tt, guard in session.plan.timed:
         if session.current_state != tt.from_state or session.now < tt.time_offset_seconds:
             continue
-        if ast is None or eval_guard(ast, session.now, 0, session.env,
+        if guard is None or eval_guard(guard, session.now, 0, session.env,
                                      call.timed_guard_overrides.get(tt.name)):
             session.current_state = tt.to_state
             fired += (tt.name,)
@@ -268,7 +322,7 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
     entry = plan.entries.get(call.transition)
     if entry is None:
         raise _Revert(RevertReason.UNKNOWN_TRANSITION)
-    t, chain, asts, done = entry
+    t, chain, guards, done = entry
     if COUNTER in chain and call.next_transition_number is None:
         raise SimUsageError(
             f"counter plugin is enabled; call to '{call.transition}' needs a transition number")
@@ -291,8 +345,8 @@ def _execute(session: SimSession, call: Invocation, depth: int) -> Outcome:
 
     if session.current_state != t.from_state:
         raise _Revert(RevertReason.WRONG_STATE)
-    for i, ast in enumerate(asts):
-        if not eval_guard(ast, session.now, 0, session.env, call.guard_overrides.get(i)):
+    for i, guard in enumerate(guards):
+        if not eval_guard(guard, session.now, 0, session.env, call.guard_overrides.get(i)):
             raise _Revert(RevertReason.GUARD_FAILED)
 
     probe_outcome: Optional[Outcome] = None

@@ -170,6 +170,19 @@ def test_sim_on_guards_past_the_depth_bound(tmp_path, capsys):
         assert "Reverted(MissingOverride)" in out and "Traceback" not in err
 
 
+def test_sim_reads_a_time_unit_after_a_newline_or_comment(tmp_path, capsys):
+    scn = tmp_path / "go.scn"
+    scn.write_text("call go as alice expect revert:GuardFailed\n"
+                   "time 432001\ncall go as alice expect ok\nassert state=T\n")
+    model = tmp_path / "unit.fsm"
+    for guard in ("now > creationTime + 5\n  days", "now > 5 /* five */ days"):
+        model.write_text("contract U { states { initial S; T; } "
+                         f"transition go from S to T {{ guard {{ {guard} }} }} }}")
+        assert main(["check", str(model)]) == 0
+        assert main(["sim", str(model), "--scenario", str(scn)]) == 0, guard
+        assert "MissingOverride" not in capsys.readouterr().out
+
+
 def test_unknown_command_and_no_args():
     assert main(["frobnicate"]) == 2
     assert main([]) == 2

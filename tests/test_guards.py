@@ -28,6 +28,19 @@ def test_a_time_literal_is_an_int_literal_in_seconds(digits, space, unit):
             assert parse_guard_expr(text) == g.Opaque(text)
 
 
+@given(st.from_regex(r"[0-9]{1,40}", fullmatch=True),
+       st.sampled_from(["\n", "\r\n", " \n\t", "/* c */", " /* c\n */ ", " // c\n", "// c\r\n"]),
+       st.sampled_from(sorted(TIME_UNITS)))
+def test_a_time_unit_after_a_newline_or_comment_is_part_of_the_literal(digits, gap, unit):
+    # Solidity skips a newline or a comment between a number and its unit.
+    want = g.IntLit(int(digits) * TIME_UNITS[unit])
+    assert parse_guard_expr(f"{digits}{gap}{unit}") == parse_guard_expr(f"{digits} {unit}") == want
+    assert parse_guard_expr(f"now > creationTime + {digits}{gap}{unit}") == g.Binary(
+        ">", g.Now(), g.Binary("+", g.CreationTime(), want))
+    for text in (f"{digits} {unit}{gap}{unit}", f"{digits}{gap}years", f"{hex(int(digits))}{gap}{unit}"):
+        assert parse_guard_expr(text) == g.Opaque(text)
+
+
 def test_distinct_node_kinds_never_compare_equal():
     # The nodes stay dataclasses: as tuples, `Now() == CreationTime()` and
     # `Var("x") == Opaque("x")` would hold, and the parser tests above could

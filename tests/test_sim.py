@@ -4,7 +4,10 @@ import timeit
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fsmforge import sim
 from fsmforge.codegen import generate
 from fsmforge.dsl import parse_dsl
 from fsmforge.model import (
@@ -28,9 +31,12 @@ from fsmforge.sim import (
     invoke,
     new_session,
 )
-from fsmforge.guards import MAX_DEPTH, Binary, IntLit, Opaque, parse_guard_expr
+from fsmforge.guards import (
+    MAX_DEPTH, Binary, CreationTime, IntLit, Now, Opaque, Unary, Var, parse_guard_expr)
+from fsmforge.scenario import run_scenario
 from fsmforge.weave import WovenContract, weave
 from modelgen import random_model
+from test_acceptance import _BINARY_OPS, _trees_of_height_at_most
 from test_guards import DEEP_GUARDS
 from timing import sample
 
@@ -483,6 +489,128 @@ def test_eval_guard_unknown_node():
         eval_guard(object(), 0, 0, {})
     with pytest.raises(SimUsageError):
         eval_guard(Binary("**", IntLit(2), IntLit(3)), 0, 0, {})
+
+
+# --- compiled guards ---------------------------------------------------------
+
+
+def _result(guard, now, creation_time, env, override=None):
+    """A guard's value and its type, or its exception's class and args (an
+    UnboundVariable's message names the variable)."""
+    try:
+        value = eval_guard(guard, now, creation_time, env, override)
+    except (ZeroDivisionError, MissingOverride, UnboundVariable) as exc:
+        return type(exc), exc.args
+    return value, type(value)
+
+
+def test_compiled_guards_agree_with_the_walker_on_criterion_5s_trees():
+    # Criterion 5's trees over `a` and `b`; `b` is unbound in the last env.
+    envs = [{"a": 0, "b": -2}, {"a": 3, "b": 2}, {"a": -1}]
+    for tree in _trees_of_height_at_most(3):
+        compiled = sim._compile(tree)
+        for env in envs:
+            assert _result(compiled, 0, 0, env) == _result(tree, 0, 0, env), (tree, env)
+
+
+_LEAVES = st.one_of(
+    st.sampled_from([Var("a"), Var("b"), Var("c"), Now(), CreationTime(), Opaque("m[x]")]),
+    st.builds(IntLit, st.integers(0, 3)))
+_TREES = st.recursive(_LEAVES, lambda kids: st.one_of(
+    st.builds(Unary, st.sampled_from(["!", "-"]), kids),
+    st.builds(Binary, st.sampled_from(_BINARY_OPS), kids, kids)), max_leaves=60)
+
+
+@given(_TREES, st.dictionaries(st.sampled_from("abc"), st.integers(-3, 3)),
+       st.integers(0, 10**6), st.integers(0, 10**5), st.sampled_from([None, True, False]))
+@settings(max_examples=500)
+def test_a_compiled_guard_agrees_with_the_walker(tree, env, now, creation_time, override):
+    # Partial envs, `now`, `creationTime`, division and modulo by zero, and an
+    # Opaque node, whole (where the override counts) or nested (where it raises).
+    compiled = sim._compile(tree)
+    assert (_result(compiled, now, creation_time, env, override)
+            == _result(tree, now, creation_time, env, override))
+
+
+def test_a_whole_opaque_guard_reads_its_override_and_a_nested_one_raises():
+    whole = sim._compile(Opaque("m[x]"))
+    assert _result(whole, 0, 0, {}) == (MissingOverride, ("m[x]",))
+    assert _result(whole, 0, 0, {}, True) == (True, bool)
+    assert _result(whole, 0, 0, {}, False) == (False, bool)
+    nested = sim._compile(Binary("&&", IntLit(1), Opaque("m[x]")))
+    assert _result(nested, 0, 0, {}, True) == (MissingOverride, ("m[x]",))
+    assert _result(sim._compile(IntLit(1)), 0, 0, {}, False) == (1, int)  # ignored
+
+
+def test_a_guard_at_the_depth_bound_compiles_and_runs():
+    for name, guard in DEEP_GUARDS.items():
+        text = guard(MAX_DEPTH)
+        ast = parse_guard_expr(text)
+        assert not isinstance(ast, Opaque), name
+        s = new_session(build([t("ab", "A", "B", guard=text)]))
+        out = invoke(s, Invocation("ab", "u"))  # no RecursionError
+        assert out.executed == bool(eval_guard(ast, 0, 0, {})), name
+
+
+def test_guards_run_in_order_and_stop_at_the_first_false_one():
+    woven = build([Transition("go", "A", "B", guards=("k > 5", "mystery > 0"))])
+    s = new_session(woven)
+    s.env["k"] = 0
+    assert invoke(s, Invocation("go", "u")).revert_reason == RevertReason.GUARD_FAILED
+    s.env["k"] = 9
+    with pytest.raises(UnboundVariable, match="mystery"):  # guard 1 runs only now
+        invoke(s, Invocation("go", "u"))
+
+
+def test_an_override_on_an_evaluable_guard_is_ignored():
+    tick = TimedTransition("tick", "A", "C", 10, guard="k > 5")
+    woven = build([t("go", "A", "B", guard="k > 5"), t("stay", "A", "A")], [tick], timed=True)
+    s = new_session(woven)
+    s.env["k"] = 0
+    out = invoke(s, Invocation("go", "u", guard_overrides={0: True}))
+    assert out.revert_reason == RevertReason.GUARD_FAILED
+    advance_time(s, 10)
+    out = invoke(s, Invocation("stay", "u", timed_guard_overrides={"tick": True}))
+    assert out == Outcome(executed=True) and s.current_state == "A"
+
+
+def count_compiled_guards(monkeypatch):
+    """Wrap `sim._compile`. Returns two lists: the AST of each top-level guard
+    compiled, and one entry per call of such a compiled guard."""
+    compiled, calls, real = [], [], sim._compile
+    depth = 0
+
+    def counting(ast):
+        nonlocal depth
+        depth += 1
+        try:
+            guard = real(ast)  # its children come back through this wrapper too
+        finally:
+            depth -= 1
+        if depth:
+            return guard
+        compiled.append(ast)
+
+        def counted(*args):
+            calls.append(ast)
+            return guard(*args)
+        return counted
+
+    monkeypatch.setattr(sim, "_compile", counting)
+    return compiled, calls
+
+
+def test_each_guard_is_compiled_once_per_contract(corpus_dir, monkeypatch):
+    compiled, calls = count_compiled_guards(monkeypatch)
+    model = parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8"))
+    model = model._replace(plugins=model.plugins._replace(timed=True), timed_transitions=(
+        TimedTransition("late", "C", "C", 1, guard="highestBid > 0"),))
+    woven = weave(model)
+    text = (corpus_dir / "blind_auction_happy.scn").read_text(encoding="utf-8")
+    assert run_scenario(woven, text).ok and run_scenario(woven, text).ok  # two sessions
+    guards = [x for t in model.transitions for x in t.guards] + ["highestBid > 0"]
+    assert compiled == [parse_guard_expr(x) for x in guards]
+    assert len(calls) == 2 * 4  # close twice, reveal and finish once, per session
 
 
 # --- the simulator plan ---------------------------------------------------

@@ -49,14 +49,16 @@ def test_importing_the_cli_loads_every_module_the_benchmark_reads():
     assert names and sorted(n for n in names if f"fsmforge.{n}" not in loaded) == []
 
 
-def test_traced_simulator_layers_are_reached(corpus_dir):
+def test_traced_simulator_layers_are_reached(corpus_dir, monkeypatch):
     # `install` patches functions by identity in the module namespaces, so a
     # table or a default argument that captured one at import time would
     # read 0 in its per-layer metrics instead of failing.
     from fsmforge import scenario
     from fsmforge.dsl import parse_dsl
     from fsmforge.weave import weave
+    from test_sim import count_compiled_guards
 
+    _, guard_calls = count_compiled_guards(monkeypatch)
     woven = weave(parse_dsl((corpus_dir / "blind_auction.fsm").read_text(encoding="utf-8")))
     text = (corpus_dir / "blind_auction_happy.scn").read_text(encoding="utf-8")
     calls = sum(type(step) is scenario.Call for step in scenario.parse_scenario(text))
@@ -70,7 +72,8 @@ def test_traced_simulator_layers_are_reached(corpus_dir):
     metrics = tracer.metrics(steps=1)
     assert metrics["scenario.parse_scenario.calls"][0] == 1
     assert metrics["sim.invoke.calls"][0] == calls > 0
-    assert metrics["sim.eval_guard.calls"][0] > 0
+    # The simulator calls eval_guard once per guard, with the compiled guard.
+    assert metrics["sim.eval_guard.calls"][0] == len(guard_calls) == 4
     assert scenario.run_scenario is run_scenario  # uninstalled
 
 

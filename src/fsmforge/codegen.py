@@ -1,14 +1,14 @@
 """Solidity emission from a woven contract.
 
-Output is deterministic: LF newlines, 4-space indent unit, single trailing
-newline. `token_texts` gives the whitespace-insensitive token stream used
-for golden comparisons against transcribed listings.
+Output is deterministic: LF newlines, 4-space indent unit, blocks padded by
+`plugins.emit_block`, single trailing newline. `token_texts` gives the
+whitespace-insensitive tokens that golden tests compare with transcribed listings.
 """
 from __future__ import annotations
 
 from .fragments import lex_fragment
 from .model import Transition
-from .plugins import PLUGINS, Plugin
+from .plugins import PLUGINS, Plugin, emit_block
 from .weave import WovenContract
 
 _INDENT = "    "
@@ -16,12 +16,6 @@ _INDENT = "    "
 # declare and the builtins they read.
 CREATION_TIME = "uint private creationTime = now;"
 STATE_CHECK = "require(state == States.{});"
-
-
-def _emit_block(out: list[str], text: str, indent: int):
-    pad = _INDENT * indent
-    for line in text.split("\n"):
-        out.append(pad + line if line else "")
 
 
 def guard_conjunction(t: Transition) -> str:
@@ -64,7 +58,7 @@ def _emit_transition(out: list[str], t: Transition, head: tuple[list[str], str])
     if t.statements:
         out.append(f"{_INDENT * 2}//Actions")
         for stmt in t.statements:
-            _emit_block(out, stmt, 2)
+            emit_block(out, stmt, _INDENT * 2)
     if t.to_state != t.from_state:
         out.append(f"{_INDENT * 2}//State change")
         out.append(f"{_INDENT * 2}state = States.{t.to_state};")
@@ -97,7 +91,7 @@ def generate(woven: WovenContract) -> str:
         if decls:
             out.append("")
             out.append(f"{_INDENT}{plugin.banner}")
-            _emit_block(out, decls, 1)
+            emit_block(out, decls, _INDENT)
     out.append("")
     out.append(f"{_INDENT}//Transitions")
     heads: dict[tuple[Plugin, ...], tuple[list[str], str]] = {}  # one per chain

@@ -38,16 +38,14 @@ class Diagnostic(NamedTuple):
     path: str = ""
     span: Optional[SourceSpan] = None
 
-    def render(self, color: Optional[bool] = None) -> str:
-        if color is None:
-            color = os.environ.get("FSMFORGE_COLOR", "0") == "1"
+    def render(self) -> str:
         parts = [f"{self.severity} {self.code}"]
         if self.span is not None:
             parts.append(f"at {self.span.file}:{self.span.line}:{self.span.column}")
         if self.path:
             parts.append(f"({self.path})")
         text = " ".join(parts) + f": {self.message}"
-        if color:
+        if os.environ.get("FSMFORGE_COLOR", "0") == "1":
             return _COLORS.get(self.severity, "") + text + _RESET
         return text
 

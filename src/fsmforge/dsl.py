@@ -35,7 +35,7 @@ from .model import (
     VariableDecl,
     canonicalize,
 )
-from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig
+from .plugins import BY_FIELD, BY_KEYWORD, PluginConfig, emit_block
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")  # also what `validate` calls a name
 # Whitespace and `#` comments. A comment runs to the end of its line, so a
@@ -420,9 +420,7 @@ def _emit_fragment(out: list[str], keyword: str, fragment: str, indent: int):
         out.append(f"{pad}{keyword} {{ {fragment} }}")
         return
     out.append(f"{pad}{keyword} {{")
-    inner = _INDENT * (indent + 1)
-    for line in fragment.split("\n"):
-        out.append(inner + line if line else "")
+    emit_block(out, fragment, _INDENT * (indent + 1))
     out.append(f"{pad}}}")
 
 

@@ -11,6 +11,7 @@ per-transition event modifier. `weave` stores `chain(config, t.tags)` for
 each transition in `WovenContract.chains`. The generator writes each modifier
 and injected parameter from that stored tuple, and the simulator runs its
 steps from the same tuple, so the two cannot disagree on the order.
+`emit_block` lays out every emitted block here and in `codegen` and `dsl`.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 if TYPE_CHECKING:
-    from .model import ContractModel, TimedTransition
+    from .model import ContractModel
 
 
 class PluginConfig(NamedTuple):
@@ -98,29 +99,25 @@ modifier event{name} {{
 }}"""
 
 
-def timed_transition_block(tt: TimedTransition) -> str:
-    """One automatic-firing block inside the timedTransitions modifier."""
-    head = [f"if ((state == States.{tt.from_state})"]
-    clause = f"    && (now >= creationTime + {tt.time_offset_seconds})"
-    if tt.guard is None:
-        head.append(clause + ") {")
-    else:
-        head.append(clause)
-        head.append(f"    && ({tt.guard})) {{")
-    body = []
-    for stmt in tt.statements:
-        body.extend("    " + ln if ln else "" for ln in stmt.split("\n"))
-    body.append(f"    state = States.{tt.to_state};")
-    return "\n".join(head + body + ["}"])
+def emit_block(out: list[str], text: str, pad: str):
+    """Append each line of `text` to `out` after `pad`; a blank line stays empty."""
+    for line in text.split("\n"):
+        out.append(pad + line if line else "")
 
 
 def timed_modifier(model: ContractModel) -> str:
+    """One automatic-firing block per timed transition, each line at its depth."""
     lines = ["modifier timedTransitions {"]
     for tt in model.timed_transitions:
-        block = timed_transition_block(tt)
-        lines.extend("    " + ln if ln else "" for ln in block.split("\n"))
-    lines.append("    _;")
-    lines.append("}")
+        lines.append(f"    if ((state == States.{tt.from_state})")
+        lines.append(f"        && (now >= creationTime + {tt.time_offset_seconds})"
+                     + (") {" if tt.guard is None else ""))
+        if tt.guard is not None:  # its later lines get the block's pad, not its first's
+            emit_block(lines, f"    && ({tt.guard})) {{", "    ")
+        for stmt in tt.statements:
+            emit_block(lines, stmt, "        ")
+        lines += [f"        state = States.{tt.to_state};", "    }"]
+    lines += ["    _;", "}"]
     return "\n".join(lines)
 
 

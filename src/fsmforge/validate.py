@@ -255,7 +255,8 @@ def validate(model: ContractModel) -> list[Diagnostic]:
         out.declare(contract, f"transitions[{i}].name", "transition", t.name, generated)
         _check_transition(out, model, i, t, known_states, generated, guard_names)
 
-    io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs}
+    # A name that contract scope or a builtin also has resolves to that in the modifier.
+    io_names = {p.name for t in model.transitions for p in t.inputs + t.outputs} - guard_names
     timed: dict[str, str] = {}
     for i, tt in enumerate(model.timed_transitions):
         out.declare(timed, f"timed_transitions[{i}].name", "timed transition", tt.name,

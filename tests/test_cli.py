@@ -27,6 +27,22 @@ def test_check_reports_diagnostics(tmp_path, capsys):
     assert "E_NO_INITIAL" in err
 
 
+def test_check_a_timed_action_may_assign_a_variable_named_like_an_input(tmp_path, capsys):
+    # Inside `timedTransitions` the name is the state variable, so the
+    # generated code compiles.
+    path = tmp_path / "shared.fsm"
+    path.write_text("""contract R {
+    states { initial A; B; }
+    plugins { timed; }
+    var public uint amount;
+    transition go from A to B { input (uint amount); }
+    timed tt from A to B at 60 seconds { action { amount = 0; } }
+}
+""")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_check_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.fsm"
     bad.write_text("contract {\n")

@@ -41,6 +41,11 @@ def test_a_time_unit_after_a_newline_or_comment_is_part_of_the_literal(digits, g
         assert parse_guard_expr(text) == g.Opaque(text)
 
 
+def test_a_parenthesis_left_open_before_another_operand_is_opaque():
+    # `(a` parses as far as `a`; `b` stands where its `)` must be.
+    assert parse_guard_expr("(a b)") == g.Opaque("(a b)")
+
+
 def test_distinct_node_kinds_never_compare_equal():
     # The nodes stay dataclasses: as tuples, `Now() == CreationTime()` and
     # `Var("x") == Opaque("x")` would hold, and the parser tests above could

@@ -82,7 +82,15 @@ def test_each_step_kind_parses_to_its_record(line, record, kind):
     assert parse_scenario(f"\n{line}")[0].line_no == 2
 
 
-BAD_STEPS = [
+# Bad lines, each with the exact message it raises.
+BAD_STEP_MESSAGES = [
+    ("call bid as alice stray expect ok", "unexpected token 'stray'"),
+    ("admin add alice by boss expect maybe", "bad expectation 'maybe'"),
+    ("assert state", "assert syntax: assert <key>=<value>"),
+    ("env x", "bad env binding 'x'"),
+]
+
+BAD_STEPS = [line for line, _ in BAD_STEP_MESSAGES] + [
     "call bid expect ok",
     "call bid as alice",                     # missing expect
     "call bid as alice expect maybe",
@@ -112,6 +120,13 @@ BAD_STEPS = [
 def test_bad_steps_raise(bad):
     with pytest.raises(ScenarioSyntaxError):
         parse_step(7, bad)
+
+
+@pytest.mark.parametrize("line, message", BAD_STEP_MESSAGES)
+def test_bad_step_messages(line, message):
+    with pytest.raises(ScenarioSyntaxError) as exc:
+        parse_step(7, line)
+    assert str(exc.value) == f"line 7: {message}"
 
 
 @pytest.mark.parametrize("line, number", [

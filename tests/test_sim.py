@@ -277,6 +277,19 @@ def test_admin_call_requires_plugin():
         admin_call(s, "add", "x", "y")
 
 
+def test_admin_call_refuses_an_unknown_action():
+    s = new_session(build([t("aa", "A", "A")], access_control=True))
+    with pytest.raises(SimUsageError, match="^unknown admin action 'promote'$"):
+        admin_call(s, "promote", "alice", "deployer")
+    assert s.is_admin == frozenset({"deployer"})
+
+
+def test_a_session_needs_an_initial_state():
+    woven = weave(ContractModel(name="S", states=("A", "B"), initial_state=None))
+    with pytest.raises(SimUsageError, match="^model has no initial state$"):
+        new_session(woven)
+
+
 def test_time_cannot_go_backward():
     woven = build([t("aa", "A", "A")])
     s = new_session(woven)

@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import os
 import pkgutil
 import re
 import shutil
@@ -20,6 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
 WORKLOADS = ROOT / "bench" / "workloads.py"
 COLDSTART = ROOT / "tools" / "coldstart.py"
+BENCH = ROOT / "bench"
 
 
 def _layertrace() -> dict:
@@ -305,6 +307,20 @@ def test_coldstart_times_one_round_of_fresh_processes(tmp_path):
     (tmp_path / "src" / "fsmforge" / "__pycache__").mkdir()
     with pytest.raises(SystemExit, match="__pycache__ would serve the no_cache runs bytecode"):
         measure({"here": tmp_path}, 1, ("check",))
+
+
+def test_the_benchmark_selftest_passes_and_writes_nothing_under_bench():
+    # The benchmark reads the program through `bench/`; a break there fails
+    # here, not only when the benchmark runs.
+    def listing():
+        return sorted((str(p.relative_to(BENCH)), p.stat().st_size, p.stat().st_mtime_ns)
+                      for p in BENCH.rglob("*"))
+    before = listing()
+    done = subprocess.run([sys.executable, str(BENCH / "selftest.py")], cwd=ROOT,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert listing() == before
 
 
 def test_committed_bench_records_are_complete():

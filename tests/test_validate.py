@@ -266,11 +266,13 @@ def test_timed_offsets_must_fit_in_a_uint256():
             assert f"creationTime + {offset})" in generate(weave(m))
 
 
-def test_diagnostics_render(capsys):
+def test_diagnostics_render(monkeypatch):
     diags = validate(FIXTURES["E_RESERVED"])
-    text = diags[0].render(color=False)
+    monkeypatch.setenv("FSMFORGE_COLOR", "0")
+    text = diags[0].render()
     assert "error E_RESERVED" in text and "state" in text
-    assert "\033[" in diags[0].render(color=True)
+    monkeypatch.setenv("FSMFORGE_COLOR", "1")
+    assert "\033[" in diags[0].render()
 
 
 def diags(m):
@@ -435,6 +437,36 @@ def test_a_timed_guard_warns_of_an_undeclared_identifier():
          "timed transitions may not reference transition input/output 'amount'"),
         ("W_UNDECLARED_IDENT", "timed_transitions[0].guard",
          "guard references undeclared identifier 'tmp'")]
+
+
+def test_a_timed_guard_reads_a_variable_named_like_an_input():
+    # Contract scope resolves the name inside `timedTransitions`, so it is
+    # the state variable there, not the transition's input.
+    m = model(plugins=PluginConfig(timed=True),
+              variables=(VariableDecl("amount", "uint", "public"),),
+              transitions=(t(inputs=(Param("amount", "uint"),)),),
+              timed_transitions=(TimedTransition("tt", "A", "B", 60, guard="amount > 0"),))
+    assert diags(m) == []
+
+
+def test_a_timed_action_may_assign_a_variable_renamed_to_an_input():
+    rng = random.Random(3305)
+    checked = 0
+    for _ in range(200):
+        m = random_model(rng)
+        inputs = [p.name for tr in m.transitions for p in tr.inputs]
+        if not inputs:
+            continue
+        name = rng.choice(inputs)
+        i = rng.randrange(len(m.variables))
+        m = m._replace(
+            plugins=m.plugins._replace(timed=True),
+            variables=m.variables[:i] + (m.variables[i]._replace(name=name),) + m.variables[i + 1:],
+            timed_transitions=m.timed_transitions + (TimedTransition(
+                "ttx", m.states[0], m.states[-1], 60, statements=(f"{name} = 0;",)),))
+        assert "E_TIMED_IO" not in [d.code for d in validate(m)], m
+        checked += 1
+    assert checked > 100, checked
 
 
 def test_a_guard_reads_its_own_named_outputs():

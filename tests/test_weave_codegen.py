@@ -132,6 +132,39 @@ def test_timed_modifier_layout():
     assert text.splitlines()[-2:] == ["    _;", "}"]
 
 
+def test_timed_modifier_exact_text():
+    # The later lines of a multi-line timed guard keep the block's pad, not
+    # the deeper one of the guard's first line.
+    m = ContractModel(
+        name="Demo", states=("A", "B"), initial_state="A",
+        transitions=(Transition("go", "A", "B"),),
+        timed_transitions=(
+            TimedTransition("first", "A", "B", 60),
+            TimedTransition("second", "B", "A", 3600, guard="x > 1\n|| x == 0",
+                            statements=("x = 2;", "if (x > 1) {\n    x = 1;\n}")),
+        ),
+        plugins=PluginConfig(timed=True))
+    block = generate(weave(m)).split("    //Timed transitions\n")[1].split("\n\n")[0]
+    assert block == """\
+    modifier timedTransitions {
+        if ((state == States.A)
+            && (now >= creationTime + 60)) {
+            state = States.B;
+        }
+        if ((state == States.B)
+            && (now >= creationTime + 3600)
+            && (x > 1
+        || x == 0)) {
+            x = 2;
+            if (x > 1) {
+                x = 1;
+            }
+            state = States.A;
+        }
+        _;
+    }"""
+
+
 def test_access_control_uses_contract_name_constructor():
     block = generate(weave(small_model(access_control=True))).split("//Access control")[1]
     assert "function Demo() {" in block
